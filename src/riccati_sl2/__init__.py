@@ -10,14 +10,15 @@ detectors, all cross-validated against the oracle.
 """
 
 from .expr import (Expr, Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call,
-                   Integral, T, ZERO, ONE, parse, evaluate, differentiate,
-                   substitute, integral_from, as_expr, sqrt, exp, log, sin,
-                   cos, tan, tanh, arctan, integral, ParseError,
-                   EvalDomainError, QuadratureError)
+                   Integral, T, ZERO, ONE, parse, evaluate, evaluate_grid,
+                   differentiate, substitute, integral_from, as_expr, sqrt,
+                   exp, log, sin, cos, tan, tanh, arctan, integral,
+                   ParseError, EvalDomainError, QuadratureError)
 from .projline import (ExtReal, INF, ext, Mat2, M0, M1, M2, mobius_apply,
                        cross_ratio, SingularMatrixError,
                        CoincidentPointsError)
-from .riccati import RiccatiEquation, Trajectory, rhs, integrate_direct
+from .riccati import (RiccatiEquation, Trajectory, rhs, time_grid,
+                      integrate_direct)
 from .sl2 import (AlgebraCurve, GroupTrajectory, OneDimensionalTarget,
                   AffineSolvableTarget, TargetSubalgebra,
                   algebra_curve_from_riccati, integrate_group_equation,

@@ -17,7 +17,8 @@ A problem file is JSON:
 Coefficients and hint functions use the expression grammar of
 :mod:`riccati_sl2.expr`.  Output JSON is byte-stable across runs: fixed
 key order and floats printed with 17 significant digits.  Exit codes:
-0 success, 1 verification/runtime failure, 2 input error.
+0 success, 1 verification/runtime failure or a truncated trajectory,
+2 input error.
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .criteria import classify, solve_via_report
-from .expr import (Expr, EvalDomainError, ParseError, QuadratureError, T,
-                   evaluate, parse)
-from .projline import CoincidentPointsError, ExtReal, INF, cross_ratio
+from .criteria import classify, max_pair_deviation, solve_via_report
+from .expr import Expr, EvalDomainError, ParseError, QuadratureError, T, parse
+from .projline import (CoincidentPointsError, ExtReal, INF, cross_ratio,
+                       mobius_apply)
 from .riccati import RiccatiEquation, integrate_direct
 from .sl2 import (OneDimensionalTarget, algebra_curve_from_riccati,
                   integrate_group_equation, reconstruct_solution)
-from .solvers import ResidualError, verify_particular_solution
+from .solvers import ResidualError, SolutionForm, verify_particular_solution
 from .transform import (CurveSL2, gauge_transform_algebra, theta_apply,
                         transform_coefficients)
 
@@ -51,8 +52,8 @@ _HINT_CONSTANT_KEYS = {"a", "b", "c", "k"}
 _HINT_DETECTORS = {"RU68", "Zh99Basic", "Zh99E"} | {
     f"Zh99Table{i}" for i in range(1, 7)}
 
-# Comparison cap: points with |x| above this sit next to a crossing
-# through infinity and are excluded from relative comparisons.
+# Trajectory comparison: pairs of points with |x| at most this compare
+# in the x chart, pairs with |x| at least 1 in the chart w = -1/x.
 _COMPARE_CAP = 10.0
 
 
@@ -264,35 +265,20 @@ def _problem_json(problem: Problem):
     }
 
 
-def _sample_expr(e: Expr, ts) -> list[ExtReal]:
-    out = []
-    for t in ts:
-        try:
-            out.append(ExtReal(evaluate(e, t)))
-        except EvalDomainError as exc:
-            if exc.kind == "division by zero":
-                out.append(INF)
-            else:
-                raise
-    return out
-
-
-def _comparable(x: ExtReal) -> bool:
-    return not x.is_inf and abs(x.value) <= _COMPARE_CAP
-
-
 def _points_dev(xs_a, xs_b) -> float:
-    """Max relative deviation over samples where both sides are finite
-    and away from crossings through infinity."""
+    """Max relative deviation between two sampled trajectories on the
+    compactified line.  A pair with both |x| <= 10 compares in the x
+    chart, else a pair with both |x| >= 1 compares in the chart
+    w = -1/x (infinity is w = 0); any other pair is a mismatch (inf)."""
     worst = 0.0
-    compared = 0
     for a, b in zip(xs_a, xs_b):
-        if _comparable(a) and _comparable(b):
-            compared += 1
-            worst = max(worst, abs(a.value - b.value)
-                        / (1.0 + max(abs(a.value), abs(b.value))))
-    if compared == 0:
-        return math.inf
+        u = math.inf if a.is_inf else a.value
+        v = math.inf if b.is_inf else b.value
+        if abs(u) > _COMPARE_CAP or abs(v) > _COMPARE_CAP:
+            if abs(u) < 1.0 or abs(v) < 1.0:
+                return math.inf
+            u, v = -1.0 / u, -1.0 / v
+        worst = max(worst, abs(u - v) / (1.0 + max(abs(u), abs(v))))
     return worst
 
 
@@ -333,6 +319,7 @@ def cmd_solve(problem: Problem, args) -> int:
     outdir = Path(getattr(args, "output", ".") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
+    truncated = False
     for i, x0 in enumerate(problem.initial_conditions):
         if chosen is not None:
             traj = solve_via_report(problem.equation, chosen, x0,
@@ -342,8 +329,12 @@ def cmd_solve(problem: Problem, args) -> int:
                                     problem.t_interval, problem.step)
         fname = f"trajectory_{i}.csv"
         (outdir / fname).write_text(traj.to_csv_text())
-        entries.append({"initial_condition": str(x0), "file": fname,
-                        "samples": len(traj)})
+        truncated = truncated or traj.error is not None
+        entries.append({
+            "initial_condition": str(x0), "file": fname,
+            "samples": len(traj), "error": traj.error,
+            "truncated_at": traj.ts[-1] if traj.error is not None else None,
+            "chart_switches": len(traj.chart_switches)})
     doc = {
         "schema": 1,
         "command": "solve",
@@ -353,7 +344,7 @@ def cmd_solve(problem: Problem, args) -> int:
         "reports": [_report_json(r) for r in reports],
     }
     print(_dumps(doc))
-    return 0
+    return 1 if truncated else 0
 
 
 def cmd_verify(problem: Problem, args) -> int:
@@ -395,8 +386,8 @@ def cmd_verify(problem: Problem, args) -> int:
         eq2 = transform_coefficients(eq, r.curve)
         x0p = theta_apply(r.curve, ta, x0)
         image = integrate_direct(eq2, x0p, span, step)
-        mapped = [theta_apply(r.curve, t, x)
-                  for t, x in zip(base.ts, base.xs)]
+        mapped = [mobius_apply(A, x)
+                  for A, x in zip(r.curve.sample(base.ts), base.xs)]
         add(f"equivariance[{r.name}]", _points_dev(mapped, image.xs), 1e-6)
 
     # Gauge law versus coefficient law, on each reducing curve (or on an
@@ -407,12 +398,8 @@ def cmd_verify(problem: Problem, args) -> int:
     for name, c in pairs:
         g1 = gauge_transform_algebra(a, c)
         g2 = algebra_curve_from_riccati(transform_coefficients(eq, c))
-        dev = 0.0
-        for t in grid:
-            for lhs, rhs_ in ((g1.b0, g2.b0), (g1.b1, g2.b1), (g1.b2, g2.b2)):
-                lv = evaluate(lhs, t)
-                rv = evaluate(rhs_, t)
-                dev = max(dev, abs(lv - rv) / (1.0 + abs(lv) + abs(rv)))
+        dev = max_pair_deviation(
+            ((g1.b0, g2.b0), (g1.b1, g2.b1), (g1.b2, g2.b2)), grid)
         add(f"gauge_consistency[{name}]", dev, 1e-9)
 
     # Group-equation reconstruction against the direct oracle.
@@ -424,7 +411,8 @@ def cmd_verify(problem: Problem, args) -> int:
 
     # Cross-ratio constancy, when three reference solutions are available
     # besides the probe.
-    refs = [_sample_expr(k, base.ts) for k in problem.known_solutions]
+    refs = [SolutionForm(k, "known-solution").sample(base.ts)
+            for k in problem.known_solutions]
     for xi in problem.initial_conditions[1:]:
         refs.append(integrate_direct(eq, xi, span, step).xs)
     if len(refs) >= 3:

@@ -25,9 +25,10 @@ import statistics
 from dataclasses import dataclass, field
 
 from .expr import (Expr, ONE, ZERO, Const, EvalDomainError, QuadratureError,
-                   as_expr, differentiate, evaluate, exp, integral_from, sqrt)
+                   as_expr, differentiate, evaluate, evaluate_grid, exp,
+                   integral_from, sqrt)
 from .projline import ext, mobius_apply
-from .riccati import RiccatiEquation, Trajectory
+from .riccati import RiccatiEquation, Trajectory, time_grid
 from .sl2 import (AffineSolvableTarget, OneDimensionalTarget,
                   solve_one_dimensional_target)
 from .solvers import solve_bernoulli, solve_linear, PreconditionError
@@ -38,7 +39,7 @@ __all__ = [
     "check_rao_K", "check_rao_W0", "check_ru68", "check_allen_stein",
     "check_ko06", "check_ra61", "check_rdm05", "check_zh99_basic",
     "check_zh99_E", "check_zh99_table", "classify", "solve_via_report",
-    "DETECTOR_ORDER", "DEFAULT_TOL", "CURVE_MATCH_TOL",
+    "max_pair_deviation", "DETECTOR_ORDER", "DEFAULT_TOL", "CURVE_MATCH_TOL",
 ]
 
 DEFAULT_TOL = 1e-6
@@ -88,16 +89,19 @@ def constancy_fit(f: Expr, grid) -> tuple[float, float]:
 
 
 def _values(e: Expr, grid) -> list[float]:
-    return [evaluate(e, t) for t in grid]
+    return evaluate_grid(e, grid).tolist()
+
+
+def max_pair_deviation(pairs, grid) -> float:
+    """Worst of |l - r| / (1 + |l| + |r|) over the grid and the
+    (l, r) expression pairs, evaluated together in one grid walk."""
+    vals = evaluate_grid([e for pair in pairs for e in pair], grid)
+    lv, rv = vals[0::2], vals[1::2]
+    return float((abs(lv - rv) / (1.0 + abs(lv) + abs(rv))).max())
 
 
 def _pair_dev(lhs: Expr, rhs: Expr, grid) -> float:
-    worst = 0.0
-    for t in grid:
-        lv = evaluate(lhs, t)
-        rv = evaluate(rhs, t)
-        worst = max(worst, abs(lv - rv) / (1.0 + abs(lv) + abs(rv)))
-    return worst
+    return max_pair_deviation(((lhs, rhs),), grid)
 
 
 def _unsat(name: str, reason: str, **diag) -> CriterionReport:
@@ -119,12 +123,8 @@ def _finish(report: CriterionReport, eq: RiccatiEquation, grid) -> CriterionRepo
         return report
     teq = _target_equation(report.target)
     tr = transform_coefficients(eq, report.curve)
-    worst = 0.0
-    for t in grid:
-        for le, re_ in ((tr.b0, teq.b0), (tr.b1, teq.b1), (tr.b2, teq.b2)):
-            lv = evaluate(le, t)
-            rv = evaluate(re_, t)
-            worst = max(worst, abs(lv - rv) / (1.0 + abs(lv) + abs(rv)))
+    worst = max_pair_deviation(
+        ((tr.b0, teq.b0), (tr.b1, teq.b1), (tr.b2, teq.b2)), grid)
     report.diagnostics["curve_residual"] = worst
     if worst > CURVE_MATCH_TOL:
         report.satisfied = False
@@ -427,8 +427,7 @@ def _sign_choice_for_curve(build, grid):
     for s in (1.0, -1.0):
         curve = build(s)
         try:
-            for t in grid:
-                curve.matrix_at(t)
+            curve.sample(grid)
         except (EvalDomainError, QuadratureError):
             continue
         return s, curve
@@ -697,24 +696,19 @@ def solve_via_report(eq: RiccatiEquation, report: CriterionReport, x0,
     the solution back through the inverse curve."""
     if not report.satisfied or report.curve is None or report.target is None:
         raise ValueError("report is not a satisfied reduction")
-    ta, tb = float(t_span[0]), float(t_span[1])
+    ts, h = time_grid(t_span, step)
     curve = report.curve
-    inv = inverse(curve)
-    x0p = theta_apply(curve, ta, ext(x0))
+    x0p = theta_apply(curve, ts[0], ext(x0))
     if isinstance(report.target, OneDimensionalTarget):
-        G = solve_one_dimensional_target(report.target, (ta, tb), step)
-        xs = []
-        for t, A in zip(G.ts, G.mats):
-            xprime = mobius_apply(A, x0p)
-            xs.append(mobius_apply(inv.matrix_at(t), xprime))
-        return Trajectory(list(G.ts), xs, step=G.step)
-    leq = report.target.equation
-    n = max(1, round((tb - ta) / step))
-    h = (tb - ta) / n
-    ts = [ta + i * h for i in range(n + 1)]
-    try:
-        form = solve_linear(leq, x0p, ts)
-    except PreconditionError:
-        form = solve_bernoulli(leq, x0p, ts)
-    xs = [mobius_apply(inv.matrix_at(t), form.at(t)) for t in ts]
-    return Trajectory(ts, xs, step=h)
+        G = solve_one_dimensional_target(report.target, t_span, step)
+        ys = [mobius_apply(A, x0p) for A in G.mats]
+    else:
+        leq = report.target.equation
+        try:
+            form = solve_linear(leq, x0p, ts)
+        except PreconditionError:
+            form = solve_bernoulli(leq, x0p, ts)
+        ys = form.sample(ts)
+    mats = inverse(curve).sample(ts)
+    return Trajectory(ts, [mobius_apply(A, y) for A, y in zip(mats, ys)],
+                      step=h)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from .expr import Expr, EvalDomainError, QuadratureError, as_expr, evaluate
 from .projline import INF, ExtReal, ext
 
-__all__ = ["RiccatiEquation", "Trajectory", "rhs", "integrate_direct"]
+__all__ = ["RiccatiEquation", "Trajectory", "rhs", "time_grid",
+           "integrate_direct"]
 
 # |w| at or below this in the inverse chart is recorded as infinity.
 _BLOWUP_TOL = 1e-12
@@ -80,10 +81,10 @@ def _emit(chart: str, u: float) -> ExtReal:
     return ExtReal(-1.0 / u)
 
 
-def integrate_direct(eq: RiccatiEquation, x0, t_span, step: float = 1e-3) -> Trajectory:
-    """Integrate the equation from x(t_a) = x0 over t_span = (t_a, t_b)
-    with classical fixed-step RK4, continuing through blow-up via the
-    w = -1/x chart."""
+def time_grid(t_span, step: float) -> tuple[list[float], float]:
+    """The fixed-step grid over t_span = (t_a, t_b): the times
+    t_a + i*h for i = 0..n and the step h = (t_b - t_a)/n, with n the
+    nearest whole number of steps of the requested size (at least 1)."""
     ta, tb = float(t_span[0]), float(t_span[1])
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -91,6 +92,14 @@ def integrate_direct(eq: RiccatiEquation, x0, t_span, step: float = 1e-3) -> Tra
         raise ValueError("t_span must be increasing")
     n = max(1, round((tb - ta) / step))
     h = (tb - ta) / n
+    return [ta + i * h for i in range(n + 1)], h
+
+
+def integrate_direct(eq: RiccatiEquation, x0, t_span, step: float = 1e-3) -> Trajectory:
+    """Integrate the equation from x(t_a) = x0 over t_span = (t_a, t_b)
+    with classical fixed-step RK4, continuing through blow-up via the
+    w = -1/x chart."""
+    grid, h = time_grid(t_span, step)
 
     x0 = ext(x0)
     if x0.is_inf:
@@ -108,12 +117,11 @@ def integrate_direct(eq: RiccatiEquation, x0, t_span, step: float = 1e-3) -> Tra
             return b0 + v * (b1 + v * b2)
         return b2 + v * (-b1 + v * b0)
 
-    ts = [ta]
+    ts = [grid[0]]
     xs = [_emit(chart, u)]
     switches: list[tuple[float, str, str]] = []
     error = None
-    for i in range(n):
-        t = ta + i * h
+    for t, t_next in zip(grid, grid[1:]):
         try:
             k1 = f(t, u, chart)
             k2 = f(t + 0.5 * h, u + 0.5 * h * k1, chart)
@@ -124,9 +132,8 @@ def integrate_direct(eq: RiccatiEquation, x0, t_span, step: float = 1e-3) -> Tra
             break
         u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if not math.isfinite(u):
-            error = f"state became non-finite at t={ta + (i + 1) * h:.6g}"
+            error = f"state became non-finite at t={t_next:.6g}"
             break
-        t_next = ta + (i + 1) * h
         if abs(u) > 1.0:
             new_chart = "w" if chart == "x" else "x"
             switches.append((t_next, chart, new_chart))

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, Integral, as_expr, evaluate
+from .expr import Expr, Integral, as_expr, evaluate, evaluate_grid
 from .projline import Mat2, mobius_apply, ext
-from .riccati import RiccatiEquation, Trajectory
+from .riccati import RiccatiEquation, Trajectory, time_grid
 
 __all__ = [
     "AlgebraCurve", "GroupTrajectory", "OneDimensionalTarget",
@@ -111,16 +111,6 @@ def algebra_curve_from_riccati(eq: RiccatiEquation) -> AlgebraCurve:
     return AlgebraCurve(eq.b0, eq.b1, eq.b2)
 
 
-def _steps(t_span, step: float) -> tuple[float, float, int, float]:
-    ta, tb = float(t_span[0]), float(t_span[1])
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if tb <= ta:
-        raise ValueError("t_span must be increasing")
-    n = max(1, round((tb - ta) / step))
-    return ta, tb, n, (tb - ta) / n
-
-
 def integrate_group_equation(a: AlgebraCurve, t_span, step: float = 1e-3) -> GroupTrajectory:
     """Solve dA/dt = a(t) A, A(t_a) = I, by RK4 on the four entries.
 
@@ -128,7 +118,7 @@ def integrate_group_equation(a: AlgebraCurve, t_span, step: float = 1e-3) -> Gro
     drifts from unit determinant only at truncation order, so the square
     root stays positive and the projection keeps |det A - 1| at roundoff.
     """
-    ta, tb, n, h = _steps(t_span, step)
+    grid, h = time_grid(t_span, step)
     b0e, b1e, b2e = a.b0.ev, a.b1.ev, a.b2.ev
 
     def amat(t: float) -> np.ndarray:
@@ -136,10 +126,8 @@ def integrate_group_equation(a: AlgebraCurve, t_span, step: float = 1e-3) -> Gro
         return np.array([[0.5 * b1, b0], [-b2, -0.5 * b1]])
 
     A = np.eye(2)
-    ts = [ta]
     mats = [Mat2.identity()]
-    for i in range(n):
-        t = ta + i * h
+    for t in grid[:-1]:
         k1 = amat(t) @ A
         k2 = amat(t + 0.5 * h) @ (A + 0.5 * h * k1)
         k3 = amat(t + 0.5 * h) @ (A + 0.5 * h * k2)
@@ -151,10 +139,9 @@ def integrate_group_equation(a: AlgebraCurve, t_span, step: float = 1e-3) -> Gro
                 f"determinant collapsed to {d:.3g} at t={t + h:.6g}; "
                 "reduce the step")
         A = A / math.sqrt(d)
-        ts.append(ta + (i + 1) * h)
         mats.append(Mat2(float(A[0, 0]), float(A[0, 1]),
                          float(A[1, 0]), float(A[1, 1])))
-    return GroupTrajectory(ts, mats, step=h)
+    return GroupTrajectory(grid, mats, step=h)
 
 
 def reconstruct_solution(G: GroupTrajectory, x0) -> Trajectory:
@@ -198,15 +185,8 @@ def solve_one_dimensional_target(target: OneDimensionalTarget, t_span,
     integral of the rate (numeric quadrature, anchored at t_a)."""
     if not isinstance(target, OneDimensionalTarget):
         raise TypeError("expected a one-dimensional target")
-    ta, tb, n, h = _steps(t_span, step)
+    ts, h = time_grid(t_span, step)
     N = target.direction()
-    node = Integral(target.rate)
-    tau0 = node.ev(ta)
-    ts = []
-    mats = []
-    for i in range(n + 1):
-        t = ta + i * h
-        tau = node.ev(t) - tau0
-        ts.append(t)
-        mats.append(expm_traceless(N, tau))
+    tau = evaluate_grid(Integral(target.rate), ts)
+    mats = [expm_traceless(N, v) for v in (tau - tau[0]).tolist()]
     return GroupTrajectory(ts, mats, step=h)

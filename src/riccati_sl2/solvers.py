@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .expr import (Expr, T, ZERO, Const, EvalDomainError, Integral, as_expr,
-                   cos, differentiate, evaluate, exp, integral_from, sin,
-                   substitute)
+                   cos, differentiate, evaluate, evaluate_grid, exp,
+                   integral_from, sin, substitute)
 from .projline import INF, ExtReal, ext
 from .riccati import RiccatiEquation, Trajectory, rhs
 
@@ -77,7 +77,14 @@ class SolutionForm:
             raise
 
     def sample(self, ts) -> list[ExtReal]:
-        return [self.at(t) for t in ts]
+        """``at`` on every time of the non-decreasing ``ts``, in one grid
+        evaluation."""
+        if self.constant_infinity:
+            return [INF] * len(ts)
+        if self.expression is None:
+            raise ValueError("no closed form; use the trajectory")
+        vals = evaluate_grid(self.expression, ts, poles=True).tolist()
+        return [INF if math.isinf(v) else ExtReal(v) for v in vals]
 
 
 def verify_particular_solution(eq: RiccatiEquation, x1: Expr, grid) -> None:
@@ -98,7 +105,7 @@ def solve_linear(eq: RiccatiEquation, x0, grid) -> SolutionForm:
     """Two-quadrature closed form for b2 identically zero:
     x(t) = e^{I1(t)} (x0 + int b0 e^{-I1}), I1 the running integral of b1,
     both anchored at the first grid point."""
-    if max(abs(evaluate(eq.b2, t)) for t in grid) > 1e-12:
+    if abs(evaluate_grid(eq.b2, grid)).max() > 1e-12:
         raise PreconditionError("b2 is not identically zero on the grid")
     x0 = ext(x0)
     if x0.is_inf:
@@ -113,7 +120,7 @@ def solve_linear(eq: RiccatiEquation, x0, grid) -> SolutionForm:
 def solve_bernoulli(eq: RiccatiEquation, x0, grid) -> SolutionForm:
     """b0 identically zero: w = -1/x satisfies the linear equation
     dw/dt = -b1 w + b2; poles of x = -1/w are reported as infinity."""
-    if max(abs(evaluate(eq.b0, t)) for t in grid) > 1e-12:
+    if abs(evaluate_grid(eq.b0, grid)).max() > 1e-12:
         raise PreconditionError("b0 is not identically zero on the grid")
     x0 = ext(x0)
     if not x0.is_inf and x0.value == 0.0:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import (Expr, ZERO, ONE, Const, EvalDomainError, as_expr,
-                   differentiate, evaluate, sqrt)
+                   differentiate, evaluate, evaluate_grid, sqrt)
 from .projline import ExtReal, Mat2, mobius_apply, ext
 from .riccati import RiccatiEquation
 from .sl2 import AlgebraCurve
@@ -81,13 +81,19 @@ class CurveSL2:
         return Mat2(evaluate(self.alpha, t), evaluate(self.beta, t),
                     evaluate(self.gamma, t), evaluate(self.delta, t))
 
+    def sample(self, ts) -> list[Mat2]:
+        """``matrix_at`` on every time of the non-decreasing ``ts``, in
+        one grid evaluation of the four entries."""
+        rows = evaluate_grid(self.entries(), ts).tolist()
+        return [Mat2(*m) for m in zip(*rows)]
+
     def det_expr(self) -> Expr:
         return self.alpha * self.delta - self.beta * self.gamma
 
     def max_det_deviation(self, grid) -> float:
         """max |det - 1| over the grid."""
-        d = self.det_expr()
-        return max(abs(evaluate(d, t) - 1.0) for t in grid)
+        d = evaluate_grid(self.det_expr(), grid)
+        return float(abs(d - 1.0).max())
 
     def entries(self) -> tuple[Expr, Expr, Expr, Expr]:
         return (self.alpha, self.beta, self.gamma, self.delta)

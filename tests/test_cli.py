@@ -81,6 +81,33 @@ def test_solve_generic_fallback(tmp_path, capsys):
     assert (tmp_path / "trajectory_0.csv").exists()
 
 
+def test_solve_truncated_trajectory_exits_1(tmp_path, capsys):
+    # b1 leaves its domain at t = 0.5: the direct integrator stops there.
+    path = _write_problem(
+        tmp_path, coefficients={"b0": "1", "b1": "log(0.5 - t)", "b2": "-1"},
+        options={"step": 0.001})
+    rc = main(["solve", str(path), "--output", str(tmp_path)])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().out)
+    entry = doc["trajectories"][0]
+    assert entry["samples"] == 500
+    assert "log of non-positive value" in entry["error"]
+    assert entry["truncated_at"] == 0.499
+    assert entry["chart_switches"] == 0
+    lines = (tmp_path / "trajectory_0.csv").read_text().strip().split("\n")
+    assert len(lines) == 501
+
+
+def test_solve_complete_trajectory_reports_no_error(tmp_path, capsys):
+    path = _write_problem(tmp_path,
+                          coefficients={"b0": "sin(t)", "b1": "t^2", "b2": "exp(t)"},
+                          initial_conditions=[3.0])
+    assert main(["solve", str(path), "--output", str(tmp_path)]) == 0
+    entry = json.loads(capsys.readouterr().out)["trajectories"][0]
+    assert entry["error"] is None and entry["truncated_at"] is None
+    assert entry["chart_switches"] >= 1
+
+
 def test_classify_constant_equation(tmp_path, capsys):
     path = _write_problem(tmp_path,
                           coefficients={"b0": "1", "b1": "2", "b2": "1"})
@@ -158,6 +185,20 @@ def test_verify_hinted_criterion_passes(tmp_path, capsys):
     assert rc == 0
     check = next(c for c in doc["checks"] if c["name"] == "criterion[Zh99E]")
     assert check["passed"] is True
+
+
+def test_verify_compares_images_that_stay_beyond_the_cap(tmp_path, capsys):
+    # The RDM05 root 17.9 keeps the image trajectory at |x| > 10 on the
+    # whole interval; it is compared in the chart w = -1/x.
+    path = _write_problem(
+        tmp_path, coefficients={"b0": "8.95", "b1": "-18.4", "b2": "1"},
+        options={"step": 0.001, "grid": 101})
+    rc = main(["verify", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    check = next(c for c in doc["checks"] if c["name"] == "equivariance[RDM05]")
+    assert check["max_deviation"] is not None
+    assert check["max_deviation"] <= 1e-6
+    assert rc == 0
 
 
 def test_verify_zero_equation(tmp_path, capsys):

@@ -1,12 +1,19 @@
 import math
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import riccati_sl2.expr as expr_module
 from riccati_sl2 import (Add, Call, Const, Div, EvalDomainError, Integral,
-                         Mul, ParseError, T, Var, arctan, as_expr, cos,
-                         differentiate, evaluate, exp, integral_from, log,
-                         parse, sin, sqrt, substitute, tanh)
+                         Mul, ParseError, QuadratureError, SolutionForm, T,
+                         Var, arctan, as_expr, classify, cos, differentiate,
+                         evaluate, evaluate_grid, exp, integral, integral_from,
+                         log, parse, sin, sqrt, substitute, tanh,
+                         transform_coefficients)
+from riccati_sl2.cli import load_problem
 
 
 def test_parse_variable():
@@ -173,3 +180,144 @@ def test_parse_print_evaluates_identically():
         for _ in range(5):
             t = rng.uniform(0.2, 1.3)
             assert evaluate(e, t) == evaluate(e2, t)
+
+
+# Grid evaluation.
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def _assert_matches_scalar(exprs, ts, tol=1e-12):
+    got = evaluate_grid(exprs, ts)
+    for e, row in zip(exprs, got):
+        want = np.array([evaluate(e, t) for t in ts])
+        assert np.all(np.abs(row - want) <= tol * (1.0 + np.abs(want))), str(e)
+
+
+def _scalar_first_failure(exprs, ts):
+    for t in ts:
+        for e in exprs:
+            try:
+                evaluate(e, t)
+            except EvalDomainError as exc:
+                return exc
+    return None
+
+
+def test_grid_matches_scalar_on_bundled_coefficients():
+    for path in sorted(PROBLEMS.glob("*.json")):
+        problem = load_problem(path)
+        eq = problem.equation
+        _assert_matches_scalar((eq.b0, eq.b1, eq.b2), problem.grid())
+
+
+def test_grid_matches_scalar_on_transformed_trees():
+    problem = load_problem(PROBLEMS / "table_row4.json")
+    reports = classify(problem.equation, problem.grid(), problem.tol,
+                       problem.hints)
+    row = next(r for r in reports if r.name == "Zh99Table4")
+    tr = transform_coefficients(problem.equation, row.curve)
+    _assert_matches_scalar((tr.b0, tr.b1, tr.b2), problem.grid())
+
+
+def test_grid_matches_scalar_on_nested_integral():
+    e = parse("integral((1 + sin(3*t))*exp(-integral(cos(t) - t/2)))")
+    _assert_matches_scalar((e,), np.linspace(0.0, 2.0, 2001))
+
+
+@pytest.mark.parametrize("text", [
+    "log(0.5 - t)", "sqrt(0.3 - t)", "1/(t - 0.5)", "(t - 0.5)^-2",
+    "log(0.7 - t) + sqrt(0.4 - t)", "sqrt(0.4 - t)*log(0.4 - t)",
+    "log(0.5 - t)/(t - 0.5)", "integral(log(0.5 - t))",
+    "exp(integral(1/(t - 0.55)))"])
+def test_grid_raises_the_scalar_failure(text):
+    e = parse(text)
+    ts = np.linspace(0.0, 1.0, 101)
+    want = _scalar_first_failure((e,), ts)
+    with pytest.raises(EvalDomainError) as err:
+        evaluate_grid(e, ts)
+    assert (err.value.kind, str(err.value.subexpr)) == (want.kind, str(want.subexpr))
+
+
+def test_grid_raises_the_first_failure_over_several_expressions():
+    exprs = (sqrt(0.3 - T), log(0.25 - T), 1.0 / (T - 0.8))
+    ts = np.linspace(0.0, 1.0, 101)
+    want = _scalar_first_failure(exprs, ts)
+    with pytest.raises(EvalDomainError) as err:
+        evaluate_grid(exprs, ts)
+    assert (err.value.kind, err.value.subexpr) == (want.kind, want.subexpr)
+
+
+def test_sample_maps_a_pole_to_infinity_at_that_point_only():
+    form = SolutionForm(parse("1/(t - 0.5)"), "test")
+    ts = [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert form.sample(ts) == [form.at(t) for t in ts]
+    assert [x.is_inf for x in form.sample(ts)] == [False, False, True, False, False]
+    # Any other failure still raises, as the pointwise path does.
+    with pytest.raises(EvalDomainError) as err:
+        SolutionForm(parse("log(0.8 - t)/(t - 0.5)"), "test").sample(ts)
+    assert err.value.kind == "log of non-positive value"
+
+
+def test_grid_falls_back_to_adaptive_quadrature(monkeypatch):
+    calls = []
+    quad = expr_module.quad
+
+    def counting_quad(f, a, b, **kw):
+        calls.append((a, b))
+        return quad(f, a, b, **kw)
+
+    monkeypatch.setattr(expr_module, "quad", counting_quad)
+    ts = np.linspace(0.0, 1.0, 5)
+    # sqrt(t) is not smooth at 0: the first cell's Gauss and Kronrod sums
+    # disagree, and adaptive quadrature integrates that cell alone.
+    got = evaluate_grid(parse("integral(sqrt(t))"), ts)
+    assert calls == [(0.0, 0.25)]
+    assert np.max(np.abs(got - ts ** 1.5 / 1.5)) <= 1e-14
+    with pytest.raises(QuadratureError):
+        evaluate_grid(parse("integral(sin(1/t))"), np.linspace(0.0, 1.0, 11))
+
+
+def test_grid_over_several_blocks_matches_pieces(monkeypatch):
+    e = parse("integral(cos(t)*exp(-integral(sin(3*t))))")
+    ts = np.linspace(0.0, 2.0, 2001)
+    whole = evaluate_grid(e, ts)
+    # The cells are the same in any batching, so the sums are too.
+    monkeypatch.setattr(expr_module, "_BLOCK", 7)
+    assert np.array_equal(evaluate_grid(e, ts), whole)
+    monkeypatch.undo()
+    pieces = np.concatenate([evaluate_grid(e, ts[:700]),
+                             evaluate_grid(e, ts[699:1500])[1:],
+                             evaluate_grid(e, ts[1499:])[1:]])
+    assert np.max(np.abs(pieces - whole)) <= 1e-13
+
+
+_LEAVES = st.one_of(st.just(T), st.floats(-2.0, 2.0).map(Const))
+
+
+def _operations(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda p: p[0] + p[1]),
+        pairs.map(lambda p: p[0] - p[1]),
+        pairs.map(lambda p: p[0] * p[1]),
+        pairs.map(lambda p: p[0] / (2.0 + p[1] ** 2)),
+        children.map(sin), children.map(tanh), children.map(arctan),
+        children.map(lambda a: exp(arctan(a))),
+        children.map(lambda a: sqrt(1.0 + a ** 2)),
+        children.map(lambda a: log(1.0 + a ** 2)))
+
+
+_PLAIN = st.recursive(_LEAVES, _operations, max_leaves=5)
+_ONE_LEVEL = st.recursive(_LEAVES | _PLAIN.map(integral), _operations,
+                          max_leaves=5)
+_TWO_LEVELS = st.recursive(_LEAVES | _ONE_LEVEL.map(integral), _operations,
+                           max_leaves=4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(e=st.tuples(_TWO_LEVELS, _ONE_LEVEL).map(lambda p: p[0] + integral(p[1])),
+       ta=st.sampled_from((0.0, 0.3)), width=st.floats(0.1, 1.5),
+       n=st.integers(2, 12))
+def test_grid_matches_scalar_on_generated_integrals(e, ta, width, n):
+    _assert_matches_scalar((e,), np.linspace(ta, ta + width, n))

@@ -347,17 +347,36 @@ def cmd_solve(problem: Problem, args) -> int:
     return 1 if truncated else 0
 
 
+class _Truncated(Exception):
+    """A check compares against a trajectory that stopped early."""
+
+
+def _complete(traj) -> list[ExtReal]:
+    if traj.error is not None:
+        raise _Truncated(traj.error)
+    return traj.xs
+
+
 def cmd_verify(problem: Problem, args) -> int:
     eq = problem.equation
     grid = problem.grid()
     span = problem.t_interval
-    ta = span[0]
     step = problem.step
+    ics = problem.initial_conditions
     checks = []
 
-    def add(name, dev, tol):
-        checks.append({"name": name, "max_deviation": dev,
-                       "tolerance": tol, "passed": bool(dev <= tol)})
+    def check(name, tol, compute):
+        """Record a check, failed with the reason when ``compute`` raises
+        and left out when it returns None."""
+        try:
+            dev = compute()
+        except (EvalDomainError, QuadratureError, ArithmeticError, _Truncated) as exc:
+            checks.append({"name": name, "max_deviation": None, "tolerance": tol,
+                           "passed": False, "reason": str(exc)})
+        else:
+            if dev is not None:
+                checks.append({"name": name, "max_deviation": dev,
+                               "tolerance": tol, "passed": bool(dev <= tol)})
 
     for x1 in problem.known_solutions:
         try:
@@ -377,18 +396,20 @@ def cmd_verify(problem: Problem, args) -> int:
         dev = rep.diagnostics.get("max_dev")
         if dev is None:
             dev = 0.0 if rep.satisfied else math.inf
-        add(f"criterion[{name}]", dev, problem.tol)
+        check(f"criterion[{name}]", problem.tol, lambda: dev)
+
+    # The direct oracle, integrated once per initial condition.
+    direct = {x: integrate_direct(eq, x, span, step) for x in dict.fromkeys(ics)}
 
     # Solution equivariance of each satisfied criterion's curve.
-    x0 = problem.initial_conditions[0]
-    base = integrate_direct(eq, x0, span, step)
+    base = direct[ics[0]]
     for r in satisfied:
-        eq2 = transform_coefficients(eq, r.curve)
-        x0p = theta_apply(r.curve, ta, x0)
-        image = integrate_direct(eq2, x0p, span, step)
-        mapped = [mobius_apply(A, x)
-                  for A, x in zip(r.curve.sample(base.ts), base.xs)]
-        add(f"equivariance[{r.name}]", _points_dev(mapped, image.xs), 1e-6)
+        def equivariance(c=r.curve):
+            image = integrate_direct(transform_coefficients(eq, c),
+                                     theta_apply(c, span[0], ics[0]), span, step)
+            return _points_dev([mobius_apply(A, x) for A, x in zip(
+                c.sample(base.ts), _complete(base))], _complete(image))
+        check(f"equivariance[{r.name}]", 1e-6, equivariance)
 
     # Gauge law versus coefficient law, on each reducing curve (or on an
     # elementary curve when nothing is satisfied).
@@ -398,37 +419,43 @@ def cmd_verify(problem: Problem, args) -> int:
     for name, c in pairs:
         g1 = gauge_transform_algebra(a, c)
         g2 = algebra_curve_from_riccati(transform_coefficients(eq, c))
-        dev = max_pair_deviation(
-            ((g1.b0, g2.b0), (g1.b1, g2.b1), (g1.b2, g2.b2)), grid)
-        add(f"gauge_consistency[{name}]", dev, 1e-9)
+        check(f"gauge_consistency[{name}]", 1e-9, lambda: max_pair_deviation(
+            ((g1.b0, g2.b0), (g1.b1, g2.b1), (g1.b2, g2.b2)), grid))
 
     # Group-equation reconstruction against the direct oracle.
-    G = integrate_group_equation(a, span, step)
-    for i, xi in enumerate(problem.initial_conditions):
-        rec = reconstruct_solution(G, xi)
-        direct = integrate_direct(eq, xi, span, step)
-        add(f"reconstruction[{i}]", _points_dev(rec.xs, direct.xs), 1e-6)
+    try:
+        G = integrate_group_equation(a, span, step)
+    except (EvalDomainError, QuadratureError, ArithmeticError) as exc:
+        G = exc
+    for i, xi in enumerate(ics):
+        def reconstruction(xi=xi):
+            if isinstance(G, Exception):
+                raise G
+            return _points_dev(reconstruct_solution(G, xi).xs, _complete(direct[xi]))
+        check(f"reconstruction[{i}]", 1e-6, reconstruction)
 
     # Cross-ratio constancy, when three reference solutions are available
     # besides the probe.
-    refs = [SolutionForm(k, "known-solution").sample(base.ts)
-            for k in problem.known_solutions]
-    for xi in problem.initial_conditions[1:]:
-        refs.append(integrate_direct(eq, xi, span, step).xs)
-    if len(refs) >= 3:
+    def cross_ratio_dev():
+        xs = _complete(base)
+        refs = [SolutionForm(k, "known-solution").sample(base.ts)
+                for k in problem.known_solutions]
+        refs += [_complete(direct[xi]) for xi in ics[1:]]
         ratios = []
-        for idx in range(len(base.ts)):
+        for idx, x in enumerate(xs):
             try:
-                cr = cross_ratio(base.xs[idx], refs[0][idx], refs[1][idx],
-                                 refs[2][idx])
+                cr = cross_ratio(x, refs[0][idx], refs[1][idx], refs[2][idx])
             except CoincidentPointsError:
                 continue
             if not cr.is_inf:
                 ratios.append(cr.value)
-        if len(ratios) >= len(base.ts) // 2:
-            mid = sorted(ratios)[len(ratios) // 2]
-            dev = max(abs(v - mid) for v in ratios) / (1.0 + abs(mid))
-            add("cross_ratio_constancy", dev, 1e-6)
+        if len(ratios) < len(xs) // 2:
+            return None
+        mid = sorted(ratios)[len(ratios) // 2]
+        return max(abs(v - mid) for v in ratios) / (1.0 + abs(mid))
+
+    if len(problem.known_solutions) + len(ics) - 1 >= 3:
+        check("cross_ratio_constancy", 1e-6, cross_ratio_dev)
 
     passed = all(c["passed"] for c in checks)
     doc = {

@@ -24,9 +24,11 @@ import math
 import statistics
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .expr import (Expr, ONE, ZERO, Const, EvalDomainError, QuadratureError,
-                   as_expr, differentiate, evaluate, evaluate_grid, exp,
-                   integral_from, sqrt)
+                   _sample, as_expr, differentiate, evaluate, evaluate_grid,
+                   exp, integral_from, sqrt)
 from .projline import ext, mobius_apply
 from .riccati import RiccatiEquation, Trajectory, time_grid
 from .sl2 import (AffineSolvableTarget, OneDimensionalTarget,
@@ -73,16 +75,12 @@ def constancy_fit(f: Expr, grid) -> tuple[float, float]:
     """Fit a constant to f on the grid: value is the sample median,
     max_dev the worst deviation relative to 1 + |value|.  Grid points
     where f is not evaluable are skipped; more than 20% skipped fails."""
-    vals = []
-    skipped = 0
-    for t in grid:
-        try:
-            vals.append(evaluate(f, t))
-        except (EvalDomainError, QuadratureError):
-            skipped += 1
+    (vals,), failures = next(_sample((f,), (np.asarray(grid, dtype=float),)))
+    skipped = len(failures)
     if skipped > 0.2 * len(grid):
         raise GridDomainError(
             f"{skipped} of {len(grid)} grid points not evaluable for '{f}'")
+    vals = np.delete(vals, list(failures)).tolist()
     value = statistics.median(vals)
     max_dev = max(abs(v - value) for v in vals) / (1.0 + abs(value))
     return value, max_dev
@@ -191,12 +189,8 @@ def check_rao_W0(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criteri
     b2_vals = _values(b2, grid)
     if min(abs(v) for v in b2_vals) <= 1e-12 * (1.0 + max(abs(v) for v in b2_vals)):
         return _unsat(name, "b2 vanishes on the grid")
-    terms = (b2 ** 2 * b0, db1 * b2, b1 * db2)
-    worst = 0.0
-    for t in grid:
-        tv = [evaluate(e, t) for e in terms]
-        w = tv[0] + tv[1] - tv[2]
-        worst = max(worst, abs(w) / (1.0 + sum(abs(x) for x in tv)))
+    tv = evaluate_grid((b2 ** 2 * b0, db1 * b2, b1 * db2), grid)
+    worst = float((abs(tv[0] + tv[1] - tv[2]) / (1.0 + abs(tv).sum(axis=0))).max())
     if worst > tol:
         return _unsat(name, f"W is not identically zero (max_dev {worst:.3g})",
                       max_dev=worst)

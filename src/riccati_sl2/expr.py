@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -337,23 +337,14 @@ class Call(Expr):
 
 @dataclass(frozen=True, slots=True)
 class Integral(Expr):
-    """Deferred definite integral of the integrand from 0 to t.
-
-    Evaluated numerically by adaptive quadrature (absolute tolerance
-    1e-12); values are cached per node, so repeated evaluation on a grid
-    costs one quadrature per distinct t.
-    """
+    """Deferred definite integral of the integrand from 0 to t,
+    evaluated at one point by adaptive quadrature (see
+    :func:`evaluate_grid` for whole grids)."""
 
     integrand: Expr
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def ev(self, t):
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
-        value = _adaptive_quad(self.integrand, 0.0, t)
-        self._cache[t] = value
-        return value
+        return _adaptive_quad(self.integrand, 0.0, t)
 
     def diff(self):
         return self.integrand
@@ -504,8 +495,7 @@ def integral_from(e, lower: float) -> Expr:
     """Integral of ``e`` from ``lower`` to t, as an expression.
 
     Anchors other than 0 are handled by subtracting the constant value
-    of the 0-anchored node at ``lower`` (both terms share one node, and
-    therefore one quadrature cache).
+    of the 0-anchored node at ``lower``.
     """
     node = Integral(as_expr(e))
     if lower == 0.0:
@@ -558,6 +548,7 @@ _BLOCK = 256
 
 _DIV0 = "division by zero"
 _OVERFLOW = "overflow"
+_QUADRATURE = "quadrature"
 
 
 class _Grid:
@@ -567,6 +558,8 @@ class _Grid:
 
     Failures are recorded per point, first one wins, in the order the
     scalar walk meets them; the values at failed points are meaningless.
+    A failure is ``(kind, subexpr)`` of an EvalDomainError, or
+    ``(_QUADRATURE, message)``, charged from a failed quadrature's cell on.
     Each integral node keeps its running value from one chunk to the
     next and owns the grid that evaluates its integrand at the
     Gauss-Kronrod nodes of its cells.  Every integral starts at
@@ -740,12 +733,14 @@ class _Grid:
 
 
 def _scalar_or_failure(fn, *args):
-    """``fn(*args)`` by the scalar path, and None; or NaN and the domain
-    failure it raised, as the grid records failures."""
+    """``fn(*args)`` by the scalar path, and None; or NaN and the failure
+    it raised, as the grid records failures."""
     try:
         return fn(*args), None
     except EvalDomainError as exc:
         return math.nan, (exc.kind, exc.subexpr)
+    except QuadratureError as exc:
+        return math.nan, (_QUADRATURE, str(exc))
     except OverflowError:
         return math.nan, (_OVERFLOW, None)
 
@@ -753,6 +748,26 @@ def _scalar_or_failure(fn, *args):
 _BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 _UFUNCS = {"exp": np.exp, "sqrt": np.sqrt, "log": np.log, "sin": np.sin,
            "cos": np.cos, "tan": np.tan, "tanh": np.tanh, "arctan": np.arctan}
+
+
+def _sample(roots, chunks):
+    """Evaluate ``roots`` on successive chunks of non-decreasing times,
+    with every integral running on from one chunk to the next (from the
+    first time).  Yields, for each chunk, the values (one row per root,
+    meaningless at failed times) and the failures: a dict from the index
+    of each failed time to the error the scalar path raises first there."""
+    grid = errors = None
+    for ts in chunks:
+        if grid is None:
+            grid, errors = _Grid(float(ts[0])), []
+        with np.errstate(all="ignore"):
+            outs, fail = grid.run(roots, ts)
+        errors += [QuadratureError(detail) if kind == _QUADRATURE
+                   else EvalDomainError(kind, detail)
+                   for kind, detail in grid.reasons[len(errors):]]
+        bad = np.flatnonzero(fail)
+        yield np.array(outs), {i: errors[k - 1] for i, k in
+                               zip(bad.tolist(), fail[bad].tolist())}
 
 
 def evaluate_grid(e, ts, *, poles: bool = False) -> np.ndarray:
@@ -778,17 +793,11 @@ def evaluate_grid(e, ts, *, poles: bool = False) -> np.ndarray:
     if len(ts) == 0:
         out = np.empty((len(roots), 0))
     else:
-        grid = _Grid(float(ts[0]))
-        with np.errstate(all="ignore"):
-            outs, fail = grid.run(roots, ts)
-        out = np.array(outs)
-        failed = np.flatnonzero(fail)
-        if poles and failed.size:
-            is_pole = np.array([k == _DIV0 for k, _ in grid.reasons])[fail[failed] - 1]
-            out[:, failed[is_pole]] = math.inf
-            failed = failed[~is_pole]
-        if failed.size:
-            raise EvalDomainError(*grid.reasons[fail[failed[0]] - 1])
+        out, failures = next(_sample(roots, (ts,)))
+        for i, err in failures.items():
+            if not (poles and getattr(err, "kind", None) == _DIV0):
+                raise err
+            out[:, i] = math.inf
     return out[0] if isinstance(e, Expr) else out
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .expr import Expr, EvalDomainError, QuadratureError, as_expr, evaluate
+import numpy as np
+
+from .expr import Expr, _sample, as_expr, evaluate
 from .projline import INF, ExtReal, ext
 
 __all__ = ["RiccatiEquation", "Trajectory", "rhs", "time_grid",
@@ -95,10 +97,30 @@ def time_grid(t_span, step: float) -> tuple[list[float], float]:
     return [ta + i * h for i in range(n + 1)], h
 
 
+# RK4 steps per block of sampled stage times, so that memory does not
+# grow with the length of the interval.
+_BLOCK_STEPS = 512
+
+
+def _stage_samples(coeffs, grid: list[float], h: float):
+    """Yields, for each block of m steps from grid[k], one list per
+    coefficient of its values at grid[k], grid[k] + h/2, grid[k+1], ...,
+    grid[k+m]; the number of steps whose stages all evaluate; and the
+    error that stops the next step, or None."""
+    blocks = (np.array(grid[k:k + _BLOCK_STEPS + 1])
+              for k in range(0, len(grid) - 1, _BLOCK_STEPS))
+    times = (np.insert(t, np.arange(1, len(t)), t[:-1] + 0.5 * h) for t in blocks)
+    for vals, failures in _sample(coeffs, times):
+        # Step j reads samples 2j, 2j + 1 and 2j + 2.
+        first = min(failures, default=vals.shape[1] + 1)
+        yield (*vals.tolist(), max(0, (first - 1) // 2), failures.get(first))
+
+
 def integrate_direct(eq: RiccatiEquation, x0, t_span, step: float = 1e-3) -> Trajectory:
     """Integrate the equation from x(t_a) = x0 over t_span = (t_a, t_b)
     with classical fixed-step RK4, continuing through blow-up via the
-    w = -1/x chart."""
+    w = -1/x chart.  A coefficient that fails to evaluate at a stage
+    time truncates the trajectory before that step."""
     grid, h = time_grid(t_span, step)
 
     x0 = ext(x0)
@@ -109,36 +131,35 @@ def integrate_direct(eq: RiccatiEquation, x0, t_span, step: float = 1e-3) -> Tra
     else:
         chart, u = "x", x0.value
 
-    b0e, b1e, b2e = eq.b0.ev, eq.b1.ev, eq.b2.ev
-
-    def f(t: float, v: float, ch: str) -> float:
-        b0, b1, b2 = b0e(t), b1e(t), b2e(t)
-        if ch == "x":
-            return b0 + v * (b1 + v * b2)
-        return b2 + v * (-b1 + v * b0)
-
     ts = [grid[0]]
     xs = [_emit(chart, u)]
     switches: list[tuple[float, str, str]] = []
     error = None
-    for t, t_next in zip(grid, grid[1:]):
-        try:
-            k1 = f(t, u, chart)
-            k2 = f(t + 0.5 * h, u + 0.5 * h * k1, chart)
-            k3 = f(t + 0.5 * h, u + 0.5 * h * k2, chart)
-            k4 = f(t + h, u + h * k3, chart)
-        except (EvalDomainError, QuadratureError, OverflowError) as exc:
-            error = str(exc)
+    for b0, b1, b2, steps, failure in _stage_samples((eq.b0, eq.b1, eq.b2), grid, h):
+        # The w chart's equation has coefficients (b2, -b1, b0).
+        charts = {"x": (b0, b1, b2), "w": (b2, [-v for v in b1], b0)}
+        p, q, r = charts[chart]
+        for i in range(0, 2 * steps, 2):
+            k1 = p[i] + u * (q[i] + u * r[i])
+            v = u + 0.5 * h * k1
+            k2 = p[i + 1] + v * (q[i + 1] + v * r[i + 1])
+            v = u + 0.5 * h * k2
+            k3 = p[i + 1] + v * (q[i + 1] + v * r[i + 1])
+            v = u + h * k3
+            k4 = p[i + 2] + v * (q[i + 2] + v * r[i + 2])
+            u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            t_next = grid[len(ts)]
+            if not math.isfinite(u):
+                error = f"state became non-finite at t={t_next:.6g}"
+                break
+            if abs(u) > 1.0:
+                new_chart = "w" if chart == "x" else "x"
+                switches.append((t_next, chart, new_chart))
+                u = -1.0 / u
+                chart, (p, q, r) = new_chart, charts[new_chart]
+            ts.append(t_next)
+            xs.append(_emit(chart, u))
+        if error is not None or failure is not None:
+            error = error or str(failure)
             break
-        u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not math.isfinite(u):
-            error = f"state became non-finite at t={t_next:.6g}"
-            break
-        if abs(u) > 1.0:
-            new_chart = "w" if chart == "x" else "x"
-            switches.append((t_next, chart, new_chart))
-            u = -1.0 / u
-            chart = new_chart
-        ts.append(t_next)
-        xs.append(_emit(chart, u))
     return Trajectory(ts, xs, step=h, chart_switches=switches, error=error)

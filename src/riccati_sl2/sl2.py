@@ -22,11 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .expr import Expr, Integral, as_expr, evaluate, evaluate_grid
 from .projline import Mat2, mobius_apply, ext
-from .riccati import RiccatiEquation, Trajectory, time_grid
+from .riccati import RiccatiEquation, Trajectory, _stage_samples, time_grid
 
 __all__ = [
     "AlgebraCurve", "GroupTrajectory", "OneDimensionalTarget",
@@ -111,36 +109,46 @@ def algebra_curve_from_riccati(eq: RiccatiEquation) -> AlgebraCurve:
     return AlgebraCurve(eq.b0, eq.b1, eq.b2)
 
 
+def _amul(b0: float, b1: float, b2: float, A: tuple) -> tuple:
+    """a A for a = [[b1/2, b0], [-b2, -b1/2]] and A a row-major 4-tuple."""
+    m = 0.5 * b1
+    return (m * A[0] + b0 * A[2], m * A[1] + b0 * A[3],
+            -b2 * A[0] - m * A[2], -b2 * A[1] - m * A[3])
+
+
+def _axpy(A: tuple, s: float, K: tuple) -> tuple:
+    return (A[0] + s * K[0], A[1] + s * K[1], A[2] + s * K[2], A[3] + s * K[3])
+
+
 def integrate_group_equation(a: AlgebraCurve, t_span, step: float = 1e-3) -> GroupTrajectory:
     """Solve dA/dt = a(t) A, A(t_a) = I, by RK4 on the four entries.
 
     After each step A is rescaled by 1/sqrt(det A); the RK4 update
     drifts from unit determinant only at truncation order, so the square
     root stays positive and the projection keeps |det A - 1| at roundoff.
+    A coefficient that fails to evaluate at a stage time raises its error.
     """
     grid, h = time_grid(t_span, step)
-    b0e, b1e, b2e = a.b0.ev, a.b1.ev, a.b2.ev
-
-    def amat(t: float) -> np.ndarray:
-        b0, b1, b2 = b0e(t), b1e(t), b2e(t)
-        return np.array([[0.5 * b1, b0], [-b2, -0.5 * b1]])
-
-    A = np.eye(2)
-    mats = [Mat2.identity()]
-    for t in grid[:-1]:
-        k1 = amat(t) @ A
-        k2 = amat(t + 0.5 * h) @ (A + 0.5 * h * k1)
-        k3 = amat(t + 0.5 * h) @ (A + 0.5 * h * k2)
-        k4 = amat(t + h) @ (A + h * k3)
-        A = A + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        d = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        if not math.isfinite(d) or d <= 0.0:
-            raise ArithmeticError(
-                f"determinant collapsed to {d:.3g} at t={t + h:.6g}; "
-                "reduce the step")
-        A = A / math.sqrt(d)
-        mats.append(Mat2(float(A[0, 0]), float(A[0, 1]),
-                         float(A[1, 0]), float(A[1, 1])))
+    A = (1.0, 0.0, 0.0, 1.0)
+    mats = [Mat2(*A)]
+    for b0, b1, b2, steps, failure in _stage_samples((a.b0, a.b1, a.b2), grid, h):
+        for i in range(0, 2 * steps, 2):
+            k1 = _amul(b0[i], b1[i], b2[i], A)
+            k2 = _amul(b0[i + 1], b1[i + 1], b2[i + 1], _axpy(A, 0.5 * h, k1))
+            k3 = _amul(b0[i + 1], b1[i + 1], b2[i + 1], _axpy(A, 0.5 * h, k2))
+            k4 = _amul(b0[i + 2], b1[i + 2], b2[i + 2], _axpy(A, h, k3))
+            A = tuple(x + (h / 6.0) * (p + 2.0 * (q + r) + s)
+                      for x, p, q, r, s in zip(A, k1, k2, k3, k4))
+            d = A[0] * A[3] - A[1] * A[2]
+            if not math.isfinite(d) or d <= 0.0:
+                raise ArithmeticError(
+                    f"determinant collapsed to {d:.3g} at t={grid[len(mats)]:.6g}; "
+                    "reduce the step")
+            root = math.sqrt(d)
+            A = tuple(x / root for x in A)
+            mats.append(Mat2(*A))
+        if failure is not None:
+            raise failure
     return GroupTrajectory(grid, mats, step=h)
 
 

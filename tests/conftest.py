@@ -3,8 +3,15 @@ seeded random instance generators."""
 
 import random
 
-from riccati_sl2 import (Const, CurveSL2, RiccatiEquation, T, as_expr,
-                         compose, exp)
+from hypothesis import settings, strategies as st
+
+from riccati_sl2 import (Const, CurveSL2, RiccatiEquation, T, arctan, as_expr,
+                         compose, exp, log, sin, sqrt, tanh)
+
+# Property tests replay the same examples on every run, so a failure
+# reproduces, and a host whose speed swings cannot fail them on time.
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 # Points with |x| above this sit next to a crossing through infinity and
 # are excluded from relative comparisons.
@@ -83,3 +90,24 @@ def random_curve(rng: random.Random, n_min=2, n_max=4) -> CurveSL2:
     for _ in range(rng.randint(n_min, n_max) - 1):
         c = compose(random_elementary_curve(rng), c)
     return c
+
+
+# Hypothesis strategies for expression trees that evaluate everywhere:
+# every denominator, square root and logarithm argument is positive.
+TREE_LEAVES = st.one_of(st.just(T), st.floats(-2.0, 2.0).map(Const))
+
+
+def tree_operations(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda p: p[0] + p[1]),
+        pairs.map(lambda p: p[0] - p[1]),
+        pairs.map(lambda p: p[0] * p[1]),
+        pairs.map(lambda p: p[0] / (2.0 + p[1] ** 2)),
+        children.map(sin), children.map(tanh), children.map(arctan),
+        children.map(lambda a: exp(arctan(a))),
+        children.map(lambda a: sqrt(1.0 + a ** 2)),
+        children.map(lambda a: log(1.0 + a ** 2)))
+
+
+PLAIN_TREES = st.recursive(TREE_LEAVES, tree_operations, max_leaves=5)

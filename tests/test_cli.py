@@ -1,9 +1,12 @@
+import collections
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
 
+import riccati_sl2.cli as cli_module
+from riccati_sl2 import integrate_direct
 from riccati_sl2.cli import main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -280,3 +283,49 @@ def test_console_entrypoint_runs():
         capture_output=True, check=True)
     doc = json.loads(proc.stdout)
     assert doc["command"] == "classify"
+
+
+def test_verify_reports_domain_failures_as_checks(tmp_path, capsys):
+    # The detection grid misses the window |t - pi/20| < 7e-4 where b1
+    # leaves its domain, so classify passes; every trajectory stops there.
+    path = _write_problem(
+        tmp_path,
+        coefficients={"b0": "1", "b1": "sqrt(cos(20*t) + 0.9999)", "b2": "-1"},
+        initial_conditions=[0, 0.5, -0.5, 0.2],
+        options={"step": 0.001, "grid": 101})
+    rc = main(["verify", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert doc["passed"] is False
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert list(checks) == ["gauge_consistency[translation]"] + [
+        f"reconstruction[{i}]" for i in range(4)] + ["cross_ratio_constancy"]
+    assert checks["gauge_consistency[translation]"]["passed"] is True
+    assert "reason" not in checks["gauge_consistency[translation]"]
+    reason = "sqrt of negative value in 'sqrt(cos(20*t) + 0.99990000000000001)'"
+    for name in list(checks)[1:]:
+        assert checks[name]["passed"] is False
+        assert checks[name]["max_deviation"] is None
+        assert checks[name]["reason"] == reason
+
+
+def test_verify_integrates_each_initial_condition_once(tmp_path, capsys,
+                                                       monkeypatch):
+    calls = collections.Counter()
+
+    def counting(eq, x0, *args):
+        calls[(str(eq.b0), str(eq.b1), str(eq.b2), str(x0))] += 1
+        return integrate_direct(eq, x0, *args)
+
+    monkeypatch.setattr(cli_module, "integrate_direct", counting)
+    path = _write_problem(tmp_path, initial_conditions=[0.0, 0.5, -0.5, 0.5])
+    rc = main(["verify", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    satisfied = sum(c["name"].startswith("equivariance[") for c in doc["checks"])
+    assert satisfied >= 2
+    assert set(calls.values()) == {1}
+    original = [k for k in calls if k[:3] == ("1", "0", "-1")]
+    assert sorted(k[3] for k in original) == ["-0.5", "0", "0.5"]
+    # Each satisfied curve's image equation is integrated once as well.
+    assert len(calls) - len(original) == satisfied

@@ -1,16 +1,18 @@
 import math
+import statistics
 
 import pytest
 
 from conftest import grid, max_traj_dev
 
-from riccati_sl2 import (Const, CurveSL2, ONE, RiccatiEquation, T, ZERO,
-                         differentiate, evaluate, exp, integrate_direct,
-                         inverse, parse, sqrt, transform_coefficients)
-from riccati_sl2.criteria import (DETECTOR_ORDER, check_allen_stein,
-                                  check_ko06, check_ra61, check_rao_K,
-                                  check_rao_W0, check_rdm05, check_ru68,
-                                  check_zh99_E, check_zh99_basic,
+from riccati_sl2 import (Const, CurveSL2, EvalDomainError, ONE,
+                         RiccatiEquation, T, ZERO, differentiate, evaluate,
+                         exp, integral_from, integrate_direct, inverse, parse,
+                         sqrt, transform_coefficients)
+from riccati_sl2.criteria import (DETECTOR_ORDER, GridDomainError,
+                                  check_allen_stein, check_ko06, check_ra61,
+                                  check_rao_K, check_rao_W0, check_rdm05,
+                                  check_ru68, check_zh99_E, check_zh99_basic,
                                   check_zh99_table, classify, constancy_fit,
                                   solve_via_report)
 
@@ -434,3 +436,37 @@ def test_classify_with_hints_appends_detectors():
     reports = classify(eq, GRID, hints=hints)
     assert reports[-1].name == "Zh99E"
     assert reports[-1].satisfied
+
+
+def _scalar_constancy_fit(f, grid_):
+    vals = []
+    for t in grid_:
+        try:
+            vals.append(evaluate(f, t))
+        except EvalDomainError:
+            pass
+    value = statistics.median(vals)
+    return value, max(abs(v - value) for v in vals) / (1.0 + abs(value))
+
+
+def test_constancy_fit_skips_failed_points():
+    # log(t - c) fails at the grid points t <= c: 19 of 101 for c = 0.185.
+    f = parse("log(t - 0.185)")
+    value, dev = constancy_fit(f, GRID)
+    want_value, want_dev = _scalar_constancy_fit(f, GRID)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12)
+    assert dev == pytest.approx(want_dev, rel=1e-12, abs=1e-12)
+    # 21 of 101 is more than 20%.
+    with pytest.raises(GridDomainError):
+        constancy_fit(parse("log(t - 0.205)"), GRID)
+
+
+def test_constancy_fit_matches_scalar_fit_with_integrals():
+    b0, b1, b2 = parse("-2*exp(t^2)"), parse("t + sin(t)"), parse("1 + t")
+    ib = integral_from(b1, 0.25)
+    f = (-b0 / b2) * exp(Const(-2.0) * ib)
+    grid_ = grid(0.25, 1.25, 101)
+    value, dev = constancy_fit(f, grid_)
+    want_value, want_dev = _scalar_constancy_fit(f, grid_)
+    assert abs(value - want_value) <= 1e-12 * (1.0 + abs(want_value))
+    assert abs(dev - want_dev) <= 1e-12

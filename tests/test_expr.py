@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import PLAIN_TREES, TREE_LEAVES, tree_operations
+
 import riccati_sl2.expr as expr_module
 from riccati_sl2 import (Add, Call, Const, Div, EvalDomainError, Integral,
                          Mul, ParseError, QuadratureError, SolutionForm, T,
@@ -292,27 +294,10 @@ def test_grid_over_several_blocks_matches_pieces(monkeypatch):
     assert np.max(np.abs(pieces - whole)) <= 1e-13
 
 
-_LEAVES = st.one_of(st.just(T), st.floats(-2.0, 2.0).map(Const))
-
-
-def _operations(children):
-    pairs = st.tuples(children, children)
-    return st.one_of(
-        pairs.map(lambda p: p[0] + p[1]),
-        pairs.map(lambda p: p[0] - p[1]),
-        pairs.map(lambda p: p[0] * p[1]),
-        pairs.map(lambda p: p[0] / (2.0 + p[1] ** 2)),
-        children.map(sin), children.map(tanh), children.map(arctan),
-        children.map(lambda a: exp(arctan(a))),
-        children.map(lambda a: sqrt(1.0 + a ** 2)),
-        children.map(lambda a: log(1.0 + a ** 2)))
-
-
-_PLAIN = st.recursive(_LEAVES, _operations, max_leaves=5)
-_ONE_LEVEL = st.recursive(_LEAVES | _PLAIN.map(integral), _operations,
-                          max_leaves=5)
-_TWO_LEVELS = st.recursive(_LEAVES | _ONE_LEVEL.map(integral), _operations,
-                           max_leaves=4)
+_ONE_LEVEL = st.recursive(TREE_LEAVES | PLAIN_TREES.map(integral),
+                          tree_operations, max_leaves=5)
+_TWO_LEVELS = st.recursive(TREE_LEAVES | _ONE_LEVEL.map(integral),
+                           tree_operations, max_leaves=4)
 
 
 @settings(max_examples=50, deadline=None)
@@ -321,3 +306,36 @@ _TWO_LEVELS = st.recursive(_LEAVES | _ONE_LEVEL.map(integral), _operations,
        n=st.integers(2, 12))
 def test_grid_matches_scalar_on_generated_integrals(e, ta, width, n):
     _assert_matches_scalar((e,), np.linspace(ta, ta + width, n))
+
+
+def test_quadrature_failure_is_recorded_from_its_cell_onward():
+    # Adaptive quadrature of the cell [0.4, 0.5] around the oscillating
+    # singularity does not converge, as at every time from 0.5 on by the
+    # scalar path.
+    e = parse("integral(sin(1/(t - 0.43)))")
+    ts = np.linspace(0.0, 1.0, 11)
+    (vals,), failures = next(expr_module._sample((e,), (ts,)))
+    assert sorted(failures) == list(range(5, 11))
+    assert all(isinstance(err, QuadratureError) for err in failures.values())
+    for i, t in enumerate(ts):
+        if i in failures:
+            with pytest.raises(QuadratureError):
+                evaluate(e, t)
+        else:
+            assert abs(vals[i] - evaluate(e, t)) <= 1e-12
+    with pytest.raises(QuadratureError):
+        evaluate_grid(e, ts)
+    # A domain failure at an earlier time is the one raised.
+    with pytest.raises(EvalDomainError) as err:
+        evaluate_grid(e + log(0.25 - T), ts)
+    assert err.value.kind == "log of non-positive value"
+
+
+def test_sample_carries_integrals_across_chunks():
+    e = parse("integral(cos(t)*exp(-integral(sin(3*t))))")
+    ts = np.linspace(0.0, 2.0, 2001)
+    whole = evaluate_grid(e, ts)
+    chunks = [ts[:700], ts[699:1500], ts[1500:]]
+    got = np.concatenate([vals[0] for vals, failures in
+                          expr_module._sample((e,), chunks)])
+    assert np.array_equal(np.delete(got, 699), whole)

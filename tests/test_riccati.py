@@ -1,11 +1,18 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from conftest import traj_vs_fn
 
-from riccati_sl2 import (ExtReal, INF, RiccatiEquation, integrate_direct,
-                         parse, rhs)
+import riccati_sl2.riccati as riccati_module
+from riccati_sl2 import (EvalDomainError, ExtReal, INF, QuadratureError,
+                         RiccatiEquation, Trajectory, algebra_curve_from_riccati,
+                         classify, ext, integrate_direct,
+                         integrate_group_equation, parse, rhs, time_grid,
+                         transform_coefficients)
+from riccati_sl2.cli import load_problem
+from riccati_sl2.riccati import _emit
 
 
 def test_rhs_values():
@@ -92,3 +99,142 @@ def test_step_validation():
         integrate_direct(eq, 0.0, (0.0, 1.0), -1e-3)
     with pytest.raises(ValueError):
         integrate_direct(eq, 0.0, (1.0, 0.0), 1e-3)
+
+
+# The integrator on grid-sampled coefficients against the scalar tree
+# walk it replaced, kept here as the reference.
+
+def _reference_integrate(eq, x0, t_span, step):
+    """Fixed-step RK4 evaluating the coefficient trees at every stage."""
+    grid, h = time_grid(t_span, step)
+    x0 = ext(x0)
+    if x0.is_inf:
+        chart, u = "w", 0.0
+    elif abs(x0.value) > 1.0:
+        chart, u = "w", -1.0 / x0.value
+    else:
+        chart, u = "x", x0.value
+    b0e, b1e, b2e = eq.b0.ev, eq.b1.ev, eq.b2.ev
+
+    def f(t, v, ch):
+        b0, b1, b2 = b0e(t), b1e(t), b2e(t)
+        if ch == "x":
+            return b0 + v * (b1 + v * b2)
+        return b2 + v * (-b1 + v * b0)
+
+    ts = [grid[0]]
+    xs = [_emit(chart, u)]
+    switches = []
+    error = None
+    for t, t_next in zip(grid, grid[1:]):
+        try:
+            k1 = f(t, u, chart)
+            k2 = f(t + 0.5 * h, u + 0.5 * h * k1, chart)
+            k3 = f(t + 0.5 * h, u + 0.5 * h * k2, chart)
+            k4 = f(t + h, u + h * k3, chart)
+        except (EvalDomainError, QuadratureError, OverflowError) as exc:
+            error = str(exc)
+            break
+        u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if not math.isfinite(u):
+            error = f"state became non-finite at t={t_next:.6g}"
+            break
+        if abs(u) > 1.0:
+            new_chart = "w" if chart == "x" else "x"
+            switches.append((t_next, chart, new_chart))
+            u = -1.0 / u
+            chart = new_chart
+        ts.append(t_next)
+        xs.append(_emit(chart, u))
+    return Trajectory(ts, xs, step=h, chart_switches=switches, error=error)
+
+
+def _chart_value(x):
+    """The integrator's state for a sample: x where |x| <= 1, else
+    w = -1/x (0 at infinity)."""
+    if x.is_inf:
+        return 0.0
+    return x.value if abs(x.value) <= 1.0 else -1.0 / x.value
+
+
+def _assert_matches_reference(eq, x0, t_span, step):
+    got = integrate_direct(eq, x0, t_span, step)
+    want = _reference_integrate(eq, x0, t_span, step)
+    assert got.ts == want.ts
+    assert got.error == want.error
+    assert got.chart_switches == want.chart_switches
+    for a, b in zip(got.xs, want.xs):
+        u, v = _chart_value(a), _chart_value(b)
+        assert abs(u - v) <= 1e-12 * (1.0 + max(abs(u), abs(v)))
+    return got
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+@pytest.mark.parametrize("name", ["autonomous", "generic", "table_row4",
+                                  "tanh", "zh99e"])
+def test_matches_scalar_reference_on_bundled_problems(name):
+    problem = load_problem(PROBLEMS / f"{name}.json")
+    for x0 in problem.initial_conditions:
+        _assert_matches_reference(problem.equation, x0, problem.t_interval,
+                                  problem.step)
+
+
+def test_matches_scalar_reference_on_transformed_equation():
+    problem = load_problem(PROBLEMS / "table_row4.json")
+    reports = classify(problem.equation, problem.grid(), problem.tol,
+                       problem.hints)
+    row = next(r for r in reports if r.name == "Zh99Table4")
+    tr = transform_coefficients(problem.equation, row.curve)
+    for x0 in (0.0, 0.7, -3.0):
+        _assert_matches_reference(tr, x0, problem.t_interval, 1e-2)
+
+
+def test_matches_scalar_reference_from_the_w_chart():
+    eq = RiccatiEquation(parse("1 + t"), parse("sin(3*t)"), parse("2 - t^2"))
+    for x0 in (INF, 4.0, -1.5):
+        traj = _assert_matches_reference(eq, x0, (0.0, 2.0), 1e-3)
+        assert traj.chart_switches
+
+
+def test_matches_scalar_reference_with_integral_coefficients():
+    eq = RiccatiEquation(parse("exp(-integral(t*cos(t)))"),
+                         parse("integral(1/(1 + t^2))"), parse("-1 - t"))
+    for x0 in (0.0, 0.5, INF):
+        _assert_matches_reference(eq, x0, (0.0, 1.5), 1e-3)
+        _assert_matches_reference(eq, x0, (0.25, 1.5), 1e-3)
+
+
+@pytest.mark.parametrize("b1", ["log(0.5 - t)", "sqrt(cos(20*t) + 0.9999)"])
+def test_truncation_matches_scalar_reference(b1):
+    eq = RiccatiEquation(parse("1"), parse(b1), parse("-1"))
+    for x0 in (0.0, 0.5, -0.5, 0.2):
+        traj = _assert_matches_reference(eq, x0, (0.0, 1.0), 1e-3)
+        assert traj.error is not None and traj.ts[-1] < 0.5
+
+
+def test_blocks_leave_the_trajectory_bit_identical(monkeypatch):
+    eq = RiccatiEquation(parse("1 + integral(cos(2*t)*integral(t))"),
+                         parse("sin(t)"), parse("2 - t"))
+    whole = integrate_direct(eq, 0.3, (0.0, 2.0), 1e-3)
+    group = integrate_group_equation(algebra_curve_from_riccati(eq),
+                                     (0.0, 2.0), 1e-3)
+    assert whole.chart_switches
+    monkeypatch.setattr(riccati_module, "_BLOCK_STEPS", 7)
+    blocked = integrate_direct(eq, 0.3, (0.0, 2.0), 1e-3)
+    assert (blocked.ts, blocked.xs, blocked.chart_switches, blocked.error) == (
+        whole.ts, whole.xs, whole.chart_switches, whole.error)
+    assert integrate_group_equation(algebra_curve_from_riccati(eq),
+                                    (0.0, 2.0), 1e-3).mats == group.mats
+
+
+def test_truncation_in_a_later_block(monkeypatch):
+    eq = RiccatiEquation(parse("1"), parse("log(0.5 - t)"), parse("-1"))
+    want = _reference_integrate(eq, 0.0, (0.0, 1.0), 1e-3)
+    monkeypatch.setattr(riccati_module, "_BLOCK_STEPS", 64)
+    got = integrate_direct(eq, 0.0, (0.0, 1.0), 1e-3)
+    assert (got.ts[-1], got.error) == (want.ts[-1], want.error)
+    with pytest.raises(EvalDomainError) as err:
+        integrate_group_equation(algebra_curve_from_riccati(eq), (0.0, 1.0), 1e-3)
+    assert str(err.value) == want.error

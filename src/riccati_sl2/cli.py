@@ -15,10 +15,11 @@ A problem file is JSON:
     }
 
 Coefficients and hint functions use the expression grammar of
-:mod:`riccati_sl2.expr`.  Output JSON is byte-stable across runs: fixed
-key order and floats printed with 17 significant digits.  Exit codes:
-0 success, 1 verification/runtime failure or a truncated trajectory,
-2 input error.
+:mod:`riccati_sl2.expr`; each hint holds exactly the keys of its row in
+:data:`riccati_sl2.criteria.DETECTORS`.  Output JSON is byte-stable
+across runs: fixed key order and floats printed with 17 significant
+digits.  Exit codes: 0 success, 1 verification/runtime failure or a
+truncated trajectory, 2 input error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .criteria import classify, max_pair_deviation, solve_via_report
+from .criteria import DETECTORS, classify, max_pair_deviation, solve_via_report
 from .expr import Expr, EvalDomainError, ParseError, QuadratureError, T, parse
 from .projline import (CoincidentPointsError, ExtReal, INF, cross_ratio,
                        mobius_apply)
@@ -48,9 +49,7 @@ __all__ = ["main", "load_problem", "cmd_solve", "cmd_classify", "cmd_verify",
 
 log = logging.getLogger("riccati_sl2")
 
-_HINT_CONSTANT_KEYS = {"a", "b", "c", "k"}
-_HINT_DETECTORS = {"RU68", "Zh99Basic", "Zh99E"} | {
-    f"Zh99Table{i}" for i in range(1, 7)}
+_DETECTORS = {d.name: d for d in DETECTORS}
 
 # Trajectory comparison: pairs of points with |x| at most this compare
 # in the x chart, pairs with |x| at least 1 in the chart w = -1/x.
@@ -154,16 +153,22 @@ def load_problem(path, overrides=None) -> Problem:
     hints_raw = doc.get("hints", {})
     if not isinstance(hints_raw, dict):
         raise InputError(f"{path}: hints must be an object")
+    hinted = sorted(n for n, d in _DETECTORS.items() if d.hint != "none")
     hints = {}
     for name, block in hints_raw.items():
-        if name not in _HINT_DETECTORS:
+        if name not in hinted:
             raise InputError(f"{path}: hints.{name}: unknown detector "
-                             f"(expected one of {sorted(_HINT_DETECTORS)})")
+                             f"(expected one of {hinted})")
         if not isinstance(block, dict):
             raise InputError(f"{path}: hints.{name} must be an object")
+        det = _DETECTORS[name]
+        keys = det.function_keys + det.constant_keys
+        if set(block) != set(keys):
+            raise InputError(f"{path}: hints.{name} must have exactly the keys "
+                             f"{list(keys)}, not {list(block)}")
         parsed = {}
         for key, value in block.items():
-            if key in _HINT_CONSTANT_KEYS:
+            if key in det.constant_keys:
                 if not isinstance(value, (int, float)):
                     raise InputError(f"{path}: hints.{name}.{key} must be a number")
                 parsed[key] = float(value)
@@ -296,19 +301,21 @@ def cmd_classify(problem: Problem, args) -> int:
 
 
 def cmd_solve(problem: Problem, args) -> int:
-    reports = classify(problem.equation, problem.grid(), problem.tol,
-                       problem.hints)
-    chosen = None
     wanted = getattr(args, "criterion", None)
     if wanted:
-        matches = [r for r in reports if r.name == wanted]
-        if not matches:
-            raise InputError(f"criterion {wanted!r} was not run "
-                             "(unknown name or missing hint)")
-        if not matches[0].satisfied:
+        if wanted not in _DETECTORS:
+            raise InputError(f"unknown criterion {wanted!r} "
+                             f"(expected one of {list(_DETECTORS)})")
+        if _DETECTORS[wanted].hint == "required" and wanted not in problem.hints:
+            raise InputError(f"criterion {wanted!r} needs a hint, and "
+                             f"hints.{wanted} is missing")
+    reports = classify(problem.equation, problem.grid(), problem.tol,
+                       problem.hints)
+    if wanted:
+        chosen = next(r for r in reports if r.name == wanted)
+        if not chosen.satisfied:
             raise InputError(f"criterion {wanted!r} is not satisfied: "
-                             f"{matches[0].diagnostics.get('reason', '')}")
-        chosen = matches[0]
+                             f"{chosen.diagnostics.get('reason', '')}")
     else:
         chosen = next((r for r in reports if r.satisfied), None)
     if chosen is not None:
@@ -390,9 +397,7 @@ def cmd_verify(problem: Problem, args) -> int:
     # Hinted detectors: their printed conditions must hold as stated.
     by_name = {r.name: r for r in reports}
     for name in problem.hints:
-        rep = by_name.get(name)
-        if rep is None:
-            continue
+        rep = by_name[name]
         dev = rep.diagnostics.get("max_dev")
         if dev is None:
             dev = 0.0 if rep.satisfied else math.inf

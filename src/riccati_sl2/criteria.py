@@ -23,12 +23,13 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .expr import (Expr, ONE, ZERO, Const, EvalDomainError, QuadratureError,
-                   _sample, as_expr, differentiate, evaluate, evaluate_grid,
-                   exp, integral_from, sqrt)
+from .expr import (Expr, ONE, ZERO, Const, Div, EvalDomainError,
+                   QuadratureError, _sample, as_expr, differentiate, evaluate,
+                   evaluate_grid, exp, integral_from, sqrt)
 from .projline import ext, mobius_apply
 from .riccati import RiccatiEquation, Trajectory, time_grid
 from .sl2 import (AffineSolvableTarget, OneDimensionalTarget,
@@ -41,16 +42,12 @@ __all__ = [
     "check_rao_K", "check_rao_W0", "check_ru68", "check_allen_stein",
     "check_ko06", "check_ra61", "check_rdm05", "check_zh99_basic",
     "check_zh99_E", "check_zh99_table", "classify", "solve_via_report",
-    "max_pair_deviation", "DETECTOR_ORDER", "DEFAULT_TOL", "CURVE_MATCH_TOL",
+    "max_pair_deviation", "Detector", "DETECTORS", "DETECTOR_ORDER",
+    "DEFAULT_TOL", "CURVE_MATCH_TOL",
 ]
 
 DEFAULT_TOL = 1e-6
 CURVE_MATCH_TOL = 1e-8
-
-# Hint-free detectors in classification order: cheapest and most general
-# first (the constant-solution search subsumes several families).
-DETECTOR_ORDER = ("RDM05", "Ra61", "AllenStein", "RaoW0", "RaoK", "Ko06",
-                  "Zh99Basic", "RU68")
 
 
 class GridDomainError(ValueError):
@@ -86,10 +83,6 @@ def constancy_fit(f: Expr, grid) -> tuple[float, float]:
     return value, max_dev
 
 
-def _values(e: Expr, grid) -> list[float]:
-    return evaluate_grid(e, grid).tolist()
-
-
 def max_pair_deviation(pairs, grid) -> float:
     """Worst of |l - r| / (1 + |l| + |r|) over the grid and the
     (l, r) expression pairs, evaluated together in one grid walk."""
@@ -98,20 +91,9 @@ def max_pair_deviation(pairs, grid) -> float:
     return float((abs(lv - rv) / (1.0 + abs(lv) + abs(rv))).max())
 
 
-def _pair_dev(lhs: Expr, rhs: Expr, grid) -> float:
-    return max_pair_deviation(((lhs, rhs),), grid)
-
-
 def _unsat(name: str, reason: str, **diag) -> CriterionReport:
-    d = {"reason": reason}
-    d.update(diag)
-    return CriterionReport(name=name, satisfied=False, diagnostics=d)
-
-
-def _target_equation(target) -> RiccatiEquation:
-    if isinstance(target, OneDimensionalTarget):
-        return target.equation()
-    return target.equation
+    return CriterionReport(name=name, satisfied=False,
+                           diagnostics={"reason": reason, **diag})
 
 
 def _finish(report: CriterionReport, eq: RiccatiEquation, grid) -> CriterionReport:
@@ -119,7 +101,8 @@ def _finish(report: CriterionReport, eq: RiccatiEquation, grid) -> CriterionRepo
     through the coefficient transformation law."""
     if not report.satisfied or report.curve is None or report.target is None:
         return report
-    teq = _target_equation(report.target)
+    target = report.target
+    teq = target.equation() if isinstance(target, OneDimensionalTarget) else target.equation
     tr = transform_coefficients(eq, report.curve)
     worst = max_pair_deviation(
         ((tr.b0, teq.b0), (tr.b1, teq.b1), (tr.b2, teq.b2)), grid)
@@ -133,14 +116,33 @@ def _finish(report: CriterionReport, eq: RiccatiEquation, grid) -> CriterionRepo
 
 
 def _positivity(name: str, label: str, vals, grid) -> CriterionReport | None:
-    """None if all values are strictly positive, else an unsatisfied
-    report saying which precondition failed and where."""
-    m = min(vals)
-    if m <= 0.0:
-        i = vals.index(m)
+    """None if ``vals`` (an expression, or its values on the grid) is
+    strictly positive on the grid, else an unsatisfied report saying
+    which precondition failed and where."""
+    if isinstance(vals, Expr):
+        vals = evaluate_grid(vals, grid)
+    i = int(np.argmin(vals))
+    if vals[i] <= 0.0:
         return _unsat(name, f"precondition {label} > 0 fails",
-                      failed=label, min_value=m, at_t=grid[i])
+                      failed=label, min_value=float(vals[i]), at_t=grid[i])
     return None
+
+
+def _b0_b2_values(name: str, eq: RiccatiEquation, grid, b0_first: bool):
+    """(b0, b2) on the grid, or the report that b2 vanishes.  As at each
+    time b0 and b2 were evaluated (b0 first or last) and b2 tested right
+    after, the earliest time where b2 vanishes (where b2 / b2 divides by
+    zero) or an evaluation fails decides; a failure raises."""
+    b0, b2 = eq.b0, eq.b2
+    test = Div(b2, b2)
+    roots = (b0, b2, test) if b0_first else (b2, test, b0)
+    vals, failures = next(_sample(roots, (np.asarray(grid, dtype=float),)))
+    if failures:
+        i = min(failures)
+        if getattr(failures[i], "subexpr", None) is test:
+            return _unsat(name, "b2 vanishes on the grid", at_t=grid[i])
+        raise failures[i]
+    return (vals[0], vals[1]) if b0_first else (vals[2], vals[0])
 
 
 def check_rao_K(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -152,12 +154,7 @@ def check_rao_K(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criterio
     b0, b1, b2 = eq.b0, eq.b1, eq.b2
     db1, db2 = differentiate(b1), differentiate(b2)
     W = b2 ** 2 * b0 + db1 * b2 - b1 * db2
-    b2_vals = _values(b2, grid)
-    bad = _positivity(name, "b2", b2_vals, grid)
-    if bad:
-        return bad
-    W_vals = _values(W, grid)
-    bad = _positivity(name, "W", W_vals, grid)
+    bad = _positivity(name, "b2", b2, grid) or _positivity(name, "W", W, grid)
     if bad:
         return bad
     dW = differentiate(W)
@@ -175,7 +172,6 @@ def check_rao_K(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criterio
         diagnostics={"max_dev": dev, "grid_points": len(grid)})
     if not report.satisfied:
         report.diagnostics["reason"] = f"K is not constant (max_dev {dev:.3g})"
-        return report
     return _finish(report, eq, grid)
 
 
@@ -186,8 +182,8 @@ def check_rao_W0(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criteri
     name = "RaoW0"
     b0, b1, b2 = eq.b0, eq.b1, eq.b2
     db1, db2 = differentiate(b1), differentiate(b2)
-    b2_vals = _values(b2, grid)
-    if min(abs(v) for v in b2_vals) <= 1e-12 * (1.0 + max(abs(v) for v in b2_vals)):
+    b2_abs = abs(evaluate_grid(b2, grid))
+    if b2_abs.min() <= 1e-12 * (1.0 + b2_abs.max()):
         return _unsat(name, "b2 vanishes on the grid")
     tv = evaluate_grid((b2 ** 2 * b0, db1 * b2, b1 * db2), grid)
     worst = float((abs(tv[0] + tv[1] - tv[2]) / (1.0 + abs(tv).sum(axis=0))).max())
@@ -222,27 +218,23 @@ def check_ru68(eq: RiccatiEquation, grid, hint: dict | None = None,
     diagnostics: dict = {"grid_points": len(grid)}
     if hint is not None:
         v = as_expr(hint["v"])
-        c = float(hint["c"])
-        k = float(hint["k"])
+        c, k = (float(hint[key]) for key in "ck")
         dv = differentiate(v)
-        dev = max(_pair_dev(dv, -k * b0 + b1 * v, grid),
-                  _pair_dev(b2, b0 / (Const(c) * v ** 2), grid))
+        dev = max_pair_deviation(((dv, -k * b0 + b1 * v),
+                                  (b2, b0 / (Const(c) * v ** 2))), grid)
         diagnostics["max_dev"] = dev
         diagnostics["mode"] = "verification"
         if dev > tol:
             return _unsat(name, f"hinted relations violated (max_dev {dev:.3g})",
                           max_dev=dev, mode="verification")
     else:
-        ratio_vals = []
-        for t in grid:
-            b0v = evaluate(b0, t)
-            b2v = evaluate(b2, t)
-            if b2v == 0.0:
-                return _unsat(name, "b2 vanishes on the grid", at_t=t)
-            ratio_vals.append(b0v / b2v)
-        if all(r > 0.0 for r in ratio_vals):
+        vals = _b0_b2_values(name, eq, grid, b0_first=True)
+        if isinstance(vals, CriterionReport):
+            return vals
+        ratio = vals[0] / vals[1]
+        if (ratio > 0.0).all():
             c = 1.0
-        elif all(r < 0.0 for r in ratio_vals):
+        elif (ratio < 0.0).all():
             c = -1.0
         else:
             return _unsat(name, "b0/b2 changes sign or vanishes on the grid; "
@@ -273,12 +265,10 @@ def check_allen_stein(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Cr
     name = "AllenStein"
     b0, b1, b2 = eq.b0, eq.b1, eq.b2
     prod = b0 * b2
-    prod_vals = _values(prod, grid)
-    bad = _positivity(name, "b0*b2", prod_vals, grid)
+    bad = _positivity(name, "b0*b2", prod, grid)
     if bad:
         return bad
-    b0_vals = _values(b0, grid)
-    s = 1.0 if b0_vals[0] > 0.0 else -1.0
+    s = 1.0 if evaluate(b0, grid[0]) > 0.0 else -1.0
     db0, db2 = differentiate(b0), differentiate(b2)
     C_expr = (b1 + 0.5 * (db2 / b2 - db0 / b0)) / sqrt(prod)
     C, dev = constancy_fit(C_expr, grid)
@@ -292,7 +282,6 @@ def check_allen_stein(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Cr
         diagnostics={"max_dev": dev, "grid_points": len(grid)})
     if not report.satisfied:
         report.diagnostics["reason"] = f"C is not constant (max_dev {dev:.3g})"
-        return report
     return _finish(report, eq, grid)
 
 
@@ -303,8 +292,7 @@ def check_ko06(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criterion
     reported alongside."""
     name = "Ko06"
     b0, b1, b2 = eq.b0, eq.b1, eq.b2
-    b0_vals = _values(b0, grid)
-    bad = _positivity(name, "b0", b0_vals, grid)
+    bad = _positivity(name, "b0", b0, grid)
     if bad:
         return bad
     db0 = differentiate(b0)
@@ -331,7 +319,6 @@ def check_ko06(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criterion
     if not report.satisfied:
         report.diagnostics["reason"] = (
             f"c1 or c2 is not constant (max_dev {dev:.3g})")
-        return report
     return _finish(report, eq, grid)
 
 
@@ -341,13 +328,10 @@ def check_ra61(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criterion
     diagonal exponential-of-quadrature rescaling."""
     name = "Ra61"
     b0, b1, b2 = eq.b0, eq.b1, eq.b2
-    ratio_vals = []
-    for t in grid:
-        b2v = evaluate(b2, t)
-        if b2v == 0.0:
-            return _unsat(name, "b2 vanishes on the grid", at_t=t)
-        ratio_vals.append(-evaluate(b0, t) / b2v)
-    bad = _positivity(name, "-b0/b2", ratio_vals, grid)
+    vals = _b0_b2_values(name, eq, grid, b0_first=False)
+    if isinstance(vals, CriterionReport):
+        return vals
+    bad = _positivity(name, "-b0/b2", -vals[0] / vals[1], grid)
     if bad:
         return bad
     t0 = grid[0]
@@ -363,7 +347,6 @@ def check_ra61(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criterion
         diagnostics={"max_dev": dev, "grid_points": len(grid)})
     if not report.satisfied:
         report.diagnostics["reason"] = f"a is not constant (max_dev {dev:.3g})"
-        return report
     return _finish(report, eq, grid)
 
 
@@ -386,13 +369,12 @@ def check_rdm05(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criterio
     elif abs(A1) > 1e-12 * scale:
         candidates = [-A0 / A1]
     verified: list[tuple[float, float]] = []
+    if candidates:
+        c0, c1, c2 = evaluate_grid((b0, b1, b2), grid)
     for r in sorted(set(candidates), reverse=True):
-        worst = 0.0
-        for t in grid:
-            c0v, c1v, c2v = eq.coefficients_at(t)
-            res = c0v + c1v * r + c2v * r * r
-            worst = max(worst, abs(res) / (
-                1.0 + abs(c0v) + abs(c1v * r) + abs(c2v * r * r)))
+        res = c0 + c1 * r + c2 * r * r
+        worst = float((abs(res) / (
+            1.0 + abs(c0) + abs(c1 * r) + abs(c2 * r * r))).max())
         if worst <= tol:
             verified.append((r, worst))
     chosen = next(((r, w) for r, w in verified if abs(r) > 1e-12), None)
@@ -443,27 +425,24 @@ def check_zh99_basic(eq: RiccatiEquation, grid, hint: dict | None = None,
     diagnostics: dict = {"grid_points": len(grid)}
     if hint is not None:
         D = as_expr(hint["D"])
-        a = float(hint["a"])
-        b = float(hint["b"])
-        c = float(hint["c"])
+        a, b, c = (float(hint[k]) for k in "abc")
         dD = differentiate(D)
-        dev = max(_pair_dev(b2 * b0, Const(a * c) * D ** 2, grid),
-                  _pair_dev(db2 / b2 + b1, dD / D + Const(b) * D, grid))
+        dev = max_pair_deviation(((b2 * b0, Const(a * c) * D ** 2),
+                                  (db2 / b2 + b1, dD / D + Const(b) * D)), grid)
         diagnostics["mode"] = "verification"
         diagnostics["max_dev"] = dev
         if dev > tol:
             return _unsat(name, f"hinted conditions violated (max_dev {dev:.3g})",
                           max_dev=dev, mode="verification")
     else:
-        prod_vals = _values(b0 * b2, grid)
-        if all(v > 0.0 for v in prod_vals):
+        prod = evaluate_grid(b0 * b2, grid)
+        if (prod > 0.0).all():
             c = 1.0
-        elif all(v < 0.0 for v in prod_vals):
+        elif (prod < 0.0).all():
             c = -1.0
         else:
             return _unsat(name, "b0*b2 changes sign or vanishes on the grid")
-        b2_vals = _values(b2, grid)
-        s2 = 1.0 if b2_vals[0] > 0.0 else -1.0
+        s2 = 1.0 if evaluate(b2, grid[0]) > 0.0 else -1.0
         a = 1.0
         D = Const(s2) * sqrt(Const(c) * (b0 * b2))
         dD = differentiate(D)
@@ -506,15 +485,13 @@ def check_zh99_E(eq: RiccatiEquation, grid, hint: dict,
     b0, b1, b2 = eq.b0, eq.b1, eq.b2
     E = as_expr(hint["E"])
     D = as_expr(hint["D"])
-    a = float(hint["a"])
-    b = float(hint["b"])
-    c = float(hint["c"])
+    a, b, c = (float(hint[k]) for k in "abc")
     L = _l_operator(eq, E)
     dD = differentiate(D)
     db2 = differentiate(b2)
-    dev = max(_pair_dev(b2 * L, Const(a * c) * D ** 2, grid),
-              _pair_dev(db2 / b2 + b1 + 2.0 * E * b2,
-                        dD / D + Const(b) * D, grid))
+    dev = max_pair_deviation(((b2 * L, Const(a * c) * D ** 2),
+                              (db2 / b2 + b1 + 2.0 * E * b2,
+                               dD / D + Const(b) * D)), grid)
     if dev > tol:
         return _unsat(name, f"conditions violated (max_dev {dev:.3g})",
                       max_dev=dev)
@@ -552,22 +529,11 @@ def check_zh99_table(eq: RiccatiEquation, grid, row: int, hint: dict,
         raise ValueError("row must be 1..6")
     name = f"Zh99Table{row}"
     b0, b1, b2 = eq.b0, eq.b1, eq.b2
-    D = as_expr(hint["D"])
-    a = float(hint["a"])
-    b = float(hint["b"])
-    c = float(hint["c"])
+    functions = {k: as_expr(hint[k]) for k in _table_keys(row)}
+    D, E, Afun, Bfun = (functions.get(k) for k in ("D", "E", "A", "B"))
+    a, b, c = (float(hint[k]) for k in "abc")
     dD = differentiate(D)
-    functions: dict[str, Expr] = {"D": D}
-    E = uBA = None
-    if row >= 2:
-        E = as_expr(hint["E"])
-        functions["E"] = E
-    if row >= 5:
-        Afun = as_expr(hint["A"])
-        Bfun = as_expr(hint["B"])
-        uBA = Bfun / Afun
-        functions["A"] = Afun
-        functions["B"] = Bfun
+    uBA = Bfun / Afun if row >= 5 else None
 
     if row == 1:
         cond1 = (b2 * b0, Const(a * c) * D ** 2)
@@ -597,7 +563,7 @@ def check_zh99_table(eq: RiccatiEquation, grid, row: int, hint: dict,
                 cond2 = (dL2 / L2 - 2.0 * differentiate(uAB) / uAB
                          + 2.0 * uBA * L + b1 + 2.0 * E * b2,
                          dD / D - Const(b) * D)
-    dev = max(_pair_dev(*cond1, grid), _pair_dev(*cond2, grid))
+    dev = max_pair_deviation((cond1, cond2), grid)
     if dev > tol:
         return _unsat(name, f"conditions violated (max_dev {dev:.3g})",
                       max_dev=dev)
@@ -648,38 +614,66 @@ def check_zh99_table(eq: RiccatiEquation, grid, row: int, hint: dict,
     return _finish(report, eq, grid)
 
 
+@dataclass(frozen=True)
+class Detector:
+    """One row of the detector table.  ``hint`` is "none", "optional" or
+    "required"; a hint holds exactly the function keys (expressions) and
+    the constant keys (numbers).  ``run(eq, grid, hint, tol)``."""
+
+    name: str
+    hint: str
+    function_keys: tuple[str, ...]
+    constant_keys: tuple[str, ...]
+    run: Callable[..., CriterionReport]
+
+
+def _table_keys(row: int) -> tuple[str, ...]:
+    """The functions a table row's hint supplies."""
+    return ("D",) if row == 1 else ("D", "E") if row <= 4 else ("D", "E", "A", "B")
+
+
+def _table_row(row: int) -> Detector:
+    return Detector(f"Zh99Table{row}", "required", _table_keys(row), ("a", "b", "c"),
+                    lambda eq, g, h, tol: check_zh99_table(eq, g, row, h, tol))
+
+
+# In classification order: cheapest and most general first (the
+# constant-solution search subsumes several families).  Rows call the
+# detectors by their module-level names, so a wrapper put there sees it.
+DETECTORS = (
+    Detector("RDM05", "none", (), (), lambda eq, g, h, tol: check_rdm05(eq, g, tol)),
+    Detector("Ra61", "none", (), (), lambda eq, g, h, tol: check_ra61(eq, g, tol)),
+    Detector("AllenStein", "none", (), (),
+             lambda eq, g, h, tol: check_allen_stein(eq, g, tol)),
+    Detector("RaoW0", "none", (), (), lambda eq, g, h, tol: check_rao_W0(eq, g, tol)),
+    Detector("RaoK", "none", (), (), lambda eq, g, h, tol: check_rao_K(eq, g, tol)),
+    Detector("Ko06", "none", (), (), lambda eq, g, h, tol: check_ko06(eq, g, tol)),
+    Detector("Zh99Basic", "optional", ("D",), ("a", "b", "c"),
+             lambda eq, g, h, tol: check_zh99_basic(eq, g, h, tol)),
+    Detector("RU68", "optional", ("v",), ("c", "k"),
+             lambda eq, g, h, tol: check_ru68(eq, g, h, tol)),
+    Detector("Zh99E", "required", ("E", "D"), ("a", "b", "c"),
+             lambda eq, g, h, tol: check_zh99_E(eq, g, h, tol)),
+    *(_table_row(row) for row in range(1, 7)),
+)
+# The detectors that run on every equation.
+DETECTOR_ORDER = tuple(d.name for d in DETECTORS if d.hint != "required")
+
+
 def classify(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL,
              hints: dict | None = None) -> list[CriterionReport]:
-    """Run every hint-free detector in the fixed order, plus any
-    hint-requiring detector whose hint is supplied.  Returns all reports,
+    """Run the detectors of the table in order, skipping those that
+    require a hint when none is supplied.  Returns all reports,
     satisfied or not; detection failures are reports, never exceptions."""
     hints = hints or {}
-
-    def run(name, fn):
+    reports = []
+    for det in DETECTORS:
+        if det.hint == "required" and det.name not in hints:
+            continue
         try:
-            return fn()
+            reports.append(det.run(eq, grid, hints.get(det.name), tol))
         except (EvalDomainError, QuadratureError, GridDomainError) as exc:
-            return _unsat(name, f"evaluation failed: {exc}")
-
-    reports = [
-        run("RDM05", lambda: check_rdm05(eq, grid, tol)),
-        run("Ra61", lambda: check_ra61(eq, grid, tol)),
-        run("AllenStein", lambda: check_allen_stein(eq, grid, tol)),
-        run("RaoW0", lambda: check_rao_W0(eq, grid, tol)),
-        run("RaoK", lambda: check_rao_K(eq, grid, tol)),
-        run("Ko06", lambda: check_ko06(eq, grid, tol)),
-        run("Zh99Basic",
-            lambda: check_zh99_basic(eq, grid, hints.get("Zh99Basic"), tol)),
-        run("RU68", lambda: check_ru68(eq, grid, hints.get("RU68"), tol)),
-    ]
-    if "Zh99E" in hints:
-        reports.append(run("Zh99E",
-                           lambda: check_zh99_E(eq, grid, hints["Zh99E"], tol)))
-    for row in range(1, 7):
-        key = f"Zh99Table{row}"
-        if key in hints:
-            reports.append(run(key, lambda r=row: check_zh99_table(
-                eq, grid, r, hints[key], tol)))
+            reports.append(_unsat(det.name, f"evaluation failed: {exc}"))
     return reports
 
 

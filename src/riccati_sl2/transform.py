@@ -180,14 +180,14 @@ def normalize_negative_determinant(entries, grid) -> tuple[bool, CurveSL2]:
     al, be, ga, de = (as_expr(e) for e in entries)
     det = al * de - be * ga
     try:
-        vals = [evaluate(det, t) for t in grid]
+        vals = evaluate_grid(det, grid)
     except EvalDomainError as exc:
         raise NormalizationError(f"determinant not evaluable on grid: {exc}") from exc
-    if all(v < 0.0 for v in vals):
+    if (vals < 0.0).all():
         s = sqrt(-det)
         return True, CurveSL2(-al / s, be / s, -ga / s, de / s)
-    if all(v > 0.0 for v in vals):
-        if max(abs(v - 1.0) for v in vals) <= 1e-9:
+    if (vals > 0.0).all():
+        if abs(vals - 1.0).max() <= 1e-9:
             return False, CurveSL2(al, be, ga, de)
         s = sqrt(det)
         return False, CurveSL2(al / s, be / s, ga / s, de / s)

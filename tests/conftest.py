@@ -2,11 +2,13 @@
 seeded random instance generators."""
 
 import random
+from pathlib import Path
 
 from hypothesis import settings, strategies as st
 
 from riccati_sl2 import (Const, CurveSL2, RiccatiEquation, T, arctan, as_expr,
                          compose, exp, log, sin, sqrt, tanh)
+from riccati_sl2.cli import load_problem
 
 # Property tests replay the same examples on every run, so a failure
 # reproduces, and a host whose speed swings cannot fail them on time.
@@ -56,6 +58,14 @@ def traj_vs_fn(traj, fn, cap=CAP):
 
 def grid(ta=0.0, tb=1.0, n=101):
     return [ta + i * (tb - ta) / (n - 1) for i in range(n)]
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def bundled_problems():
+    """The problem files shipped in problems/, loaded, in name order."""
+    return [load_problem(p) for p in sorted(PROBLEMS.glob("*.json"))]
 
 
 def random_poly(rng: random.Random, degree=3, scale=1.0):

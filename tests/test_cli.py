@@ -5,9 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import riccati_sl2.cli as cli_module
 from riccati_sl2 import integrate_direct
-from riccati_sl2.cli import main
+from riccati_sl2.cli import load_problem, main
+from riccati_sl2.criteria import DETECTORS, classify
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -329,3 +332,60 @@ def test_verify_integrates_each_initial_condition_once(tmp_path, capsys,
     assert sorted(k[3] for k in original) == ["-0.5", "0", "0.5"]
     # Each satisfied curve's image equation is integrated once as well.
     assert len(calls) - len(original) == satisfied
+
+
+def _zh99e_with_hint(tmp_path, **change):
+    doc = json.loads((PROBLEMS / "zh99e.json").read_text())
+    hint = doc["hints"]["Zh99E"]
+    hint.update(change)
+    for key in [k for k, v in hint.items() if v is None]:
+        del hint[key]
+    path = tmp_path / "zh99e.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_hint_missing_key_is_input_error(tmp_path, capsys):
+    rc = main(["classify", str(_zh99e_with_hint(tmp_path, D=None))])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "hints.Zh99E" in err and "['E', 'D', 'a', 'b', 'c']" in err
+
+
+def test_hint_unknown_key_is_input_error(tmp_path, capsys):
+    rc = main(["classify", str(_zh99e_with_hint(tmp_path, typo="t"))])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "typo" in err and "['E', 'D', 'a', 'b', 'c']" in err
+
+
+@pytest.mark.parametrize("det", [d for d in DETECTORS if d.hint != "none"],
+                         ids=lambda d: d.name)
+def test_hint_with_exactly_the_row_keys_loads_and_runs(tmp_path, det):
+    block = {k: "1 + 0.5*t" for k in det.function_keys}
+    block.update({k: 1.0 for k in det.constant_keys})
+    problem = load_problem(_write_problem(tmp_path, hints={det.name: block}))
+    assert set(problem.hints[det.name]) == set(block)
+    reports = classify(problem.equation, problem.grid(), problem.tol,
+                       problem.hints)
+    assert det.name in [r.name for r in reports]
+
+
+def test_solve_unknown_criterion_lists_the_detectors(tmp_path, capsys):
+    path = _write_problem(tmp_path)
+    rc = main(["solve", str(path), "--output", str(tmp_path),
+               "--criterion", "Nope"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown criterion 'Nope'" in err
+    assert all(d.name in err for d in DETECTORS)
+
+
+def test_solve_criterion_without_its_hint(tmp_path, capsys):
+    path = _write_problem(tmp_path)
+    rc = main(["solve", str(path), "--output", str(tmp_path),
+               "--criterion", "Zh99Table3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "hints.Zh99Table3 is missing" in err
+    assert not list(tmp_path.glob("*.csv"))

@@ -1,15 +1,16 @@
 import math
+import re
 import statistics
 
 import pytest
 
-from conftest import grid, max_traj_dev
+from conftest import bundled_problems, grid, max_traj_dev
 
 from riccati_sl2 import (Const, CurveSL2, EvalDomainError, ONE,
                          RiccatiEquation, T, ZERO, differentiate, evaluate,
                          exp, integral_from, integrate_direct, inverse, parse,
                          sqrt, transform_coefficients)
-from riccati_sl2.criteria import (DETECTOR_ORDER, GridDomainError,
+from riccati_sl2.criteria import (DETECTORS, DETECTOR_ORDER, GridDomainError,
                                   check_allen_stein, check_ko06, check_ra61,
                                   check_rao_K, check_rao_W0, check_rdm05,
                                   check_ru68, check_zh99_E, check_zh99_basic,
@@ -470,3 +471,149 @@ def test_constancy_fit_matches_scalar_fit_with_integrals():
     want_value, want_dev = _scalar_constancy_fit(f, grid_)
     assert abs(value - want_value) <= 1e-12 * (1.0 + abs(want_value))
     assert abs(dev - want_dev) <= 1e-12
+
+
+def test_detector_order_is_the_table_without_required_hints():
+    names = [d.name for d in DETECTORS]
+    assert len(set(names)) == len(names) == 15
+    assert DETECTOR_ORDER == tuple(d.name for d in DETECTORS
+                                   if d.hint != "required")
+    assert names[:len(DETECTOR_ORDER)] == list(DETECTOR_ORDER)
+
+
+# Per-point references for the detectors that sample on the grid.  Each
+# evaluates the coefficients time by time in a fixed order, so the
+# earliest time where b2 vanishes or an evaluation fails decides.
+
+def _ref_ratio(eq, grid_, b0_first, sign):
+    """Ra61 (b2 first, sign -1) and RU68 discovery (b0 first, sign +1):
+    ("vanishes", t) or ("ratios", [sign*b0/b2 per time])."""
+    ratios = []
+    for t in grid_:
+        if b0_first:
+            b0v = evaluate(eq.b0, t)
+        b2v = evaluate(eq.b2, t)
+        if b2v == 0.0:
+            return "vanishes", t
+        if not b0_first:
+            b0v = evaluate(eq.b0, t)
+        ratios.append(sign * b0v / b2v)
+    return "ratios", ratios
+
+
+def _ref_rdm05(eq, grid_, tol):
+    """The verified constant solutions (r, max_dev), larger root first."""
+    A0, A1, A2 = eq.coefficients_at(grid_[len(grid_) // 2])
+    scale = abs(A0) + abs(A1) + abs(A2) + 1.0
+    candidates = []
+    if abs(A2) > 1e-12 * scale:
+        disc = A1 * A1 - 4.0 * A0 * A2
+        if disc >= 0.0:
+            rt = math.sqrt(disc)
+            candidates = [(-A1 + rt) / (2.0 * A2), (-A1 - rt) / (2.0 * A2)]
+    elif abs(A1) > 1e-12 * scale:
+        candidates = [-A0 / A1]
+    verified = []
+    for r in sorted(set(candidates), reverse=True):
+        worst = 0.0
+        for t in grid_:
+            c0, c1, c2 = eq.coefficients_at(t)
+            worst = max(worst, abs(c0 + c1 * r + c2 * r * r) / (
+                1.0 + abs(c0) + abs(c1 * r) + abs(c2 * r * r)))
+        if worst <= tol:
+            verified.append((r, worst))
+    return verified
+
+
+C25 = GRID[25]
+PRECEDENCE_CASES = {
+    # b2 vanishes at GRID[25], b0 fails from 0.5 on: the zero decides.
+    "zero_before_failure": RiccatiEquation.of(parse("log(0.5 - t)"), 0, T - C25),
+    # b0 fails from 0.2 on, before b2 vanishes: the failure decides.
+    "failure_before_zero": RiccatiEquation.of(parse("log(0.2 - t)"), 0, T - C25),
+    # Both at GRID[25]: Ra61 tests b2 before evaluating b0, RU68 after.
+    "same_time": RiccatiEquation.of(ONE / (T - C25), 0, T - C25),
+}
+
+
+def _ratio_cases():
+    cases = [(f"bundled{i}", p.equation, p.grid(), p.tol)
+             for i, p in enumerate(bundled_problems())]
+    return cases + [(k, eq, GRID, 1e-6) for k, eq in PRECEDENCE_CASES.items()]
+
+
+@pytest.mark.parametrize("case", _ratio_cases(), ids=lambda c: c[0])
+def test_ra61_and_ru68_sign_decisions_match_per_point_loop(case):
+    _, eq, grid_, tol = case
+    for check, b0_first, sign in ((check_ra61, False, -1.0),
+                                  (lambda e, g, t: check_ru68(e, g, None, t),
+                                   True, 1.0)):
+        try:
+            kind, value = _ref_ratio(eq, grid_, b0_first, sign)
+        except EvalDomainError as exc:
+            with pytest.raises(EvalDomainError, match=re.escape(str(exc))):
+                check(eq, grid_, tol)
+            continue
+        report = check(eq, grid_, tol)
+        reason = report.diagnostics.get("reason", "")
+        if kind == "vanishes":
+            assert reason == "b2 vanishes on the grid"
+            assert report.diagnostics["at_t"] == value
+        elif check is check_ra61:
+            m = min(value)
+            if m <= 0.0:
+                assert report.diagnostics["failed"] == "-b0/b2"
+                assert report.diagnostics["at_t"] == grid_[value.index(m)]
+                assert report.diagnostics["min_value"] == pytest.approx(
+                    m, rel=1e-14, abs=1e-300)
+            else:
+                assert "precondition" not in reason
+        elif all(r > 0.0 for r in value) or all(r < 0.0 for r in value):
+            assert "changes sign" not in reason
+            if report.satisfied:
+                assert report.constants["c"] == (1.0 if value[0] > 0.0 else -1.0)
+        else:
+            assert "changes sign" in reason
+
+
+def test_b2_vanishing_before_a_later_failure_is_reported():
+    eq = PRECEDENCE_CASES["zero_before_failure"]
+    by_name = {r.name: r for r in classify(eq, GRID)}
+    for name in ("Ra61", "RU68"):
+        assert by_name[name].diagnostics == {
+            "reason": "b2 vanishes on the grid", "at_t": C25}
+
+
+def _rdm05_cases():
+    b1, b2 = parse("sin(3*t)"), parse("exp(t)")
+    cases = [(f"bundled{i}", p.equation, p.grid(), p.tol)
+             for i, p in enumerate(bundled_problems())]
+    return cases + [
+        # Constant solution 0.7, with rounding in the residual.
+        ("planted", RiccatiEquation(-(0.7 * b1 + 0.49 * b2), b1, b2), GRID, 1e-6),
+        # Real roots at the middle time that do not hold elsewhere.
+        ("unverified", RiccatiEquation.of(parse("t - 1"), 0, 1), GRID, 1e-6),
+        # Evaluable at the middle time, failing from 0.8 on.
+        ("failure", RiccatiEquation.of(parse("log(0.8 - t)"), 1, 1), GRID, 1e-6),
+    ]
+
+
+@pytest.mark.parametrize("case", _rdm05_cases(), ids=lambda c: c[0])
+def test_rdm05_roots_match_per_point_loop(case):
+    _, eq, grid_, tol = case
+    try:
+        verified = _ref_rdm05(eq, grid_, tol)
+    except EvalDomainError as exc:
+        with pytest.raises(EvalDomainError, match=re.escape(str(exc))):
+            check_rdm05(eq, grid_, tol)
+        return
+    report = check_rdm05(eq, grid_, tol)
+    chosen = next(((r, w) for r, w in verified if abs(r) > 1e-12), None)
+    if chosen is None:
+        assert not report.satisfied
+        assert ("no real constant solution" in report.diagnostics["reason"]
+                or "constant solution is zero" in report.diagnostics["reason"])
+    else:
+        assert report.constants["r"] == chosen[0]
+        assert report.diagnostics["max_dev"] == pytest.approx(
+            chosen[1], rel=1e-12, abs=1e-15)

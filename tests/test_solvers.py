@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import grid, max_traj_dev, random_poly
+from conftest import bundled_problems, grid, max_traj_dev, random_poly
 
 from riccati_sl2 import (Const, INF, ONE, PreconditionError,
                          ResidualError, RiccatiEquation, T, cross_ratio,
@@ -12,6 +12,7 @@ from riccati_sl2 import (Const, INF, ONE, PreconditionError,
                          solve_autonomous, solve_bernoulli, solve_linear,
                          solve_separable, solve_with_two_solutions,
                          superpose_three, tanh)
+from riccati_sl2.solvers import verify_particular_solution
 
 GRID = grid(0.0, 1.0, 101)
 
@@ -237,3 +238,32 @@ def test_cross_ratio_constant_along_solutions():
             values.append(cr.value)
     mid = sorted(values)[len(values) // 2]
     assert max(abs(v - mid) for v in values) / (1.0 + abs(mid)) <= 1e-6
+
+
+def _ref_residual(eq, x1, grid_):
+    """Per-point reference for verify_particular_solution: the worst
+    residual and the first time it occurs."""
+    dx1 = differentiate(x1)
+    worst, worst_t = 0.0, grid_[0]
+    for t in grid_:
+        v = evaluate(x1, t)
+        r = rhs(eq, t, v)
+        res = abs(evaluate(dx1, t) - r) / (1.0 + abs(r))
+        if res > worst:
+            worst, worst_t = res, t
+    return worst, worst_t
+
+
+@pytest.mark.parametrize("x1", ["1", "-1", "tanh(t)", "0.5 + t", "exp(-t)", "-1/(1 + t)"])
+def test_residual_error_matches_per_point_loop(x1):
+    x1 = parse(x1)
+    for problem in bundled_problems():
+        eq, grid_ = problem.equation, problem.grid()
+        worst, at_t = _ref_residual(eq, x1, grid_)
+        if worst <= 1e-8:
+            verify_particular_solution(eq, x1, grid_)
+            continue
+        with pytest.raises(ResidualError) as info:
+            verify_particular_solution(eq, x1, grid_)
+        assert info.value.at_t == at_t
+        assert info.value.max_residual == pytest.approx(worst, rel=1e-12)

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import grid, max_traj_dev, random_curve, random_equation
+from conftest import (bundled_problems, grid, max_traj_dev, random_curve,
+                      random_equation)
 
 from riccati_sl2 import (Const, CurveSL2, ExtReal, INF, Mat2,
                          NormalizationError, ONE, RiccatiEquation, T, ZERO,
@@ -194,3 +195,31 @@ def test_normalize_sign_change_rejected():
     with pytest.raises(NormalizationError):
         normalize_negative_determinant((T, ZERO, ZERO, Const(1.0)),
                                        grid(-1.0, 1.0, 21))
+
+
+def _ref_flip(entries, grid_):
+    """Per-point reference for the flag of normalize_negative_determinant:
+    True, False, or None when the sign changes."""
+    al, be, ga, de = entries
+    vals = [evaluate(al * de - be * ga, t) for t in grid_]
+    if all(v < 0.0 for v in vals):
+        return True
+    if all(v > 0.0 for v in vals):
+        return False
+    return None
+
+
+def test_normalize_flag_matches_per_point_loop():
+    flags = []
+    for problem in bundled_problems():
+        eq = problem.equation
+        for entries in ((eq.b0, eq.b1, eq.b2, ONE), (eq.b2, eq.b1, eq.b0, -eq.b1)):
+            want = _ref_flip(entries, problem.grid())
+            flags.append(want)
+            if want is None:
+                with pytest.raises(NormalizationError):
+                    normalize_negative_determinant(entries, problem.grid())
+            else:
+                flag, _ = normalize_negative_determinant(entries, problem.grid())
+                assert flag is want
+    assert {True, False, None} <= set(flags)

@@ -33,7 +33,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .criteria import DETECTORS, classify, max_pair_deviation, solve_via_report
+from .criteria import (DETECTORS, HintError, classify, max_pair_deviation,
+                       read_hints, solve_via_report)
 from .expr import Expr, EvalDomainError, ParseError, QuadratureError, T, parse
 from .projline import (CoincidentPointsError, ExtReal, INF, cross_ratio,
                        mobius_apply)
@@ -77,6 +78,13 @@ class Problem:
         return [ta + i * (tb - ta) / (n - 1) for i in range(n)]
 
 
+def _number(v) -> bool:
+    """A finite JSON number; booleans, which Python reads as integers,
+    are not numbers here."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 def _parse_expr(text, where: str) -> Expr:
     if not isinstance(text, str):
         raise InputError(f"{where}: expected an expression string")
@@ -111,8 +119,8 @@ def load_problem(path, overrides=None) -> Problem:
 
     interval = doc.get("t_interval")
     if (not isinstance(interval, list) or len(interval) != 2
-            or not all(isinstance(v, (int, float)) for v in interval)):
-        raise InputError(f"{path}: t_interval must be [t_a, t_b]")
+            or not all(_number(v) for v in interval)):
+        raise InputError(f"{path}: t_interval must be [t_a, t_b] of finite numbers")
     ta, tb = float(interval[0]), float(interval[1])
     if not ta < tb:
         raise InputError(f"{path}: t_interval must be increasing")
@@ -122,7 +130,7 @@ def load_problem(path, overrides=None) -> Problem:
         raise InputError(f"{path}: initial_conditions must be a non-empty list")
     ics = []
     for i, v in enumerate(ics_raw):
-        if isinstance(v, (int, float)) and math.isfinite(v):
+        if _number(v):
             ics.append(ExtReal(float(v)))
         elif v == "inf":
             ics.append(INF)
@@ -143,38 +151,17 @@ def load_problem(path, overrides=None) -> Problem:
             grid_n = overrides.grid
         if getattr(overrides, "tol", None) is not None:
             tol = overrides.tol
-    if not (isinstance(step, (int, float)) and step > 0):
-        raise InputError(f"{path}: step must be positive")
+    if not (_number(step) and step > 0):
+        raise InputError(f"{path}: step must be a positive finite number")
     if not (isinstance(grid_n, int) and grid_n >= 2):
         raise InputError(f"{path}: grid must be an integer >= 2")
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise InputError(f"{path}: tol must be positive")
+    if not (_number(tol) and tol > 0):
+        raise InputError(f"{path}: tol must be a positive finite number")
 
-    hints_raw = doc.get("hints", {})
-    if not isinstance(hints_raw, dict):
-        raise InputError(f"{path}: hints must be an object")
-    hinted = sorted(n for n, d in _DETECTORS.items() if d.hint != "none")
-    hints = {}
-    for name, block in hints_raw.items():
-        if name not in hinted:
-            raise InputError(f"{path}: hints.{name}: unknown detector "
-                             f"(expected one of {hinted})")
-        if not isinstance(block, dict):
-            raise InputError(f"{path}: hints.{name} must be an object")
-        det = _DETECTORS[name]
-        keys = det.function_keys + det.constant_keys
-        if set(block) != set(keys):
-            raise InputError(f"{path}: hints.{name} must have exactly the keys "
-                             f"{list(keys)}, not {list(block)}")
-        parsed = {}
-        for key, value in block.items():
-            if key in det.constant_keys:
-                if not isinstance(value, (int, float)):
-                    raise InputError(f"{path}: hints.{name}.{key} must be a number")
-                parsed[key] = float(value)
-            else:
-                parsed[key] = _parse_expr(value, f"hints.{name}.{key}")
-        hints[name] = parsed
+    try:
+        hints = read_hints(doc.get("hints", {}))
+    except HintError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
     known_raw = doc.get("known_solutions", [])
     if not isinstance(known_raw, list):

@@ -15,7 +15,9 @@ flags itself instead of silently producing a bad reduction.
 Detectors whose conditions quantify over a free function (the
 Zh99 E-family, the table rows, and RU68 in verification mode) take the
 auxiliary functions as hints; hint-free discovery is provided only where
-a canonical recovery exists.
+a canonical recovery exists.  :func:`read_hints` checks hint blocks
+against the rows of :data:`DETECTORS`, and :func:`classify` runs it
+before any detector.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import (Expr, ONE, ZERO, Const, Div, EvalDomainError,
-                   QuadratureError, _sample, as_expr, differentiate, evaluate,
-                   evaluate_grid, exp, integral_from, sqrt)
+from .expr import (Expr, ONE, ZERO, Const, Div, EvalDomainError, ParseError,
+                   QuadratureError, _sample, differentiate, evaluate,
+                   evaluate_grid, exp, integral_from, parse, sqrt)
 from .projline import ext, mobius_apply
 from .riccati import RiccatiEquation, Trajectory, time_grid
 from .sl2 import (AffineSolvableTarget, OneDimensionalTarget,
@@ -38,10 +40,11 @@ from .solvers import solve_bernoulli, solve_linear, PreconditionError
 from .transform import CurveSL2, inverse, theta_apply, transform_coefficients
 
 __all__ = [
-    "CriterionReport", "GridDomainError", "constancy_fit",
+    "CriterionReport", "GridDomainError", "HintError", "constancy_fit",
     "check_rao_K", "check_rao_W0", "check_ru68", "check_allen_stein",
     "check_ko06", "check_ra61", "check_rdm05", "check_zh99_basic",
-    "check_zh99_E", "check_zh99_table", "classify", "solve_via_report",
+    "check_zh99_E", "check_zh99_table", "classify", "read_hints",
+    "solve_via_report",
     "max_pair_deviation", "Detector", "DETECTORS", "DETECTOR_ORDER",
     "DEFAULT_TOL", "CURVE_MATCH_TOL",
 ]
@@ -52,6 +55,10 @@ CURVE_MATCH_TOL = 1e-8
 
 class GridDomainError(ValueError):
     """Too many grid points failed to evaluate."""
+
+
+class HintError(ValueError):
+    """A hint block that does not match its row of :data:`DETECTORS`."""
 
 
 @dataclass
@@ -115,6 +122,71 @@ def _finish(report: CriterionReport, eq: RiccatiEquation, grid) -> CriterionRepo
     return report
 
 
+def _fitted(name: str, eq: RiccatiEquation, grid, tol: float, dev: float,
+            fitted: str, diagnostics: dict | None = None,
+            **found) -> CriterionReport:
+    """Report of a detector whose condition is that the constants named
+    by ``fitted`` are constant on the grid (worst relative deviation
+    ``dev``).  ``diagnostics`` holds what the detector recorded first
+    (its keys keep their places); ``found`` holds the report's
+    constants, functions, curve, target and alternates."""
+    report = CriterionReport(
+        name=name, satisfied=dev <= tol,
+        diagnostics={**(diagnostics or {}), "max_dev": dev,
+                     "grid_points": len(grid)}, **found)
+    if not report.satisfied:
+        report.diagnostics["reason"] = f"{fitted} is not constant (max_dev {dev:.3g})"
+    return _finish(report, eq, grid)
+
+
+def _sign_choice(name: str, eq: RiccatiEquation, grid, build, abc,
+                 D: Expr, functions: dict, diagnostics: dict,
+                 check_det: bool = False) -> CriterionReport:
+    """Report of a Zh99 detector whose conditions hold for ``abc`` =
+    (a, b, c).  They also hold for (-a, b, -c), so the curve ``build(s)``
+    is taken with the first s in (1, -1) that keeps its square roots real
+    on the grid; the target is D(t)(s c + b y + s a y^2).  With
+    ``check_det`` a curve whose determinant is not 1 on the grid is
+    flagged rather than corrected."""
+    a, b, c = abc
+    for s in (1.0, -1.0):
+        curve = build(s)
+        try:
+            curve.sample(grid)
+            break
+        except (EvalDomainError, QuadratureError):
+            pass
+    else:
+        return _unsat(name, "square-root domain failure under both sign choices")
+    det_dev = 0.0
+    if check_det:
+        det_dev = curve.max_det_deviation(grid)
+        diagnostics = {"max_dev": diagnostics["max_dev"],
+                       "determinant_dev": det_dev, **diagnostics}
+    if s < 0:
+        diagnostics["sign_flipped"] = True
+    report = CriterionReport(name=name, satisfied=det_dev <= 1e-9,
+                             functions=functions, curve=curve,
+                             diagnostics=diagnostics)
+    if report.satisfied:
+        report.constants = {"a": s * a, "b": b, "c": s * c}
+        report.target = OneDimensionalTarget(s * c, b, s * a, D)
+    else:
+        diagnostics["reason"] = (
+            f"curve determinant deviates from 1 by {det_dev:.3g}; "
+            "row flagged rather than corrected")
+    return _finish(report, eq, grid)
+
+
+def _sign(vals) -> float | None:
+    """1.0 if all values are positive, -1.0 if all are negative, else None."""
+    if (vals > 0.0).all():
+        return 1.0
+    if (vals < 0.0).all():
+        return -1.0
+    return None
+
+
 def _positivity(name: str, label: str, vals, grid) -> CriterionReport | None:
     """None if ``vals`` (an expression, or its values on the grid) is
     strictly positive on the grid, else an unsatisfied report saying
@@ -165,14 +237,8 @@ def check_rao_K(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criterio
     sv = sqrt(v)
     curve = CurveSL2(1.0 / sv, b1 / (b2 * sv), ZERO, sv)
     target = OneDimensionalTarget(1.0, -K, 1.0, sqrt(W / b2))
-    report = CriterionReport(
-        name=name, satisfied=dev <= tol,
-        constants={"K": K}, functions={"W": W, "v": v},
-        curve=curve, target=target,
-        diagnostics={"max_dev": dev, "grid_points": len(grid)})
-    if not report.satisfied:
-        report.diagnostics["reason"] = f"K is not constant (max_dev {dev:.3g})"
-    return _finish(report, eq, grid)
+    return _fitted(name, eq, grid, tol, dev, "K", constants={"K": K},
+                   functions={"W": W, "v": v}, curve=curve, target=target)
 
 
 def check_rao_W0(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -197,11 +263,8 @@ def check_rao_W0(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criteri
     curve = CurveSL2(alpha, alpha * (b1 / b2), ZERO, delta)
     target = OneDimensionalTarget(0.0, 0.0, 1.0, b2 * delta ** 2)
     W = b2 ** 2 * b0 + db1 * b2 - b1 * db2
-    report = CriterionReport(
-        name=name, satisfied=True, functions={"W": W},
-        curve=curve, target=target,
-        diagnostics={"max_dev": worst, "grid_points": len(grid)})
-    return _finish(report, eq, grid)
+    return _fitted(name, eq, grid, tol, worst, "W", functions={"W": W},
+                   curve=curve, target=target)
 
 
 def check_ru68(eq: RiccatiEquation, grid, hint: dict | None = None,
@@ -214,49 +277,31 @@ def check_ru68(eq: RiccatiEquation, grid, hint: dict | None = None,
     fitted from (b1 v - v')/b0.  The curve rescales by sqrt(v)."""
     name = "RU68"
     b0, b1, b2 = eq.b0, eq.b1, eq.b2
-    constants: dict[str, float] = {}
-    diagnostics: dict = {"grid_points": len(grid)}
     if hint is not None:
-        v = as_expr(hint["v"])
-        c, k = (float(hint[key]) for key in "ck")
-        dv = differentiate(v)
-        dev = max_pair_deviation(((dv, -k * b0 + b1 * v),
+        mode, violated = "verification", "hinted relations violated"
+        v, c, k = hint["v"], hint["c"], hint["k"]
+        dev = max_pair_deviation(((differentiate(v), -k * b0 + b1 * v),
                                   (b2, b0 / (Const(c) * v ** 2))), grid)
-        diagnostics["max_dev"] = dev
-        diagnostics["mode"] = "verification"
-        if dev > tol:
-            return _unsat(name, f"hinted relations violated (max_dev {dev:.3g})",
-                          max_dev=dev, mode="verification")
     else:
+        mode, violated = "discovery", "k is not constant"
         vals = _b0_b2_values(name, eq, grid, b0_first=True)
         if isinstance(vals, CriterionReport):
             return vals
-        ratio = vals[0] / vals[1]
-        if (ratio > 0.0).all():
-            c = 1.0
-        elif (ratio < 0.0).all():
-            c = -1.0
-        else:
+        c = _sign(vals[0] / vals[1])
+        if c is None:
             return _unsat(name, "b0/b2 changes sign or vanishes on the grid; "
                                 "v cannot be recovered")
         v = sqrt(b0 / (Const(c) * b2))
-        dv = differentiate(v)
-        k, dev = constancy_fit((b1 * v - dv) / b0, grid)
-        diagnostics["max_dev"] = dev
-        diagnostics["mode"] = "discovery"
-        if dev > tol:
-            return _unsat(name, f"k is not constant (max_dev {dev:.3g})",
-                          max_dev=dev, mode="discovery")
-    constants["c"] = c
-    constants["k"] = k
+        k, dev = constancy_fit((b1 * v - differentiate(v)) / b0, grid)
+    if dev > tol:
+        return _unsat(name, f"{violated} (max_dev {dev:.3g})",
+                      max_dev=dev, mode=mode)
     sv = sqrt(v)
-    curve = CurveSL2(1.0 / sv, ZERO, ZERO, sv)
-    target = OneDimensionalTarget(1.0, k, 1.0 / c, b0 / v)
-    report = CriterionReport(
-        name=name, satisfied=True, constants=constants,
-        functions={"v": v}, curve=curve, target=target,
-        diagnostics=diagnostics)
-    return _finish(report, eq, grid)
+    return _fitted(name, eq, grid, tol, dev, "k",
+                   {"grid_points": len(grid), "max_dev": dev, "mode": mode},
+                   constants={"c": c, "k": k}, functions={"v": v},
+                   curve=CurveSL2(1.0 / sv, ZERO, ZERO, sv),
+                   target=OneDimensionalTarget(1.0, k, 1.0 / c, b0 / v))
 
 
 def check_allen_stein(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -276,13 +321,8 @@ def check_allen_stein(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Cr
     # For negative b0 (and hence negative b2) the transformed equation is
     # the printed one with rate and middle constant carrying the sign.
     target = OneDimensionalTarget(1.0, s * C, 1.0, Const(s) * sqrt(prod))
-    report = CriterionReport(
-        name=name, satisfied=dev <= tol, constants={"C": C},
-        curve=curve, target=target,
-        diagnostics={"max_dev": dev, "grid_points": len(grid)})
-    if not report.satisfied:
-        report.diagnostics["reason"] = f"C is not constant (max_dev {dev:.3g})"
-    return _finish(report, eq, grid)
+    return _fitted(name, eq, grid, tol, dev, "C", constants={"C": C},
+                   curve=curve, target=target)
 
 
 def check_ko06(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -311,15 +351,9 @@ def check_ko06(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criterion
             CurveSL2(sqrt(sqrt(Const(mc1) / b0 ** 2)), ZERO, ZERO,
                      sqrt(sqrt(b0 ** 2 / Const(mc1)))),
             OneDimensionalTarget(math.sqrt(mc1), c2, math.sqrt(mc1), ONE)))
-    report = CriterionReport(
-        name=name, satisfied=dev <= tol,
-        constants={"c1": c1, "c2": c2}, functions={"F": b0},
-        curve=curve, target=target, alternates=alternates,
-        diagnostics={"max_dev": dev, "grid_points": len(grid)})
-    if not report.satisfied:
-        report.diagnostics["reason"] = (
-            f"c1 or c2 is not constant (max_dev {dev:.3g})")
-    return _finish(report, eq, grid)
+    return _fitted(name, eq, grid, tol, dev, "c1 or c2",
+                   constants={"c1": c1, "c2": c2}, functions={"F": b0},
+                   curve=curve, target=target, alternates=alternates)
 
 
 def check_ra61(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -341,13 +375,8 @@ def check_ra61(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criterion
     delta = exp(Const(0.5) * ib)
     curve = CurveSL2(alpha, ZERO, ZERO, delta)
     target = OneDimensionalTarget(-a, 0.0, 1.0, delta ** 2 * b2)
-    report = CriterionReport(
-        name=name, satisfied=dev <= tol, constants={"a": a},
-        curve=curve, target=target,
-        diagnostics={"max_dev": dev, "grid_points": len(grid)})
-    if not report.satisfied:
-        report.diagnostics["reason"] = f"a is not constant (max_dev {dev:.3g})"
-    return _finish(report, eq, grid)
+    return _fitted(name, eq, grid, tol, dev, "a", constants={"a": a},
+                   curve=curve, target=target)
 
 
 def check_rdm05(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -388,26 +417,8 @@ def check_rdm05(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criterio
     curve = CurveSL2.of(0.0, r, k, 1.0)
     target_eq = RiccatiEquation(b1 * Const(1.0 / k) - b0,
                                 b1 - Const(2.0 * k) * b0, ZERO)
-    target = AffineSolvableTarget(target_eq)
-    report = CriterionReport(
-        name=name, satisfied=True, constants={"k": k, "r": r},
-        curve=curve, target=target,
-        diagnostics={"max_dev": worst, "grid_points": len(grid)})
-    return _finish(report, eq, grid)
-
-
-def _sign_choice_for_curve(build, grid):
-    """Try to build and evaluate a curve with sign +1, then with the
-    flipped sign (the conditions are invariant under a -> -a, c -> -c).
-    Returns (sign, curve) or (None, None) when both fail."""
-    for s in (1.0, -1.0):
-        curve = build(s)
-        try:
-            curve.sample(grid)
-        except (EvalDomainError, QuadratureError):
-            continue
-        return s, curve
-    return None, None
+    return _fitted(name, eq, grid, tol, worst, "r", constants={"k": k, "r": r},
+                   curve=curve, target=AffineSolvableTarget(target_eq))
 
 
 def check_zh99_basic(eq: RiccatiEquation, grid, hint: dict | None = None,
@@ -422,52 +433,32 @@ def check_zh99_basic(eq: RiccatiEquation, grid, hint: dict | None = None,
     name = "Zh99Basic"
     b0, b1, b2 = eq.b0, eq.b1, eq.b2
     db2 = differentiate(b2)
-    diagnostics: dict = {"grid_points": len(grid)}
     if hint is not None:
-        D = as_expr(hint["D"])
-        a, b, c = (float(hint[k]) for k in "abc")
+        mode, violated = "verification", "hinted conditions violated"
+        D, a, b, c = hint["D"], hint["a"], hint["b"], hint["c"]
         dD = differentiate(D)
         dev = max_pair_deviation(((b2 * b0, Const(a * c) * D ** 2),
                                   (db2 / b2 + b1, dD / D + Const(b) * D)), grid)
-        diagnostics["mode"] = "verification"
-        diagnostics["max_dev"] = dev
-        if dev > tol:
-            return _unsat(name, f"hinted conditions violated (max_dev {dev:.3g})",
-                          max_dev=dev, mode="verification")
     else:
-        prod = evaluate_grid(b0 * b2, grid)
-        if (prod > 0.0).all():
-            c = 1.0
-        elif (prod < 0.0).all():
-            c = -1.0
-        else:
+        mode, violated = "discovery", "b is not constant"
+        c = _sign(evaluate_grid(b0 * b2, grid))
+        if c is None:
             return _unsat(name, "b0*b2 changes sign or vanishes on the grid")
         s2 = 1.0 if evaluate(b2, grid[0]) > 0.0 else -1.0
         a = 1.0
         D = Const(s2) * sqrt(Const(c) * (b0 * b2))
         dD = differentiate(D)
         b, dev = constancy_fit((db2 / b2 + b1 - dD / D) / D, grid)
-        diagnostics["mode"] = "discovery"
-        diagnostics["max_dev"] = dev
-        if dev > tol:
-            return _unsat(name, f"b is not constant (max_dev {dev:.3g})",
-                          max_dev=dev, mode="discovery")
+    if dev > tol:
+        return _unsat(name, f"{violated} (max_dev {dev:.3g})",
+                      max_dev=dev, mode=mode)
 
     def build(s):
         return CurveSL2(sqrt(b2 / (Const(s * a) * D)), ZERO, ZERO,
                         sqrt(Const(s * a) * D / b2))
 
-    s, curve = _sign_choice_for_curve(build, grid)
-    if curve is None:
-        return _unsat(name, "square-root domain failure under both sign choices")
-    if s < 0:
-        diagnostics["sign_flipped"] = True
-    report = CriterionReport(
-        name=name, satisfied=True,
-        constants={"a": s * a, "b": b, "c": s * c}, functions={"D": D},
-        curve=curve, target=OneDimensionalTarget(s * c, b, s * a, D),
-        diagnostics=diagnostics)
-    return _finish(report, eq, grid)
+    return _sign_choice(name, eq, grid, build, (a, b, c), D, {"D": D},
+                        {"grid_points": len(grid), "mode": mode, "max_dev": dev})
 
 
 def _l_operator(eq: RiccatiEquation, E: Expr) -> Expr:
@@ -483,9 +474,7 @@ def check_zh99_E(eq: RiccatiEquation, grid, hint: dict,
     the shear-by-E followed by the diagonal rescaling."""
     name = "Zh99E"
     b0, b1, b2 = eq.b0, eq.b1, eq.b2
-    E = as_expr(hint["E"])
-    D = as_expr(hint["D"])
-    a, b, c = (float(hint[k]) for k in "abc")
+    E, D, a, b, c = (hint[k] for k in ("E", "D", "a", "b", "c"))
     L = _l_operator(eq, E)
     dD = differentiate(D)
     db2 = differentiate(b2)
@@ -500,19 +489,9 @@ def check_zh99_E(eq: RiccatiEquation, grid, hint: dict,
         al = sqrt(b2 / (Const(s * a) * D))
         return CurveSL2(al, -(al * E), ZERO, sqrt(Const(s * a) * D / b2))
 
-    s, curve = _sign_choice_for_curve(build, grid)
-    if curve is None:
-        return _unsat(name, "square-root domain failure under both sign choices")
-    diagnostics = {"max_dev": dev, "grid_points": len(grid)}
-    if s < 0:
-        diagnostics["sign_flipped"] = True
-    report = CriterionReport(
-        name=name, satisfied=True,
-        constants={"a": s * a, "b": b, "c": s * c},
-        functions={"E": E, "D": D, "L[E]": L},
-        curve=curve, target=OneDimensionalTarget(s * c, b, s * a, D),
-        diagnostics=diagnostics)
-    return _finish(report, eq, grid)
+    return _sign_choice(name, eq, grid, build, (a, b, c), D,
+                        {"E": E, "D": D, "L[E]": L},
+                        {"max_dev": dev, "grid_points": len(grid)})
 
 
 def check_zh99_table(eq: RiccatiEquation, grid, row: int, hint: dict,
@@ -529,9 +508,9 @@ def check_zh99_table(eq: RiccatiEquation, grid, row: int, hint: dict,
         raise ValueError("row must be 1..6")
     name = f"Zh99Table{row}"
     b0, b1, b2 = eq.b0, eq.b1, eq.b2
-    functions = {k: as_expr(hint[k]) for k in _table_keys(row)}
+    functions = {k: hint[k] for k in _table_keys(row)}
     D, E, Afun, Bfun = (functions.get(k) for k in ("D", "E", "A", "B"))
-    a, b, c = (float(hint[k]) for k in "abc")
+    a, b, c = hint["a"], hint["b"], hint["c"]
     dD = differentiate(D)
     uBA = Bfun / Afun if row >= 5 else None
 
@@ -591,34 +570,17 @@ def check_zh99_table(eq: RiccatiEquation, grid, row: int, hint: dict,
         return CurveSL2(-R, R * ((1.0 + uBA * E) * (Afun / Bfun)),
                         -(uBA * V), uBA * E * V)
 
-    s, curve = _sign_choice_for_curve(build, grid)
-    if curve is None:
-        return _unsat(name, "square-root domain failure under both sign choices")
-    det_dev = curve.max_det_deviation(grid)
-    diagnostics = {"max_dev": dev, "determinant_dev": det_dev,
-                   "grid_points": len(grid)}
-    if s < 0:
-        diagnostics["sign_flipped"] = True
-    if det_dev > 1e-9:
-        diagnostics["reason"] = (
-            f"curve determinant deviates from 1 by {det_dev:.3g}; "
-            "row flagged rather than corrected")
-        return CriterionReport(name=name, satisfied=False,
-                               functions=functions, curve=curve,
-                               diagnostics=diagnostics)
-    report = CriterionReport(
-        name=name, satisfied=True,
-        constants={"a": s * a, "b": b, "c": s * c}, functions=functions,
-        curve=curve, target=OneDimensionalTarget(s * c, b, s * a, D),
-        diagnostics=diagnostics)
-    return _finish(report, eq, grid)
+    return _sign_choice(name, eq, grid, build, (a, b, c), D, functions,
+                        {"max_dev": dev, "grid_points": len(grid)},
+                        check_det=True)
 
 
 @dataclass(frozen=True)
 class Detector:
     """One row of the detector table.  ``hint`` is "none", "optional" or
     "required"; a hint holds exactly the function keys (expressions) and
-    the constant keys (numbers).  ``run(eq, grid, hint, tol)``."""
+    the constant keys (numbers), as :func:`read_hints` checks.
+    ``run(eq, grid, hint, tol)``."""
 
     name: str
     hint: str
@@ -658,14 +620,57 @@ DETECTORS = (
 )
 # The detectors that run on every equation.
 DETECTOR_ORDER = tuple(d.name for d in DETECTORS if d.hint != "required")
+_HINTED = {d.name: d for d in DETECTORS if d.hint != "none"}
+
+
+def read_hints(hints) -> dict[str, dict]:
+    """Check hint blocks against their rows of :data:`DETECTORS` and
+    return them with expression text parsed and constants as floats.
+
+    Each name must be a detector that takes a hint, and its block must
+    hold exactly the row's keys: function keys an :class:`Expr` or
+    expression text, constant keys a number (not a boolean).  Raises
+    :class:`HintError` naming the offending block and what it expects."""
+    if not isinstance(hints, dict):
+        raise HintError("hints must be an object")
+    checked = {}
+    for name, block in hints.items():
+        det = _HINTED.get(name)
+        if det is None:
+            raise HintError(f"hints.{name}: unknown detector "
+                            f"(expected one of {sorted(_HINTED)})")
+        if not isinstance(block, dict):
+            raise HintError(f"hints.{name} must be an object")
+        keys = det.function_keys + det.constant_keys
+        if set(block) != set(keys):
+            raise HintError(f"hints.{name} must have exactly the keys "
+                            f"{list(keys)}, not {list(block)}")
+        checked[name] = parsed = {}
+        for key, value in block.items():
+            where = f"hints.{name}.{key}"
+            if key in det.constant_keys:
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise HintError(f"{where} must be a number")
+                value = float(value)
+            elif isinstance(value, str):
+                try:
+                    value = parse(value)
+                except ParseError as exc:
+                    raise HintError(f"{where}: {exc}") from exc
+            elif not isinstance(value, Expr):
+                raise HintError(f"{where}: expected an expression string")
+            parsed[key] = value
+    return checked
 
 
 def classify(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL,
              hints: dict | None = None) -> list[CriterionReport]:
     """Run the detectors of the table in order, skipping those that
     require a hint when none is supplied.  Returns all reports,
-    satisfied or not; detection failures are reports, never exceptions."""
-    hints = hints or {}
+    satisfied or not; detection failures are reports, never exceptions.
+    Hints are checked first by :func:`read_hints`, which raises
+    :class:`HintError`."""
+    hints = read_hints({} if hints is None else hints)
     reports = []
     for det in DETECTORS:
         if det.hint == "required" and det.name not in hints:

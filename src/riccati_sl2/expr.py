@@ -279,7 +279,19 @@ class Pow(Expr):
         return f"{bs}^{self.exponent}"
 
 
-_FUNCTION_NAMES = ("sqrt", "exp", "log", "sin", "cos", "tan", "tanh", "arctan")
+# The functions of the grammar: name -> (scalar function, numpy ufunc,
+# domain rule), where the rule is None or the test of the arguments the
+# function rejects (on a float or an array) and the EvalDomainError kind.
+_FUNCTIONS = {
+    "sqrt": (math.sqrt, np.sqrt, (lambda u: u < 0.0, "sqrt of negative value")),
+    "exp": (math.exp, np.exp, None),
+    "log": (math.log, np.log, (lambda u: u <= 0.0, "log of non-positive value")),
+    "sin": (math.sin, np.sin, None),
+    "cos": (math.cos, np.cos, None),
+    "tan": (math.tan, np.tan, None),
+    "tanh": (math.tanh, np.tanh, None),
+    "arctan": (math.atan, np.arctan, None),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,26 +301,10 @@ class Call(Expr):
 
     def ev(self, t):
         u = self.arg.ev(t)
-        name = self.name
-        if name == "exp":
-            return math.exp(u)
-        if name == "sqrt":
-            if u < 0.0:
-                raise EvalDomainError("sqrt of negative value", self)
-            return math.sqrt(u)
-        if name == "log":
-            if u <= 0.0:
-                raise EvalDomainError("log of non-positive value", self)
-            return math.log(u)
-        if name == "sin":
-            return math.sin(u)
-        if name == "cos":
-            return math.cos(u)
-        if name == "tan":
-            return math.tan(u)
-        if name == "tanh":
-            return math.tanh(u)
-        return math.atan(u)  # arctan
+        scalar, _, rule = _FUNCTIONS[self.name]
+        if rule is not None and rule[0](u):
+            raise EvalDomainError(rule[1], self)
+        return scalar(u)
 
     def diff(self):
         u = self.arg
@@ -548,7 +544,6 @@ _BLOCK = 256
 
 _DIV0 = "division by zero"
 _OVERFLOW = "overflow"
-_QUADRATURE = "quadrature"
 
 
 class _Grid:
@@ -558,8 +553,8 @@ class _Grid:
 
     Failures are recorded per point, first one wins, in the order the
     scalar walk meets them; the values at failed points are meaningless.
-    A failure is ``(kind, subexpr)`` of an EvalDomainError, or
-    ``(_QUADRATURE, message)``, charged from a failed quadrature's cell on.
+    ``reasons`` holds the errors the scalar path raises, a
+    QuadratureError charged from the failed quadrature's cell on.
     Each integral node keeps its running value from one chunk to the
     next and owns the grid that evaluates its integrand at the
     Gauss-Kronrod nodes of its cells.  Every integral starts at
@@ -567,8 +562,8 @@ class _Grid:
 
     def __init__(self, origin: float):
         self.origin = origin
-        self.reasons: list[tuple[str, Expr]] = []
-        self._carry: dict[Integral, tuple[float, float, tuple | None]] = {}
+        self.reasons: list[ExprError] = []
+        self._carry: dict[Integral, tuple[float, float, ExprError | str | None]] = {}
         self._subs: dict[Integral, _Grid] = {}
 
     def run(self, roots, ts: np.ndarray):
@@ -583,18 +578,21 @@ class _Grid:
         for root in roots:
             self._root = root
             v = self._vals[self._walk(root)]
-            self._mark(~np.isfinite(v), _OVERFLOW, None)
+            self._mark(~np.isfinite(v), _OVERFLOW)
             outs.append(v)
         fail = self._fail
         self._ids = self._canon = self._vals = None
         return outs, fail
 
-    def _mark(self, mask, kind: str, subexpr) -> None:
-        """Record a failure at the masked points not failed already; an
-        overflow is charged to the root, as the scalar path does."""
+    def _mark(self, mask, error, subexpr=None) -> None:
+        """Record ``error`` at the masked points not failed already.  A
+        string is the kind of an EvalDomainError in ``subexpr``, by
+        default the root, where the scalar path charges an overflow."""
         hit = mask & (self._fail == 0)
         if hit.any():
-            self.reasons.append((kind, self._root if subexpr is None else subexpr))
+            if isinstance(error, str):
+                error = EvalDomainError(error, self._root if subexpr is None else subexpr)
+            self.reasons.append(error)
             self._fail[hit] = len(self.reasons)
 
     def _walk(self, e: Expr) -> int:
@@ -623,10 +621,9 @@ class _Grid:
             key = (cls, b, e.exponent)
         elif cls is Call:
             u = self._walk(e.arg)
-            if e.name == "sqrt":
-                self._mark(vals[u] < 0.0, "sqrt of negative value", e)
-            elif e.name == "log":
-                self._mark(vals[u] <= 0.0, "log of non-positive value", e)
+            rule = _FUNCTIONS[e.name][2]
+            if rule is not None:
+                self._mark(rule[0](vals[u]), rule[1], e)
             key = (cls, e.name, u)
         elif cls is Integral:
             key = (cls, e)
@@ -653,14 +650,13 @@ class _Grid:
             return -vals[key[1]]
         if cls is Call:
             u = vals[key[2]]
-            out = _UFUNCS[e.name](u)
-            if e.name == "exp":
-                self._mark(np.isinf(out) & np.isfinite(u), _OVERFLOW, None)
+            out = _FUNCTIONS[e.name][1](u)
+            self._mark(np.isinf(out) & np.isfinite(u), _OVERFLOW)
             return out
         if cls is Pow:
             b = vals[key[1]]
             out = np.power(b, float(e.exponent))
-            self._mark(np.isinf(out) & np.isfinite(b), _OVERFLOW, None)
+            self._mark(np.isinf(out) & np.isfinite(b), _OVERFLOW)
             return out
         return _BINARY[cls](vals[key[1]], vals[key[2]])
 
@@ -693,9 +689,9 @@ class _Grid:
         cells[first_bad:] = math.nan
         out = np.cumsum(np.concatenate(([v_c], cells)))[1:]
         if reason is not None:
-            kind, subexpr = reason
-            self._mark(np.arange(len(ts)) >= first_bad, kind,
-                       None if kind == _OVERFLOW else subexpr)
+            if getattr(reason, "kind", None) == _OVERFLOW:
+                reason = _OVERFLOW  # charged to this grid's root
+            self._mark(np.arange(len(ts)) >= first_bad, reason)
         self._carry[e] = (float(ts[-1]), float(out[-1]), reason)
         return out
 
@@ -733,21 +729,17 @@ class _Grid:
 
 
 def _scalar_or_failure(fn, *args):
-    """``fn(*args)`` by the scalar path, and None; or NaN and the failure
-    it raised, as the grid records failures."""
+    """``fn(*args)`` by the scalar path, and None; or NaN and the error
+    it raised, an OverflowError as the kind ``_OVERFLOW``."""
     try:
         return fn(*args), None
-    except EvalDomainError as exc:
-        return math.nan, (exc.kind, exc.subexpr)
-    except QuadratureError as exc:
-        return math.nan, (_QUADRATURE, str(exc))
+    except (EvalDomainError, QuadratureError) as exc:
+        return math.nan, exc
     except OverflowError:
-        return math.nan, (_OVERFLOW, None)
+        return math.nan, _OVERFLOW
 
 
 _BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
-_UFUNCS = {"exp": np.exp, "sqrt": np.sqrt, "log": np.log, "sin": np.sin,
-           "cos": np.cos, "tan": np.tan, "tanh": np.tanh, "arctan": np.arctan}
 
 
 def _sample(roots, chunks):
@@ -756,17 +748,14 @@ def _sample(roots, chunks):
     first time).  Yields, for each chunk, the values (one row per root,
     meaningless at failed times) and the failures: a dict from the index
     of each failed time to the error the scalar path raises first there."""
-    grid = errors = None
+    grid = None
     for ts in chunks:
         if grid is None:
-            grid, errors = _Grid(float(ts[0])), []
+            grid = _Grid(float(ts[0]))
         with np.errstate(all="ignore"):
             outs, fail = grid.run(roots, ts)
-        errors += [QuadratureError(detail) if kind == _QUADRATURE
-                   else EvalDomainError(kind, detail)
-                   for kind, detail in grid.reasons[len(errors):]]
         bad = np.flatnonzero(fail)
-        yield np.array(outs), {i: errors[k - 1] for i, k in
+        yield np.array(outs), {i: grid.reasons[k - 1] for i, k in
                                zip(bad.tolist(), fail[bad].tolist())}
 
 
@@ -962,7 +951,7 @@ class _Parser:
                 inner = self.expression()
                 self.expect_op(")")
                 return Integral(inner)
-            if text in _FUNCTION_NAMES:
+            if text in _FUNCTIONS:
                 self.expect_op("(")
                 inner = self.expression()
                 self.expect_op(")")

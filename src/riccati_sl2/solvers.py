@@ -20,7 +20,7 @@ from .expr import (Expr, T, ZERO, Const, EvalDomainError, Integral, as_expr,
                    cos, differentiate, evaluate, evaluate_grid, exp,
                    integral_from, sin, substitute)
 from .projline import INF, ExtReal, ext
-from .riccati import RiccatiEquation, Trajectory
+from .riccati import RiccatiEquation
 
 __all__ = [
     "SolutionForm", "ResidualError", "PreconditionError",
@@ -49,26 +49,19 @@ class ResidualError(ValueError):
 
 @dataclass
 class SolutionForm:
-    """A solved Riccati initial-value problem.
-
-    Either a closed-form expression in t (possibly containing deferred
-    integrals), or a trajectory when only samples exist.  The constant
-    solution at infinity is flagged separately since it has no finite
-    formula.
+    """A solved Riccati initial-value problem: a closed-form expression
+    in t (possibly containing deferred integrals), or None for the
+    constant solution at infinity, which has no finite formula.
     """
 
     expression: Expr | None
     provenance: str
-    trajectory: Trajectory | None = None
-    constant_infinity: bool = False
 
     def at(self, t: float) -> ExtReal:
         """Evaluate on the compactified line; division poles map to
         infinity."""
-        if self.constant_infinity:
-            return INF
         if self.expression is None:
-            raise ValueError("no closed form; use the trajectory")
+            return INF
         try:
             return ExtReal(evaluate(self.expression, t))
         except EvalDomainError as exc:
@@ -79,10 +72,8 @@ class SolutionForm:
     def sample(self, ts) -> list[ExtReal]:
         """``at`` on every time of the non-decreasing ``ts``, in one grid
         evaluation."""
-        if self.constant_infinity:
-            return [INF] * len(ts)
         if self.expression is None:
-            raise ValueError("no closed form; use the trajectory")
+            return [INF] * len(ts)
         vals = evaluate_grid(self.expression, ts, poles=True).tolist()
         return [INF if math.isinf(v) else ExtReal(v) for v in vals]
 
@@ -107,7 +98,7 @@ def solve_linear(eq: RiccatiEquation, x0, grid) -> SolutionForm:
         raise PreconditionError("b2 is not identically zero on the grid")
     x0 = ext(x0)
     if x0.is_inf:
-        return SolutionForm(None, "linear", constant_infinity=True)
+        return SolutionForm(None, "linear")
     t0 = grid[0]
     i1 = integral_from(eq.b1, t0)
     inner = eq.b0 * exp(-i1)
@@ -195,7 +186,7 @@ def solve_autonomous(c0: float, c1: float, c2: float, x0) -> SolutionForm:
     if c2 == 0.0:
         # Affine flow; infinity is a fixed point.
         if x0.is_inf:
-            return SolutionForm(None, "autonomous", constant_infinity=True)
+            return SolutionForm(None, "autonomous")
         if c1 == 0.0:
             return SolutionForm(Const(x0.value) + Const(c0) * T, "autonomous")
         xeq = -c0 / c1
@@ -241,7 +232,7 @@ def solve_separable(phi: Expr, c0: float, c1: float, c2: float, x0) -> SolutionF
     Valid for either sign of phi; tau need not be monotone."""
     phi = as_expr(phi)
     base = solve_autonomous(c0, c1, c2, x0)
-    if base.constant_infinity or base.expression is None:
-        return SolutionForm(None, "separable", constant_infinity=True)
+    if base.expression is None:
+        return SolutionForm(None, "separable")
     tau = Integral(phi)
     return SolutionForm(substitute(base.expression, tau), "separable")

@@ -1,6 +1,7 @@
 """Shared helpers: relative comparisons on the compactified line and
 seeded random instance generators."""
 
+import os
 import random
 from pathlib import Path
 
@@ -9,6 +10,12 @@ from hypothesis import settings, strategies as st
 from riccati_sl2 import (Const, CurveSL2, RiccatiEquation, T, arctan, as_expr,
                          compose, exp, log, sin, sqrt, tanh)
 from riccati_sl2.cli import load_problem
+
+# The CLI tests start `python -m riccati_sl2` in child interpreters; they
+# import the package from the source tree as this process does.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 # Property tests replay the same examples on every run, so a failure
 # reproduces, and a host whose speed swings cannot fail them on time.

@@ -359,6 +359,26 @@ def test_hint_unknown_key_is_input_error(tmp_path, capsys):
     assert "typo" in err and "['E', 'D', 'a', 'b', 'c']" in err
 
 
+_OPTIONS = {"step": 0.01, "grid": 51, "tol": 1e-6}
+
+
+@pytest.mark.parametrize("over, field", [
+    ({"initial_conditions": [True]}, "initial_conditions[0]"),
+    ({"t_interval": [False, True]}, "t_interval"),
+    ({"t_interval": [0.0, math.inf]}, "t_interval"),
+    ({"options": {**_OPTIONS, "step": True}}, "step"),
+    ({"options": {**_OPTIONS, "step": math.inf}}, "step"),
+    ({"options": {**_OPTIONS, "tol": math.inf}}, "tol"),
+    ({"hints": {"Zh99Basic": {"D": "1", "a": True, "b": 0.0, "c": 1.0}}},
+     "hints.Zh99Basic.a"),
+], ids=["ic-true", "interval-booleans", "interval-infinity", "step-true",
+        "step-infinity", "tol-infinity", "hint-constant-true"])
+def test_booleans_and_infinities_are_input_errors(tmp_path, capsys, over, field):
+    rc = main(["classify", str(_write_problem(tmp_path, **over))])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("det", [d for d in DETECTORS if d.hint != "none"],
                          ids=lambda d: d.name)
 def test_hint_with_exactly_the_row_keys_loads_and_runs(tmp_path, det):

@@ -11,10 +11,11 @@ from riccati_sl2 import (Const, CurveSL2, EvalDomainError, ONE,
                          exp, integral_from, integrate_direct, inverse, parse,
                          sqrt, transform_coefficients)
 from riccati_sl2.criteria import (DETECTORS, DETECTOR_ORDER, GridDomainError,
-                                  check_allen_stein, check_ko06, check_ra61,
-                                  check_rao_K, check_rao_W0, check_rdm05,
-                                  check_ru68, check_zh99_E, check_zh99_basic,
-                                  check_zh99_table, classify, constancy_fit,
+                                  HintError, check_allen_stein, check_ko06,
+                                  check_ra61, check_rao_K, check_rao_W0,
+                                  check_rdm05, check_ru68, check_zh99_E,
+                                  check_zh99_basic, check_zh99_table,
+                                  classify, constancy_fit,
                                   solve_via_report)
 
 GRID = grid(0.0, 1.0, 101)
@@ -437,6 +438,31 @@ def test_classify_with_hints_appends_detectors():
     reports = classify(eq, GRID, hints=hints)
     assert reports[-1].name == "Zh99E"
     assert reports[-1].satisfied
+
+
+_ZH99E_EQ = RiccatiEquation.of(parse("2 - t + t^2"), parse("1 - 2*t"), 1)
+_ZH99E_KEYS = "['E', 'D', 'a', 'b', 'c']"
+_HINTED = sorted(d.name for d in DETECTORS if d.hint != "none")
+
+
+@pytest.mark.parametrize("hints, expected", [
+    ({"Zh99E": {"E": T, "a": 1.0, "b": 1.0, "c": 1.0}}, _ZH99E_KEYS),
+    ({"Zh99E": {"E": T, "D": ONE, "a": 1.0, "b": 1.0, "c": 1.0, "typo": T}},
+     _ZH99E_KEYS),
+    ({"Nope": {"D": ONE}}, str(_HINTED)),
+    ({"RDM05": {}}, str(_HINTED)),
+], ids=["missing-key", "unknown-key", "unknown-detector", "detector-without-hint"])
+def test_classify_checks_hints_against_the_table(hints, expected):
+    with pytest.raises(HintError, match=re.escape(expected)):
+        classify(_ZH99E_EQ, GRID, hints=hints)
+
+
+def test_classify_reads_hint_text_and_objects_alike():
+    as_objects = {"Zh99E": {"E": T, "D": ONE, "a": 1.0, "b": 1.0, "c": 1.0}}
+    as_text = {"Zh99E": {"E": "t", "D": "1", "a": 1, "b": 1, "c": 1}}
+    reports = classify(_ZH99E_EQ, GRID, hints=as_objects)
+    assert reports[-1].satisfied
+    assert reports == classify(_ZH99E_EQ, GRID, hints=as_text)
 
 
 def _scalar_constancy_fit(f, grid_):

@@ -114,7 +114,7 @@ def load_problem(path, overrides=None) -> Problem:
     for key in ("b0", "b1", "b2"):
         if key not in coeff:
             raise InputError(f"{path}: coefficients.{key} missing")
-        exprs[key] = _parse_expr(coeff[key], f"coefficients.{key}")
+        exprs[key] = _parse_expr(coeff[key], f"{path}: coefficients.{key}")
     eq = RiccatiEquation(exprs["b0"], exprs["b1"], exprs["b2"])
 
     interval = doc.get("t_interval")
@@ -166,7 +166,7 @@ def load_problem(path, overrides=None) -> Problem:
     known_raw = doc.get("known_solutions", [])
     if not isinstance(known_raw, list):
         raise InputError(f"{path}: known_solutions must be a list")
-    known = [_parse_expr(s, f"known_solutions[{i}]")
+    known = [_parse_expr(s, f"{path}: known_solutions[{i}]")
              for i, s in enumerate(known_raw)]
 
     return Problem(equation=eq, t_interval=(ta, tb),

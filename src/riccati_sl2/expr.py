@@ -3,11 +3,11 @@
 A small, closed expression language for time-dependent coefficient
 functions: arithmetic, integer powers, a fixed set of elementary
 functions, and a deferred definite integral ``integral(e)`` standing for
-the map t -> integral of e(s) ds from 0 to t, evaluated by adaptive
-quadrature on demand at one point, or cumulatively over the cells of a
-grid by :func:`evaluate_grid`.  Trees are immutable and hashable;
-differentiation is exact on the whole grammar (the integral node
-differentiates back to its integrand).
+the map t -> integral of e(s) ds from 0 to t, evaluated cumulatively
+over the cells of a grid by :func:`evaluate_grid` with Gauss-Kronrod
+quadrature (a single point is a one-point grid).  Trees are immutable
+and hashable; differentiation is exact on the whole grammar (the
+integral node differentiates back to its integrand).
 
 The text syntax accepted by :func:`parse` is also the coefficient syntax
 of the CLI problem files: infix ``+ - * / ^`` (``**`` is accepted for
@@ -23,12 +23,12 @@ expressions numerically on grids, never structurally.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
@@ -76,7 +76,7 @@ class Expr:
     precedence = 4
 
     def ev(self, t: float) -> float:
-        raise NotImplementedError
+        return evaluate(self, t)
 
     def diff(self) -> "Expr":
         raise NotImplementedError
@@ -123,9 +123,6 @@ class Expr:
 class Const(Expr):
     value: float
 
-    def ev(self, t):
-        return self.value
-
     def diff(self):
         return ZERO
 
@@ -136,9 +133,6 @@ class Const(Expr):
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
     """The independent variable t."""
-
-    def ev(self, t):
-        return t
 
     def diff(self):
         return ONE
@@ -164,9 +158,6 @@ class Neg(Expr):
     arg: Expr
     precedence = 2
 
-    def ev(self, t):
-        return -self.arg.ev(t)
-
     def diff(self):
         return _neg(self.arg.diff())
 
@@ -179,9 +170,6 @@ class Add(Expr):
     left: Expr
     right: Expr
     precedence = 1
-
-    def ev(self, t):
-        return self.left.ev(t) + self.right.ev(t)
 
     def diff(self):
         return _add(self.left.diff(), self.right.diff())
@@ -201,9 +189,6 @@ class Sub(Expr):
     right: Expr
     precedence = 1
 
-    def ev(self, t):
-        return self.left.ev(t) - self.right.ev(t)
-
     def diff(self):
         return _sub(self.left.diff(), self.right.diff())
 
@@ -218,9 +203,6 @@ class Mul(Expr):
     left: Expr
     right: Expr
     precedence = 2
-
-    def ev(self, t):
-        return self.left.ev(t) * self.right.ev(t)
 
     def diff(self):
         return _add(_mul(self.left.diff(), self.right),
@@ -238,12 +220,6 @@ class Div(Expr):
     left: Expr
     right: Expr
     precedence = 2
-
-    def ev(self, t):
-        den = self.right.ev(t)
-        if den == 0.0:
-            raise EvalDomainError("division by zero", self)
-        return self.left.ev(t) / den
 
     def diff(self):
         num = _sub(_mul(self.left.diff(), self.right),
@@ -263,12 +239,6 @@ class Pow(Expr):
     exponent: int
     precedence = 3
 
-    def ev(self, t):
-        b = self.base.ev(t)
-        if b == 0.0 and self.exponent < 0:
-            raise EvalDomainError("division by zero", self)
-        return b ** self.exponent
-
     def diff(self):
         n = self.exponent
         return _mul(_mul(Const(float(n)), _pow(self.base, n - 1)),
@@ -279,18 +249,18 @@ class Pow(Expr):
         return f"{bs}^{self.exponent}"
 
 
-# The functions of the grammar: name -> (scalar function, numpy ufunc,
-# domain rule), where the rule is None or the test of the arguments the
-# function rejects (on a float or an array) and the EvalDomainError kind.
+# The functions of the grammar: name -> (numpy ufunc, domain rule), where
+# the rule is None or the test of the arguments the function rejects and
+# the EvalDomainError kind.
 _FUNCTIONS = {
-    "sqrt": (math.sqrt, np.sqrt, (lambda u: u < 0.0, "sqrt of negative value")),
-    "exp": (math.exp, np.exp, None),
-    "log": (math.log, np.log, (lambda u: u <= 0.0, "log of non-positive value")),
-    "sin": (math.sin, np.sin, None),
-    "cos": (math.cos, np.cos, None),
-    "tan": (math.tan, np.tan, None),
-    "tanh": (math.tanh, np.tanh, None),
-    "arctan": (math.atan, np.arctan, None),
+    "sqrt": (np.sqrt, (lambda u: u < 0.0, "sqrt of negative value")),
+    "exp": (np.exp, None),
+    "log": (np.log, (lambda u: u <= 0.0, "log of non-positive value")),
+    "sin": (np.sin, None),
+    "cos": (np.cos, None),
+    "tan": (np.tan, None),
+    "tanh": (np.tanh, None),
+    "arctan": (np.arctan, None),
 }
 
 
@@ -298,13 +268,6 @@ _FUNCTIONS = {
 class Call(Expr):
     name: str
     arg: Expr
-
-    def ev(self, t):
-        u = self.arg.ev(t)
-        scalar, _, rule = _FUNCTIONS[self.name]
-        if rule is not None and rule[0](u):
-            raise EvalDomainError(rule[1], self)
-        return scalar(u)
 
     def diff(self):
         u = self.arg
@@ -333,33 +296,16 @@ class Call(Expr):
 
 @dataclass(frozen=True, slots=True)
 class Integral(Expr):
-    """Deferred definite integral of the integrand from 0 to t,
-    evaluated at one point by adaptive quadrature (see
-    :func:`evaluate_grid` for whole grids)."""
+    """Deferred definite integral of the integrand from 0 to t (see
+    :func:`evaluate_grid`)."""
 
     integrand: Expr
-
-    def ev(self, t):
-        return _adaptive_quad(self.integrand, 0.0, t)
 
     def diff(self):
         return self.integrand
 
     def _fmt(self):
         return f"integral({self.integrand._fmt()})"
-
-
-def _adaptive_quad(f: Expr, a: float, b: float) -> float:
-    """Integral of f from a to b by adaptive quadrature of its scalar
-    evaluation."""
-    out = quad(f.ev, a, b, epsabs=1e-13, epsrel=1e-13, limit=500,
-               full_output=1)
-    value, abserr = out[0], out[1]
-    if abserr > 1e-10 * (1.0 + abs(value)):
-        raise QuadratureError(
-            f"quadrature of '{f}' over [{a:.17g}, {b}] did not converge "
-            f"(error estimate {abserr:.3g})")
-    return value
 
 
 ZERO = Const(0.0)
@@ -496,19 +442,13 @@ def integral_from(e, lower: float) -> Expr:
     node = Integral(as_expr(e))
     if lower == 0.0:
         return node
-    return _sub(node, Const(node.ev(lower)))
+    return _sub(node, Const(evaluate(node, lower)))
 
 
 def evaluate(e: Expr, t: float) -> float:
-    """Evaluate ``e`` at ``t``.  Returns a finite float or raises
-    :class:`EvalDomainError` / :class:`QuadratureError`."""
-    try:
-        v = e.ev(float(t))
-    except OverflowError as exc:
-        raise EvalDomainError("overflow", e) from exc
-    if not math.isfinite(v):
-        raise EvalDomainError("overflow", e)
-    return v
+    """Evaluate ``e`` at ``t``, as a one-point grid.  Returns a finite
+    float or raises :class:`EvalDomainError` / :class:`QuadratureError`."""
+    return float(evaluate_grid(e, (float(t),))[0])
 
 
 # Grid evaluation.
@@ -532,11 +472,71 @@ _XK = np.array([-x for x in _GK_X] + [0.0] + list(reversed(_GK_X)))
 _WK = np.array(list(_GK_WK) + [_GK_WK0] + list(reversed(_GK_WK)))
 _WG = np.zeros(15)
 _WG[1::2] = list(_GK_WG) + [_GK_WG0] + list(reversed(_GK_WG))
+_WKG = np.array([_WK, _WG])
 
-# Cells whose Kronrod and Gauss sums differ by more than this (absolute,
-# or relative to the Kronrod sum) are integrated again by adaptive
-# quadrature, at the tolerance the scalar path asks of it.
+# Requested accuracy of quad, absolute and relative.  Cells whose
+# Kronrod and Gauss sums differ by more than this (absolute, or relative
+# to the Kronrod sum) are integrated again by quad.
 _CELL_TOL = 1e-13
+_EPS = np.finfo(float).eps
+
+
+def quad(f, a: float, b: float):
+    """Integral of f over [a, b] by globally adaptive Gauss-Kronrod 7/15
+    quadrature (QUADPACK's QAG with the qk15 error estimate): the
+    subinterval with the largest error estimate is bisected until the
+    estimates sum to at most 1e-13, absolute or relative to the value,
+    500 subintervals are in use, or roundoff stops the estimates from
+    falling.  ``f`` maps the 15 nodes of a subinterval, in increasing
+    order, to their values.  Returns the value, the error estimate and
+    ``{"neval": n}``."""
+    if a == b:
+        return 0.0, 0.0, {"neval": 0}
+
+    def rule(lo, hi):
+        half = 0.5 * (hi - lo)
+        fv = np.asarray(f(0.5 * (lo + hi) + half * _XK), dtype=float)
+        k, g = (_WKG @ fv).tolist()
+        asc, res = (half * (np.abs((fv - 0.5 * k, fv)) @ _WK)).tolist()
+        err = half * abs(k - g)
+        if asc and err:
+            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
+        # A heap entry, largest error first.
+        return -max(err, 50.0 * _EPS * res), lo, hi, half * k
+
+    heap = [rule(min(a, b), max(a, b))]
+    value, error = heap[0][3], -heap[0][0]
+    roundoff = growth = 0
+    while (error > _CELL_TOL * max(1.0, abs(value)) and len(heap) < 500
+           and roundoff < 6 and growth < 20):
+        neg_err, lo, hi, v = heapq.heappop(heap)
+        left, right = rule(lo, 0.5 * (lo + hi)), rule(0.5 * (lo + hi), hi)
+        v2, err2 = left[3] + right[3], -left[0] - right[0]
+        # QUADPACK's roundoff counts: bisections that change neither the
+        # value nor the error estimate, and (past 10 subintervals) ones
+        # that raise the estimate.
+        roundoff += abs(v - v2) <= 1e-5 * abs(v2) and err2 >= -0.99 * neg_err
+        growth += len(heap) >= 9 and err2 > -neg_err
+        value += v2 - v
+        error += err2 + neg_err
+        heapq.heappush(heap, left)
+        heapq.heappush(heap, right)
+    value = sum(part[3] for part in heap)
+    error = sum(-part[0] for part in heap)
+    # One rule for the whole interval, then two per bisection.
+    return (value if a < b else -value), error, {"neval": 15 * (2 * len(heap) - 1)}
+
+
+def _adaptive_quad(f: Expr, a: float, b: float) -> float:
+    """Integral of f from a to b by :func:`quad` on grid evaluations of
+    f; raises QuadratureError when the error estimate is too large."""
+    value, abserr, _ = quad(lambda ts: evaluate_grid(f, ts), a, b)
+    if abserr > 1e-10 * (1.0 + abs(value)):
+        raise QuadratureError(
+            f"quadrature of '{f}' over [{a:.17g}, {b}] did not converge "
+            f"(error estimate {abserr:.3g})")
+    return value
+
 
 # Cells per batch of integrand evaluations: bounds the memory of a
 # nested integral at 15 * _BLOCK nodes per nesting level.
@@ -551,10 +551,11 @@ class _Grid:
     times, one walk per chunk with structurally equal subtrees computed
     once.
 
-    Failures are recorded per point, first one wins, in the order the
-    scalar walk meets them; the values at failed points are meaningless.
-    ``reasons`` holds the errors the scalar path raises, a
-    QuadratureError charged from the failed quadrature's cell on.
+    Failures are recorded per point, first one wins, in evaluation
+    order: root by root, each tree depth first, a denominator before its
+    numerator; the values at failed points are meaningless.  ``reasons``
+    holds the errors raised, a QuadratureError charged from the failed
+    quadrature's cell on.
     Each integral node keeps its running value from one chunk to the
     next and owns the grid that evaluates its integrand at the
     Gauss-Kronrod nodes of its cells.  Every integral starts at
@@ -587,9 +588,11 @@ class _Grid:
     def _mark(self, mask, error, subexpr=None) -> None:
         """Record ``error`` at the masked points not failed already.  A
         string is the kind of an EvalDomainError in ``subexpr``, by
-        default the root, where the scalar path charges an overflow."""
+        default the root, where an overflow is charged."""
+        if not np.count_nonzero(mask):
+            return
         hit = mask & (self._fail == 0)
-        if hit.any():
+        if np.count_nonzero(hit):
             if isinstance(error, str):
                 error = EvalDomainError(error, self._root if subexpr is None else subexpr)
             self.reasons.append(error)
@@ -601,9 +604,9 @@ class _Grid:
             return i
         vals = self._vals
         cls = type(e)
-        # Children are walked, and domain checks made, in the scalar
-        # evaluation order, so that the first failure at each point is
-        # the one the scalar path raises.
+        # Children are walked, and domain checks made, in evaluation
+        # order, so that the first failure at each point is the one a
+        # walk of the tree node by node would meet.
         if cls is Const:
             key = (cls, e.value, math.copysign(1.0, e.value))
         elif cls is Var:
@@ -621,7 +624,7 @@ class _Grid:
             key = (cls, b, e.exponent)
         elif cls is Call:
             u = self._walk(e.arg)
-            rule = _FUNCTIONS[e.name][2]
+            rule = _FUNCTIONS[e.name][1]
             if rule is not None:
                 self._mark(rule[0](vals[u]), rule[1], e)
             key = (cls, e.name, u)
@@ -650,7 +653,7 @@ class _Grid:
             return -vals[key[1]]
         if cls is Call:
             u = vals[key[2]]
-            out = _FUNCTIONS[e.name][1](u)
+            out = _FUNCTIONS[e.name][0](u)
             self._mark(np.isinf(out) & np.isfinite(u), _OVERFLOW)
             return out
         if cls is Pow:
@@ -662,8 +665,8 @@ class _Grid:
 
     def _integral(self, e: Integral) -> np.ndarray:
         """Running integral at every time of the chunk: the value carried
-        in from the previous chunk (at first, the scalar value at the
-        origin) plus the sum over the cells between consecutive times."""
+        in from the previous chunk (at first, the quadrature from 0 to
+        the origin) plus the sum over the cells between consecutive times."""
         ts = self._ts
         state = self._carry.get(e)
         if state is None:
@@ -699,7 +702,7 @@ class _Grid:
         t0 = self.origin
         if t0 == 0.0:
             return t0, 0.0, None
-        return (t0, *_scalar_or_failure(e.ev, t0))
+        return (t0, *_quad_or_failure(e.integrand, 0.0, t0))
 
     def _cells(self, f: Expr, sub: "_Grid", a: np.ndarray, b: np.ndarray):
         """Integrals of f over the cells [a, b], up to the first cell
@@ -721,22 +724,19 @@ class _Grid:
         kronrod = kronrod[:n_ok]
         err = np.abs(kronrod - gauss[:n_ok])
         for i in np.flatnonzero(err > np.maximum(_CELL_TOL, _CELL_TOL * np.abs(kronrod))):
-            kronrod[i], failure = _scalar_or_failure(
-                _adaptive_quad, f, float(a[i]), float(b[i]))
+            kronrod[i], failure = _quad_or_failure(f, float(a[i]), float(b[i]))
             if failure is not None:
                 return kronrod[:i], failure
         return kronrod, reason
 
 
-def _scalar_or_failure(fn, *args):
-    """``fn(*args)`` by the scalar path, and None; or NaN and the error
-    it raised, an OverflowError as the kind ``_OVERFLOW``."""
+def _quad_or_failure(f: Expr, a: float, b: float):
+    """``_adaptive_quad(f, a, b)`` and None, or NaN and the error it
+    raised."""
     try:
-        return fn(*args), None
+        return _adaptive_quad(f, a, b), None
     except (EvalDomainError, QuadratureError) as exc:
         return math.nan, exc
-    except OverflowError:
-        return math.nan, _OVERFLOW
 
 
 _BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
@@ -747,14 +747,14 @@ def _sample(roots, chunks):
     with every integral running on from one chunk to the next (from the
     first time).  Yields, for each chunk, the values (one row per root,
     meaningless at failed times) and the failures: a dict from the index
-    of each failed time to the error the scalar path raises first there."""
+    of each failed time to the first error met there."""
     grid = None
     for ts in chunks:
         if grid is None:
             grid = _Grid(float(ts[0]))
         with np.errstate(all="ignore"):
             outs, fail = grid.run(roots, ts)
-        bad = np.flatnonzero(fail)
+        bad = fail.nonzero()[0]
         yield np.array(outs), {i: grid.reasons[k - 1] for i, k in
                                zip(bad.tolist(), fail[bad].tolist())}
 
@@ -767,12 +767,12 @@ def evaluate_grid(e, ts, *, poles: bool = False) -> np.ndarray:
     share are computed once.  Deferred integrals are accumulated over
     the cells between consecutive times (which must then be
     non-decreasing) with a Gauss-Kronrod 7/15 rule per cell, falling
-    back to adaptive quadrature on a cell where the embedded Gauss sum
-    disagrees.  Results agree with :func:`evaluate` up to rounding.
+    back to :func:`quad` on a cell where the embedded Gauss sum
+    disagrees, and start at the first time with :func:`quad` from 0.
 
-    Failures raise what the scalar path raises at the first failing
-    time: :class:`EvalDomainError` with the same kind and subexpression,
-    or :class:`QuadratureError`.  With ``poles``, a time whose first
+    Failures raise the first error met at the first failing time:
+    :class:`EvalDomainError` with its kind and subexpression, or
+    :class:`QuadratureError`.  With ``poles``, a time whose first
     failure is an exact-zero denominator instead comes back as inf.
     """
     roots = (e,) if isinstance(e, Expr) else tuple(e)

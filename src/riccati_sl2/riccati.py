@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr, _sample, as_expr, evaluate
+from .expr import Expr, _sample, as_expr, evaluate_grid
 from .projline import INF, ExtReal, ext
 
 __all__ = ["RiccatiEquation", "Trajectory", "rhs", "time_grid",
@@ -40,7 +40,7 @@ class RiccatiEquation:
         return cls(as_expr(b0), as_expr(b1), as_expr(b2))
 
     def coefficients_at(self, t: float) -> tuple[float, float, float]:
-        return (evaluate(self.b0, t), evaluate(self.b1, t), evaluate(self.b2, t))
+        return tuple(evaluate_grid((self.b0, self.b1, self.b2), [t])[:, 0].tolist())
 
 
 def rhs(eq: RiccatiEquation, t: float, x: float) -> float:

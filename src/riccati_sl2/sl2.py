@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import Expr, Integral, as_expr, evaluate, evaluate_grid
+from .expr import Expr, Integral, as_expr, evaluate_grid
 from .projline import Mat2, mobius_apply, ext
 from .riccati import RiccatiEquation, Trajectory, _stage_samples, time_grid
 
@@ -44,9 +44,7 @@ class AlgebraCurve:
     b2: Expr
 
     def matrix_at(self, t: float) -> Mat2:
-        b0 = evaluate(self.b0, t)
-        b1 = evaluate(self.b1, t)
-        b2 = evaluate(self.b2, t)
+        b0, b1, b2 = evaluate_grid((self.b0, self.b1, self.b2), [t])[:, 0].tolist()
         return Mat2(0.5 * b1, b0, -b2, -0.5 * b1)
 
 

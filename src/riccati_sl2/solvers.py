@@ -148,8 +148,7 @@ def solve_with_two_solutions(eq: RiccatiEquation, x1: Expr, x2: Expr,
     if abs(evaluate_grid(x1 - x2, grid)).max() <= 1e-9:
         raise PreconditionError("the two known solutions coincide on the grid")
     t0 = grid[0]
-    x1_0 = evaluate(x1, t0)
-    x2_0 = evaluate(x2, t0)
+    x1_0, x2_0 = evaluate_grid((x1, x2), [t0])[:, 0].tolist()
     x0 = ext(x0)
     if x0.is_inf:
         z0 = 1.0

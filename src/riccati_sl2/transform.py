@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import (Expr, ZERO, ONE, Const, EvalDomainError, as_expr,
-                   differentiate, evaluate, evaluate_grid, sqrt)
+                   differentiate, evaluate_grid, sqrt)
 from .projline import ExtReal, Mat2, mobius_apply, ext
 from .riccati import RiccatiEquation
 from .sl2 import AlgebraCurve
@@ -78,8 +78,7 @@ class CurveSL2:
         return cls(ZERO, ONE, Const(-1.0), ZERO)
 
     def matrix_at(self, t: float) -> Mat2:
-        return Mat2(evaluate(self.alpha, t), evaluate(self.beta, t),
-                    evaluate(self.gamma, t), evaluate(self.delta, t))
+        return self.sample([t])[0]
 
     def sample(self, ts) -> list[Mat2]:
         """``matrix_at`` on every time of the non-decreasing ``ts``, in

@@ -1,14 +1,18 @@
-"""Shared helpers: relative comparisons on the compactified line and
-seeded random instance generators."""
+"""Shared helpers: relative comparisons on the compactified line, the
+node-by-node reference evaluator and seeded random instance generators."""
 
+import math
 import os
 import random
 from pathlib import Path
 
 from hypothesis import settings, strategies as st
 
-from riccati_sl2 import (Const, CurveSL2, RiccatiEquation, T, arctan, as_expr,
-                         compose, exp, log, sin, sqrt, tanh)
+import riccati_sl2.expr as expr_module
+from riccati_sl2 import (Add, Call, Const, CurveSL2, EvalDomainError, Integral,
+                         Mul, Neg, Pow, QuadratureError, RiccatiEquation, Sub,
+                         T, Var, arctan, as_expr, compose, exp, log, sin, sqrt,
+                         tanh)
 from riccati_sl2.cli import load_problem
 
 # The CLI tests start `python -m riccati_sl2` in child interpreters; they
@@ -61,6 +65,90 @@ def traj_vs_fn(traj, fn, cap=CAP):
         worst = max(worst, abs(x.value - y))
     assert compared > len(traj.ts) // 2
     return worst
+
+
+# The reference for the grid evaluator: each tree built into a function
+# of one time that evaluates it node by node with scalar math functions,
+# each deferred integral an adaptive quadrature of that function.
+
+_SCALAR = {"sqrt": math.sqrt, "exp": math.exp, "log": math.log,
+           "sin": math.sin, "cos": math.cos, "tan": math.tan,
+           "tanh": math.tanh, "arctan": math.atan}
+
+
+def scalar_function(e):
+    """The function of a float t that evaluates e at t; it raises
+    EvalDomainError at the first domain failure met, QuadratureError, or
+    OverflowError."""
+    cls = type(e)
+    if cls is Const:
+        return lambda t, v=e.value: v
+    if cls is Var:
+        return lambda t: t
+    if cls is Neg:
+        a = scalar_function(e.arg)
+        return lambda t: -a(t)
+    if cls is Integral:
+        f = scalar_function(e.integrand)
+        return lambda t: _scalar_quad(f, e.integrand, t)
+    if cls is Call:
+        a, fn = scalar_function(e.arg), _SCALAR[e.name]
+        rule = expr_module._FUNCTIONS[e.name][1]
+        if rule is None:
+            return lambda t: fn(a(t))
+
+        def call(t):
+            u = a(t)
+            if rule[0](u):
+                raise EvalDomainError(rule[1], e)
+            return fn(u)
+        return call
+    if cls is Pow:
+        b, n = scalar_function(e.base), e.exponent
+
+        def power(t):
+            v = b(t)
+            if v == 0.0 and n < 0:
+                raise EvalDomainError("division by zero", e)
+            return v ** n
+        return power
+    left, right = scalar_function(e.left), scalar_function(e.right)
+    if cls is Add:
+        return lambda t: left(t) + right(t)
+    if cls is Sub:
+        return lambda t: left(t) - right(t)
+    if cls is Mul:
+        return lambda t: left(t) * right(t)
+
+    def divide(t):
+        den = right(t)
+        if den == 0.0:
+            raise EvalDomainError("division by zero", e)
+        return left(t) / den
+    return divide
+
+
+def _scalar_quad(f, integrand, t):
+    value, abserr, _ = expr_module.quad(lambda xs: [f(x) for x in xs.tolist()], 0.0, t)
+    if abserr > 1e-10 * (1.0 + abs(value)):
+        raise QuadratureError(f"quadrature of '{integrand}' did not converge")
+    return value
+
+
+def scalar_evaluator(e):
+    """The function of t that ``evaluate`` is, by the reference: a finite
+    float, or the EvalDomainError or QuadratureError met first."""
+    f = scalar_function(e)
+
+    def value(t):
+        try:
+            v = f(float(t))
+        except OverflowError as exc:
+            raise EvalDomainError("overflow", e) from exc
+        if not math.isfinite(v):
+            raise EvalDomainError("overflow", e)
+        return v
+    return value
 
 
 def grid(ta=0.0, tb=1.0, n=101):

@@ -217,6 +217,18 @@ def test_verify_zero_equation(tmp_path, capsys):
         assert check["max_deviation"] <= 1e-12
 
 
+@pytest.mark.parametrize("over, message", [
+    ({"coefficients": {"b0": "1 +", "b1": "0", "b2": "-1"}},
+     "coefficients.b0: unexpected end of input (at offset 3)"),
+    ({"known_solutions": ["tanh(t"]},
+     "known_solutions[0]: expected ')' (at offset 6)"),
+], ids=["coefficient", "known-solution"])
+def test_parse_errors_name_the_file(tmp_path, capsys, over, message):
+    path = _write_problem(tmp_path, **over)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_bad_known_solution_is_input_error(tmp_path, capsys):
     path = _write_problem(tmp_path, known_solutions=["t"])
     rc = main(["verify", str(path)])
@@ -277,6 +289,16 @@ def test_determinism_bundled_problems(tmp_path):
             outputs.append((proc.stdout, csvs))
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
+
+
+def test_package_imports_without_scipy():
+    # numpy is the only runtime dependency; the child interpreter finds
+    # the package through the PYTHONPATH that conftest sets.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, riccati_sl2; print('scipy' in sys.modules)"],
+        capture_output=True, check=True, text=True)
+    assert proc.stdout == "False\n"
 
 
 def test_console_entrypoint_runs():

@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from conftest import bundled_problems, grid, max_traj_dev
+from conftest import bundled_problems, grid, max_traj_dev, scalar_evaluator
 
 from riccati_sl2 import (Const, CurveSL2, EvalDomainError, ONE,
                          RiccatiEquation, T, ZERO, differentiate, evaluate,
@@ -467,9 +467,10 @@ def test_classify_reads_hint_text_and_objects_alike():
 
 def _scalar_constancy_fit(f, grid_):
     vals = []
+    ref = scalar_evaluator(f)
     for t in grid_:
         try:
-            vals.append(evaluate(f, t))
+            vals.append(ref(t))
         except EvalDomainError:
             pass
     value = statistics.median(vals)

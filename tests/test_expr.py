@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PLAIN_TREES, TREE_LEAVES, tree_operations
+from conftest import PLAIN_TREES, TREE_LEAVES, scalar_evaluator, tree_operations
 
 import riccati_sl2.expr as expr_module
 from riccati_sl2 import (Add, Call, Const, Div, EvalDomainError, Integral,
@@ -96,6 +96,40 @@ def test_eval_domain_errors():
     with pytest.raises(EvalDomainError) as err:
         evaluate(parse("1/t"), 0.0)
     assert "division" in err.value.kind
+
+
+def test_integrals_at_negative_times():
+    assert abs(evaluate(integral(integral(1)), -1.0) - 0.5) <= 1e-12
+    assert abs(evaluate(integral(exp(T)), -1.0) - (math.exp(-1.0) - 1.0)) <= 1e-12
+    _assert_matches_scalar((integral(integral(1)),), np.linspace(-1.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1/sqrt(t)", 2.0),
+    ("log(t)", -1.0),
+    ("sqrt(t)", 2.0 / 3.0),
+    ("exp(-t)*cos(20*t)",
+     (1.0 + math.exp(-1.0) * (20.0 * math.sin(20.0) - math.cos(20.0))) / 401.0),
+    ("1/(1 + t^2)", math.pi / 4.0)])
+def test_quad_matches_closed_forms(text, want):
+    e = parse(text)
+    value, abserr, info = expr_module.quad(lambda ts: evaluate_grid(e, ts), 0.0, 1.0)
+    assert abs(value - want) <= 1e-13
+    assert abserr <= 1e-13 * max(1.0, abs(value))
+    assert info["neval"] > 0 and info["neval"] % 15 == 0
+
+
+def test_quad_edge_cases():
+    nodes = []
+    value, abserr, info = expr_module.quad(nodes.append, 0.5, 0.5)
+    assert (value, abserr, info, nodes) == (0.0, 0.0, {"neval": 0}, [])
+    # A reversed interval negates the integral; f still sees its nodes
+    # in increasing order.
+    value, _, _ = expr_module.quad(lambda ts: nodes.append(ts) or np.exp(ts), 0.0, -1.0)
+    assert abs(value - (math.exp(-1.0) - 1.0)) <= 1e-14
+    assert all(np.all(np.diff(ts) > 0.0) for ts in nodes)
+    with pytest.raises(QuadratureError):
+        evaluate(parse("integral(sin(1/t))"), 1.0)
 
 
 def test_differentiate_examples():
@@ -192,15 +226,17 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 def _assert_matches_scalar(exprs, ts, tol=1e-12):
     got = evaluate_grid(exprs, ts)
     for e, row in zip(exprs, got):
-        want = np.array([evaluate(e, t) for t in ts])
+        ref = scalar_evaluator(e)
+        want = np.array([ref(t) for t in ts])
         assert np.all(np.abs(row - want) <= tol * (1.0 + np.abs(want))), str(e)
 
 
 def _scalar_first_failure(exprs, ts):
+    refs = [scalar_evaluator(e) for e in exprs]
     for t in ts:
-        for e in exprs:
+        for ref in refs:
             try:
-                evaluate(e, t)
+                ref(t)
             except EvalDomainError as exc:
                 return exc
     return None
@@ -311,18 +347,19 @@ def test_grid_matches_scalar_on_generated_integrals(e, ta, width, n):
 def test_quadrature_failure_is_recorded_from_its_cell_onward():
     # Adaptive quadrature of the cell [0.4, 0.5] around the oscillating
     # singularity does not converge, as at every time from 0.5 on by the
-    # scalar path.
+    # reference walk and by the evaluation at that one time.
     e = parse("integral(sin(1/(t - 0.43)))")
     ts = np.linspace(0.0, 1.0, 11)
     (vals,), failures = next(expr_module._sample((e,), (ts,)))
     assert sorted(failures) == list(range(5, 11))
     assert all(isinstance(err, QuadratureError) for err in failures.values())
-    for i, t in enumerate(ts):
-        if i in failures:
-            with pytest.raises(QuadratureError):
-                evaluate(e, t)
-        else:
-            assert abs(vals[i] - evaluate(e, t)) <= 1e-12
+    for at in (scalar_evaluator(e), lambda t: evaluate(e, t)):
+        for i, t in enumerate(ts):
+            if i in failures:
+                with pytest.raises(QuadratureError):
+                    at(t)
+            else:
+                assert abs(vals[i] - at(t)) <= 1e-12
     with pytest.raises(QuadratureError):
         evaluate_grid(e, ts)
     # A domain failure at an earlier time is the one raised.

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import traj_vs_fn
+from conftest import scalar_function, traj_vs_fn
 
 import riccati_sl2.riccati as riccati_module
 from riccati_sl2 import (EvalDomainError, ExtReal, INF, QuadratureError,
@@ -114,7 +114,7 @@ def _reference_integrate(eq, x0, t_span, step):
         chart, u = "w", -1.0 / x0.value
     else:
         chart, u = "x", x0.value
-    b0e, b1e, b2e = eq.b0.ev, eq.b1.ev, eq.b2.ev
+    b0e, b1e, b2e = map(scalar_function, (eq.b0, eq.b1, eq.b2))
 
     def f(t, v, ch):
         b0, b1, b2 = b0e(t), b1e(t), b2e(t)

@@ -23,7 +23,7 @@ from .sl2 import (AlgebraCurve, GroupTrajectory, OneDimensionalTarget,
                   AffineSolvableTarget, TargetSubalgebra,
                   algebra_curve_from_riccati, integrate_group_equation,
                   reconstruct_solution, solve_one_dimensional_target,
-                  expm_traceless)
+                  expm_traceless, algebra_matrix)
 from .transform import (CurveSL2, theta_apply, transform_coefficients,
                         gauge_transform_algebra, compose, inverse,
                         normalize_negative_determinant, NormalizationError)

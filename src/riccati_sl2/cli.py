@@ -33,8 +33,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .criteria import (DETECTORS, HintError, classify, max_pair_deviation,
-                       read_hints, solve_via_report)
+from .criteria import (DETECTORS, HintError, classify, holds_on_solve_grid,
+                       max_pair_deviation, read_hints, solve_via_report)
 from .expr import Expr, EvalDomainError, ParseError, QuadratureError, T, parse
 from .projline import (CoincidentPointsError, ExtReal, INF, cross_ratio,
                        mobius_apply)
@@ -298,13 +298,18 @@ def cmd_solve(problem: Problem, args) -> int:
                              f"hints.{wanted} is missing")
     reports = classify(problem.equation, problem.grid(), problem.tol,
                        problem.hints)
+
+    def usable(r):
+        return r.satisfied and holds_on_solve_grid(
+            r, problem.equation, problem.t_interval, problem.step)
+
     if wanted:
         chosen = next(r for r in reports if r.name == wanted)
-        if not chosen.satisfied:
+        if not usable(chosen):
             raise InputError(f"criterion {wanted!r} is not satisfied: "
                              f"{chosen.diagnostics.get('reason', '')}")
     else:
-        chosen = next((r for r in reports if r.satisfied), None)
+        chosen = next((r for r in reports if usable(r)), None)
     if chosen is not None:
         log.debug("solving via %s", chosen.name)
     else:

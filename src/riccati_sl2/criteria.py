@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -35,7 +35,7 @@ from .expr import (Expr, ONE, ZERO, Const, Div, EvalDomainError, ParseError,
 from .projline import ext, mobius_apply
 from .riccati import RiccatiEquation, Trajectory, time_grid
 from .sl2 import (AffineSolvableTarget, OneDimensionalTarget,
-                  solve_one_dimensional_target)
+                  reconstruct_solution, solve_one_dimensional_target)
 from .solvers import solve_bernoulli, solve_linear, PreconditionError
 from .transform import CurveSL2, inverse, theta_apply, transform_coefficients
 
@@ -44,7 +44,7 @@ __all__ = [
     "check_rao_K", "check_rao_W0", "check_ru68", "check_allen_stein",
     "check_ko06", "check_ra61", "check_rdm05", "check_zh99_basic",
     "check_zh99_E", "check_zh99_table", "classify", "read_hints",
-    "solve_via_report",
+    "holds_on_solve_grid", "solve_via_report",
     "max_pair_deviation", "Detector", "DETECTORS", "DETECTOR_ORDER",
     "DEFAULT_TOL", "CURVE_MATCH_TOL",
 ]
@@ -120,6 +120,24 @@ def _finish(report: CriterionReport, eq: RiccatiEquation, grid) -> CriterionRepo
             f"reducing curve does not reproduce the target "
             f"(residual {worst:.3g} > {CURVE_MATCH_TOL:g})")
     return report
+
+
+def holds_on_solve_grid(report: CriterionReport, eq: RiccatiEquation,
+                        t_span, step: float) -> bool:
+    """Repeat the self-check of a satisfied report on the grid of
+    :func:`solve_via_report`, which uses the curve at every step, not
+    only at the detection points.  A report that fails there is marked
+    not satisfied, with the reason."""
+    probe = replace(report, diagnostics={})
+    try:
+        _finish(probe, eq, time_grid(t_span, step)[0])
+    except (EvalDomainError, QuadratureError) as exc:
+        probe.satisfied = False
+        probe.diagnostics["reason"] = f"evaluation failed: {exc}"
+    if not probe.satisfied:
+        report.satisfied = False
+        report.diagnostics["reason"] = f"on the solve grid, {probe.diagnostics['reason']}"
+    return report.satisfied
 
 
 def _fitted(name: str, eq: RiccatiEquation, grid, tol: float, dev: float,
@@ -694,7 +712,7 @@ def solve_via_report(eq: RiccatiEquation, report: CriterionReport, x0,
     x0p = theta_apply(curve, ts[0], ext(x0))
     if isinstance(report.target, OneDimensionalTarget):
         G = solve_one_dimensional_target(report.target, t_span, step)
-        ys = [mobius_apply(A, x0p) for A in G.mats]
+        ys = reconstruct_solution(G, x0p).xs
     else:
         leq = report.target.equation
         try:

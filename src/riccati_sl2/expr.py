@@ -166,71 +166,59 @@ class Neg(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Add(Expr):
+class _Binary(Expr):
+    """An infix node ``left symbol right``.  The right operand keeps its
+    parentheses when it is an infix node of no higher precedence (all
+    lower ones are), so the text re-parses to the same tree and value."""
+
     left: Expr
     right: Expr
+
+    def _fmt(self):
+        r, prec = self.right, self.precedence
+        rs = r._fmt()
+        if isinstance(r, _Binary) and r.precedence <= prec:
+            rs = f"({rs})"
+        return f"{_wrap(self.left, prec)}{self.symbol}{rs}"
+
+
+@dataclass(frozen=True, slots=True)
+class Add(_Binary):
     precedence = 1
+    symbol = " + "
 
     def diff(self):
         return _add(self.left.diff(), self.right.diff())
 
-    def _fmt(self):
-        # Right operand keeps parentheses at equal precedence so the
-        # printed text re-parses to the same association (and hence the
-        # same floating-point value).
-        r = self.right
-        rs = f"({r._fmt()})" if _prec_of(r) <= 1 else r._fmt()
-        return f"{_wrap(self.left, 1)} + {rs}"
-
 
 @dataclass(frozen=True, slots=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
     precedence = 1
+    symbol = " - "
 
     def diff(self):
         return _sub(self.left.diff(), self.right.diff())
 
-    def _fmt(self):
-        r = self.right
-        rs = f"({r._fmt()})" if _prec_of(r) <= 1 else r._fmt()
-        return f"{_wrap(self.left, 1)} - {rs}"
-
 
 @dataclass(frozen=True, slots=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Mul(_Binary):
     precedence = 2
+    symbol = "*"
 
     def diff(self):
         return _add(_mul(self.left.diff(), self.right),
                     _mul(self.left, self.right.diff()))
 
-    def _fmt(self):
-        r = self.right
-        rs = f"({r._fmt()})" if isinstance(r, (Mul, Div)) or _prec_of(r) < 2 \
-            else r._fmt()
-        return f"{_wrap(self.left, 2)}*{rs}"
-
 
 @dataclass(frozen=True, slots=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Div(_Binary):
     precedence = 2
+    symbol = "/"
 
     def diff(self):
         num = _sub(_mul(self.left.diff(), self.right),
                    _mul(self.left, self.right.diff()))
         return _div(num, _pow(self.right, 2))
-
-    def _fmt(self):
-        r = self.right
-        rs = f"({r._fmt()})" if isinstance(r, (Mul, Div)) or _prec_of(r) < 2 \
-            else r._fmt()
-        return f"{_wrap(self.left, 2)}/{rs}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,18 +237,22 @@ class Pow(Expr):
         return f"{bs}^{self.exponent}"
 
 
-# The functions of the grammar: name -> (numpy ufunc, domain rule), where
-# the rule is None or the test of the arguments the function rejects and
-# the EvalDomainError kind.
+# The functions of the grammar: name -> (numpy ufunc, domain rule,
+# derivative).  The rule is None or the test of the arguments the
+# function rejects and the EvalDomainError kind; the derivative maps the
+# argument u and its derivative du to the derivative of the call.
 _FUNCTIONS = {
-    "sqrt": (np.sqrt, (lambda u: u < 0.0, "sqrt of negative value")),
-    "exp": (np.exp, None),
-    "log": (np.log, (lambda u: u <= 0.0, "log of non-positive value")),
-    "sin": (np.sin, None),
-    "cos": (np.cos, None),
-    "tan": (np.tan, None),
-    "tanh": (np.tanh, None),
-    "arctan": (np.arctan, None),
+    "sqrt": (np.sqrt, (lambda u: u < 0.0, "sqrt of negative value"),
+             lambda u, du: _div(du, _mul(Const(2.0), Call("sqrt", u)))),
+    "exp": (np.exp, None, lambda u, du: _mul(du, Call("exp", u))),
+    "log": (np.log, (lambda u: u <= 0.0, "log of non-positive value"),
+            lambda u, du: _div(du, u)),
+    "sin": (np.sin, None, lambda u, du: _mul(du, Call("cos", u))),
+    "cos": (np.cos, None, lambda u, du: _neg(_mul(du, Call("sin", u)))),
+    "tan": (np.tan, None, lambda u, du: _div(du, _pow(Call("cos", u), 2))),
+    "tanh": (np.tanh, None,
+             lambda u, du: _mul(du, _sub(ONE, _pow(Call("tanh", u), 2)))),
+    "arctan": (np.arctan, None, lambda u, du: _div(du, _add(ONE, _pow(u, 2)))),
 }
 
 
@@ -270,25 +262,7 @@ class Call(Expr):
     arg: Expr
 
     def diff(self):
-        u = self.arg
-        du = u.diff()
-        name = self.name
-        if name == "sqrt":
-            return _div(du, _mul(Const(2.0), Call("sqrt", u)))
-        if name == "exp":
-            return _mul(du, Call("exp", u))
-        if name == "log":
-            return _div(du, u)
-        if name == "sin":
-            return _mul(du, Call("cos", u))
-        if name == "cos":
-            return _neg(_mul(du, Call("sin", u)))
-        if name == "tan":
-            return _div(du, _pow(Call("cos", u), 2))
-        if name == "tanh":
-            return _mul(du, _sub(ONE, _pow(Call("tanh", u), 2)))
-        # arctan
-        return _div(du, _add(ONE, _pow(u, 2)))
+        return _FUNCTIONS[self.name][2](self.arg, self.arg.diff())
 
     def _fmt(self):
         return f"{self.name}({self.arg._fmt()})"
@@ -661,7 +635,7 @@ class _Grid:
             out = np.power(b, float(e.exponent))
             self._mark(np.isinf(out) & np.isfinite(b), _OVERFLOW)
             return out
-        return _BINARY[cls](vals[key[1]], vals[key[2]])
+        return _BINARY[cls][0](vals[key[1]], vals[key[2]])
 
     def _integral(self, e: Integral) -> np.ndarray:
         """Running integral at every time of the chunk: the value carried
@@ -739,7 +713,9 @@ def _quad_or_failure(f: Expr, a: float, b: float):
         return math.nan, exc
 
 
-_BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+# Each binary node class -> (numpy operation, folding constructor).
+_BINARY = {Add: (np.add, _add), Sub: (np.subtract, _sub),
+           Mul: (np.multiply, _mul), Div: (np.divide, _div)}
 
 
 def _sample(roots, chunks):
@@ -808,14 +784,9 @@ def substitute(e: Expr, replacement: Expr) -> Expr:
         return e
     if isinstance(e, Neg):
         return _neg(substitute(e.arg, replacement))
-    if isinstance(e, Add):
-        return _add(substitute(e.left, replacement), substitute(e.right, replacement))
-    if isinstance(e, Sub):
-        return _sub(substitute(e.left, replacement), substitute(e.right, replacement))
-    if isinstance(e, Mul):
-        return _mul(substitute(e.left, replacement), substitute(e.right, replacement))
-    if isinstance(e, Div):
-        return _div(substitute(e.left, replacement), substitute(e.right, replacement))
+    if isinstance(e, _Binary):
+        return _BINARY[type(e)][1](substitute(e.left, replacement),
+                                   substitute(e.right, replacement))
     if isinstance(e, Pow):
         return _pow(substitute(e.base, replacement), e.exponent)
     if isinstance(e, Call):
@@ -826,9 +797,9 @@ def substitute(e: Expr, replacement: Expr) -> Expr:
 # Parser.
 
 _TOKEN_RE = re.compile(
-    r"(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|([A-Za-z_][A-Za-z_0-9]*)"
-    r"|(\*\*|[-+*/^()])"
+    r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>\*\*|[-+*/^()])"
 )
 
 
@@ -843,13 +814,7 @@ def _tokenize(text: str):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        num, ident, op = m.groups()
-        if num is not None:
-            tokens.append(("num", num, pos))
-        elif ident is not None:
-            tokens.append(("ident", ident, pos))
-        else:
-            tokens.append(("op", op, pos))
+        tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
     tokens.append(("end", "", n))
     return tokens
@@ -883,26 +848,20 @@ class _Parser:
         return e
 
     def expression(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                e = Add(e, rhs) if text == "+" else Sub(e, rhs)
-            else:
-                return e
+        return self.chain(self.term, {"+": Add, "-": Sub})
 
     def term(self) -> Expr:
-        e = self.unary()
+        return self.chain(self.unary, {"*": Mul, "/": Div})
+
+    def chain(self, operand, ops) -> Expr:
+        """Operands joined left-associatively by the operators of ``ops``."""
+        e = operand()
         while True:
             kind, text, pos = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.unary()
-                e = Mul(e, rhs) if text == "*" else Div(e, rhs)
-            else:
+            if kind != "op" or text not in ops:
                 return e
+            self.advance()
+            e = ops[text](e, operand())
 
     def unary(self) -> Expr:
         kind, text, pos = self.peek()
@@ -946,17 +905,12 @@ class _Parser:
         if kind == "ident":
             if text == "t":
                 return T
-            if text == "integral":
-                self.expect_op("(")
-                inner = self.expression()
-                self.expect_op(")")
-                return Integral(inner)
-            if text in _FUNCTIONS:
-                self.expect_op("(")
-                inner = self.expression()
-                self.expect_op(")")
-                return Call(text, inner)
-            raise ParseError(f"unknown function or identifier {text!r}", pos)
+            if text != "integral" and text not in _FUNCTIONS:
+                raise ParseError(f"unknown function or identifier {text!r}", pos)
+            self.expect_op("(")
+            inner = self.expression()
+            self.expect_op(")")
+            return Integral(inner) if text == "integral" else Call(text, inner)
         if kind == "op" and text == "(":
             inner = self.expression()
             self.expect_op(")")

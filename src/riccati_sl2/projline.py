@@ -74,7 +74,9 @@ def ext(x) -> ExtReal:
 
 @dataclass(frozen=True, slots=True)
 class Mat2:
-    """2x2 real matrix, row-major."""
+    """2x2 matrix, row-major.  The entries are real numbers, or
+    expressions for the symbolic products of :mod:`riccati_sl2.transform`
+    (``+``, ``@`` and :meth:`det` expand entry by entry)."""
 
     a11: float
     a12: float
@@ -86,6 +88,10 @@ class Mat2:
 
     def trace(self) -> float:
         return self.a11 + self.a22
+
+    def __add__(self, other: "Mat2") -> "Mat2":
+        return Mat2(self.a11 + other.a11, self.a12 + other.a12,
+                    self.a21 + other.a21, self.a22 + other.a22)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(

@@ -31,8 +31,14 @@ __all__ = [
     "AffineSolvableTarget", "TargetSubalgebra",
     "algebra_curve_from_riccati", "integrate_group_equation",
     "reconstruct_solution", "solve_one_dimensional_target",
-    "expm_traceless",
+    "expm_traceless", "algebra_matrix",
 ]
+
+
+def algebra_matrix(b0, b1, b2) -> Mat2:
+    """The traceless matrix b0*M0 + b1*M1 + b2*M2 = [[b1/2, b0], [-b2, -b1/2]],
+    of numbers or of expressions."""
+    return Mat2(0.5 * b1, b0, -b2, -0.5 * b1)
 
 
 @dataclass(frozen=True)
@@ -44,8 +50,8 @@ class AlgebraCurve:
     b2: Expr
 
     def matrix_at(self, t: float) -> Mat2:
-        b0, b1, b2 = evaluate_grid((self.b0, self.b1, self.b2), [t])[:, 0].tolist()
-        return Mat2(0.5 * b1, b0, -b2, -0.5 * b1)
+        return algebra_matrix(
+            *evaluate_grid((self.b0, self.b1, self.b2), [t])[:, 0].tolist())
 
 
 @dataclass
@@ -82,7 +88,7 @@ class OneDimensionalTarget:
         object.__setattr__(self, "rate", as_expr(self.rate))
 
     def direction(self) -> Mat2:
-        return Mat2(0.5 * self.c1, self.c0, -self.c2, -0.5 * self.c1)
+        return algebra_matrix(self.c0, self.c1, self.c2)
 
     def equation(self) -> RiccatiEquation:
         """The target written back as a Riccati equation

@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import (Expr, T, ZERO, Const, EvalDomainError, Integral, as_expr,
-                   cos, differentiate, evaluate, evaluate_grid, exp,
-                   integral_from, sin, substitute)
+from .expr import (Expr, T, ZERO, Const, Integral, as_expr, cos, differentiate,
+                   evaluate, evaluate_grid, exp, integral_from, sin, substitute)
 from .projline import INF, ExtReal, ext
 from .riccati import RiccatiEquation
 
@@ -58,20 +57,13 @@ class SolutionForm:
     provenance: str
 
     def at(self, t: float) -> ExtReal:
-        """Evaluate on the compactified line; division poles map to
-        infinity."""
-        if self.expression is None:
-            return INF
-        try:
-            return ExtReal(evaluate(self.expression, t))
-        except EvalDomainError as exc:
-            if exc.kind == "division by zero":
-                return INF
-            raise
+        """The solution at t, as a one-point :meth:`sample`."""
+        return self.sample([t])[0]
 
     def sample(self, ts) -> list[ExtReal]:
-        """``at`` on every time of the non-decreasing ``ts``, in one grid
-        evaluation."""
+        """The solution on the compactified line at every time of the
+        non-decreasing ``ts``, in one grid evaluation; division poles map
+        to infinity."""
         if self.expression is None:
             return [INF] * len(ts)
         vals = evaluate_grid(self.expression, ts, poles=True).tolist()

@@ -31,7 +31,7 @@ from .expr import (Expr, ZERO, ONE, Const, EvalDomainError, as_expr,
                    differentiate, evaluate_grid, sqrt)
 from .projline import ExtReal, Mat2, mobius_apply, ext
 from .riccati import RiccatiEquation
-from .sl2 import AlgebraCurve
+from .sl2 import AlgebraCurve, algebra_matrix
 
 __all__ = [
     "CurveSL2", "theta_apply", "transform_coefficients",
@@ -86,8 +86,12 @@ class CurveSL2:
         rows = evaluate_grid(self.entries(), ts).tolist()
         return [Mat2(*m) for m in zip(*rows)]
 
+    def matrix(self) -> Mat2:
+        """The curve as a matrix of expressions."""
+        return Mat2(*self.entries())
+
     def det_expr(self) -> Expr:
-        return self.alpha * self.delta - self.beta * self.gamma
+        return self.matrix().det()
 
     def max_det_deviation(self, grid) -> float:
         """max |det - 1| over the grid."""
@@ -119,43 +123,22 @@ def transform_coefficients(eq: RiccatiEquation, c: CurveSL2) -> RiccatiEquation:
     return RiccatiEquation(nb0, nb1, nb2)
 
 
-def _mat_mul(P, Q):
-    return [
-        [P[0][0] * Q[0][0] + P[0][1] * Q[1][0], P[0][0] * Q[0][1] + P[0][1] * Q[1][1]],
-        [P[1][0] * Q[0][0] + P[1][1] * Q[1][0], P[1][0] * Q[0][1] + P[1][1] * Q[1][1]],
-    ]
-
-
 def gauge_transform_algebra(a: AlgebraCurve, c: CurveSL2) -> AlgebraCurve:
     """Gauge transformation a' = A a A^-1 + dA/dt A^-1 of an algebra
     curve, expanded symbolically in the M-basis."""
-    al, be, ga, de = c.entries()
-    abar = [[al, be], [ga, de]]
-    # Inverse of a unit-determinant curve.
-    ainv = [[de, -be], [-ga, al]]
-    adot = [[differentiate(al), differentiate(be)],
-            [differentiate(ga), differentiate(de)]]
-    amat = [[0.5 * a.b1, a.b0], [-a.b2, -0.5 * a.b1]]
-    conj = _mat_mul(_mat_mul(abar, amat), ainv)
-    inhom = _mat_mul(adot, ainv)
-    p11 = conj[0][0] + inhom[0][0]
-    p12 = conj[0][1] + inhom[0][1]
-    p21 = conj[1][0] + inhom[1][0]
-    p22 = conj[1][1] + inhom[1][1]
+    A, A_inv = c.matrix(), inverse(c).matrix()
+    dA = Mat2(*(differentiate(e) for e in c.entries()))
+    p = A @ algebra_matrix(a.b0, a.b1, a.b2) @ A_inv + dA @ A_inv
     # Read coefficients back off the basis: b0' = p12, b2' = -p21,
     # b1'/2 = p11 = -p22 (tracelessness holds up to det == 1, so the
     # difference is used for robustness).
-    return AlgebraCurve(p12, p11 - p22, -p21)
+    return AlgebraCurve(p.a12, p.a11 - p.a22, -p.a21)
 
 
 def compose(c2: CurveSL2, c1: CurveSL2) -> CurveSL2:
     """Pointwise matrix product c2(t) * c1(t)."""
-    a2, b2_, g2, d2 = c2.entries()
-    a1, b1_, g1, d1 = c1.entries()
-    return CurveSL2(
-        a2 * a1 + b2_ * g1, a2 * b1_ + b2_ * d1,
-        g2 * a1 + d2 * g1, g2 * b1_ + d2 * d1,
-    )
+    m = c2.matrix() @ c1.matrix()
+    return CurveSL2(m.a11, m.a12, m.a21, m.a22)
 
 
 def inverse(c: CurveSL2) -> CurveSL2:
@@ -177,7 +160,7 @@ def normalize_negative_determinant(entries, grid) -> tuple[bool, CurveSL2]:
     determinant that changes sign (or vanishes) on the grid is an error.
     """
     al, be, ga, de = (as_expr(e) for e in entries)
-    det = al * de - be * ga
+    det = Mat2(al, be, ga, de).det()
     try:
         vals = evaluate_grid(det, grid)
     except EvalDomainError as exc:

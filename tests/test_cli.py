@@ -65,6 +65,60 @@ def test_solve_unsatisfied_criterion_rejected(tmp_path, capsys):
     assert rc == 2
 
 
+# b0 is -1 at the 101 detection points t = i/100, where the perturbation
+# 0.5*sin(100*pi*t)^2 vanishes, and not between them: the reductions that
+# the detectors find hold at those points only.
+_ALIASED = dict(
+    coefficients={"b0": "-1 + 0.5*sin(314.1592653589793*t)^2", "b1": "0", "b2": "1"},
+    initial_conditions=[0.0, 0.5],
+    options={"step": 0.001, "grid": 101, "tol": 1e-6})
+
+
+def test_solve_rechecks_reductions_on_the_solve_grid(tmp_path, capsys):
+    path = _write_problem(tmp_path, **_ALIASED)
+    assert main(["solve", str(path), "--output", str(tmp_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["criterion"] is None and doc["no_reduction_found"] is True
+    reports = {r["name"]: r for r in doc["reports"]}
+    for name in ("RDM05", "Ra61", "Zh99Basic", "RU68"):
+        assert reports[name]["satisfied"] is False
+        assert reports[name]["diagnostics"]["reason"].startswith("on the solve grid")
+    problem = load_problem(path)
+    for i, x0 in enumerate(problem.initial_conditions):
+        oracle = integrate_direct(problem.equation, x0, problem.t_interval,
+                                  problem.step)
+        csv = (tmp_path / f"trajectory_{i}.csv").read_text().split()[1:]
+        rows = [line.split(",") for line in csv]
+        assert [float(t) for t, _ in rows] == oracle.ts
+        assert max(abs(float(x) - p.value)
+                   for (_, x), p in zip(rows, oracle.xs)) <= 1e-6
+
+
+def test_solve_criterion_that_fails_on_the_solve_grid(tmp_path, capsys):
+    path = _write_problem(tmp_path, **_ALIASED)
+    rc = main(["solve", str(path), "--output", str(tmp_path),
+               "--criterion", "RDM05"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("criterion 'RDM05' is not satisfied: on the solve grid, reducing "
+            "curve does not reproduce the target (residual 0.333") in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_solve_falls_through_a_curve_that_fails_on_the_solve_grid(tmp_path, capsys):
+    # b0 is 1 at the detection points and -1 halfway between them, where
+    # the square roots of the reducing curves leave their domain.
+    path = _write_problem(tmp_path, **{**_ALIASED, "coefficients": {
+        "b0": "1 - 2*sin(314.1592653589793*t)^2", "b1": "0", "b2": "1"}})
+    assert main(["solve", str(path), "--output", str(tmp_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["criterion"] is None
+    reason = next(r for r in doc["reports"]
+                  if r["name"] == "AllenStein")["diagnostics"]["reason"]
+    assert reason.startswith("on the solve grid, evaluation failed: "
+                             "sqrt of negative value")
+
+
 def test_solve_malformed_expression(tmp_path, capsys):
     path = _write_problem(tmp_path,
                           coefficients={"b0": "1 +* t", "b1": "0", "b2": "1"})

@@ -4,7 +4,8 @@ import statistics
 
 import pytest
 
-from conftest import bundled_problems, grid, max_traj_dev, scalar_evaluator
+from conftest import (PROBLEMS, bundled_problems, grid, max_traj_dev,
+                      scalar_evaluator)
 
 from riccati_sl2 import (Const, CurveSL2, EvalDomainError, ONE,
                          RiccatiEquation, T, ZERO, differentiate, evaluate,
@@ -17,6 +18,7 @@ from riccati_sl2.criteria import (DETECTORS, DETECTOR_ORDER, GridDomainError,
                                   check_zh99_basic, check_zh99_table,
                                   classify, constancy_fit,
                                   solve_via_report)
+from riccati_sl2.cli import load_problem
 
 GRID = grid(0.0, 1.0, 101)
 
@@ -644,3 +646,18 @@ def test_rdm05_roots_match_per_point_loop(case):
         assert report.constants["r"] == chosen[0]
         assert report.diagnostics["max_dev"] == pytest.approx(
             chosen[1], rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("hinted", [True, False], ids=["hints", "no-hints"])
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_every_unsatisfied_report_carries_a_reason(path, hinted):
+    problem = load_problem(path)
+    reports = classify(problem.equation, problem.grid(), problem.tol,
+                       problem.hints if hinted else None)
+    for r in reports:
+        reason = r.diagnostics.get("reason")
+        if r.satisfied:
+            assert reason is None, r.name
+        else:
+            assert isinstance(reason, str) and reason, r.name

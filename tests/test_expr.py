@@ -10,11 +10,11 @@ from conftest import PLAIN_TREES, TREE_LEAVES, scalar_evaluator, tree_operations
 
 import riccati_sl2.expr as expr_module
 from riccati_sl2 import (Add, Call, Const, Div, EvalDomainError, Integral,
-                         Mul, ParseError, QuadratureError, SolutionForm, T,
-                         Var, arctan, as_expr, classify, cos, differentiate,
-                         evaluate, evaluate_grid, exp, integral, integral_from,
-                         log, parse, sin, sqrt, substitute, tanh,
-                         transform_coefficients)
+                         Mul, Neg, ParseError, Pow, QuadratureError,
+                         SolutionForm, Sub, T, Var, arctan, as_expr, classify,
+                         cos, differentiate, evaluate, evaluate_grid, exp,
+                         integral, integral_from, log, parse, sin, sqrt,
+                         substitute, tanh, transform_coefficients)
 from riccati_sl2.cli import load_problem
 
 
@@ -141,6 +141,39 @@ def test_differentiate_examples():
     assert str(d) == "sin(t)"
 
 
+# The exact derivative trees of the function table, printed, for each
+# function applied to t^2 + 1.
+@pytest.mark.parametrize("name, want", [
+    ("sqrt", "2*t/(2*sqrt(t^2 + 1))"),
+    ("exp", "2*t*exp(t^2 + 1)"),
+    ("log", "2*t/(t^2 + 1)"),
+    ("sin", "2*t*cos(t^2 + 1)"),
+    ("cos", "-2*t*sin(t^2 + 1)"),
+    ("tan", "2*t/cos(t^2 + 1)^2"),
+    ("tanh", "2*t*(1 - tanh(t^2 + 1)^2)"),
+    ("arctan", "2*t/(1 + (t^2 + 1)^2)"),
+])
+def test_derivative_trees_print_unchanged(name, want):
+    assert str(differentiate(Call(name, parse("t^2 + 1")))) == want
+
+
+_A, _B, _C = T, sin(T), exp(T)
+
+
+@pytest.mark.parametrize("tree, want", [
+    (Sub(_A, Sub(_B, _C)), "t - (sin(t) - exp(t))"),
+    (Div(_A, Mul(_B, _C)), "t/(sin(t)*exp(t))"),
+    (Mul(_A, Div(_B, _C)), "t*(sin(t)/exp(t))"),
+    (Mul(_A, Neg(_B)), "t*-sin(t)"),
+    (Mul(Add(_A, _B), _C), "(t + sin(t))*exp(t)"),
+    (Neg(Add(_A, _B)), "-(t + sin(t))"),
+    (Pow(_A, -2), "t^-2"),
+])
+def test_binary_nodes_print_unchanged(tree, want):
+    assert str(tree) == want
+    assert parse(want) == tree
+
+
 def test_integral_from_anchor():
     e = integral_from(parse("2*t"), 1.0)
     assert abs(evaluate(e, 2.0) - 3.0) <= 1e-10  # t^2 from 1 to 2
@@ -151,6 +184,8 @@ def test_substitute():
     e = parse("t^2 + sin(t)")
     s = substitute(e, parse("2*t"))
     assert evaluate(s, 0.3) == pytest.approx(0.36 + math.sin(0.6))
+    s = substitute(parse("t^2 + sin(t)/t"), parse("2*t"))
+    assert str(s) == "(2*t)^2 + sin(2*t)/(2*t)"
 
 
 def test_constant_folding():

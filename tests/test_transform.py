@@ -6,9 +6,9 @@ import pytest
 from conftest import (bundled_problems, grid, max_traj_dev, random_curve,
                       random_equation)
 
-from riccati_sl2 import (Const, CurveSL2, ExtReal, INF, Mat2,
+from riccati_sl2 import (AlgebraCurve, Const, CurveSL2, ExtReal, INF, Mat2,
                          NormalizationError, ONE, RiccatiEquation, T, ZERO,
-                         algebra_curve_from_riccati, compose, evaluate,
+                         algebra_curve_from_riccati, compose, evaluate, exp,
                          gauge_transform_algebra, integrate_direct, inverse,
                          mobius_apply, normalize_negative_determinant, parse,
                          theta_apply, transform_coefficients)
@@ -86,7 +86,6 @@ def test_gauge_identity_and_translation():
 
 
 def test_gauge_of_zero_curve_is_derivative_term():
-    from riccati_sl2 import AlgebraCurve
     zero = AlgebraCurve(ZERO, ZERO, ZERO)
     c = CurveSL2.translation(T)
     got = gauge_transform_algebra(zero, c)
@@ -103,6 +102,29 @@ def test_compose_and_inverse():
     assert max(abs(m.a11 - 1.0), abs(m.a12), abs(m.a21), abs(m.a22 - 1.0)) <= 1e-12
     two = compose(CurveSL2.translation(T), CurveSL2.translation(parse("t^2")))
     assert evaluate(two.beta, 0.5) == pytest.approx(0.75)
+
+
+def test_matrix_products_print_unchanged():
+    # The symbolic 2x2 products expand in a fixed operand order; these
+    # are the trees they build.
+    c = compose(CurveSL2.scaling(exp(T)), CurveSL2.translation(T ** 2))
+    assert [str(e) for e in c.entries()] == [
+        "sqrt(exp(t))", "sqrt(exp(t))*t^2", "0", "1/sqrt(exp(t))"]
+    assert str(c.det_expr()) == "sqrt(exp(t))*(1/sqrt(exp(t)))"
+    g = gauge_transform_algebra(
+        AlgebraCurve(parse("sin(t)"), parse("t"), parse("1 + t^2")), c)
+    assert str(g.b0) == (
+        "(sqrt(exp(t))*(0.5*t) + sqrt(exp(t))*t^2*-(1 + t^2))*-sqrt(exp(t))*t^2"
+        " + (sqrt(exp(t))*sin(t) + sqrt(exp(t))*t^2*(-0.5*t))*sqrt(exp(t))"
+        " + (exp(t)/(2*sqrt(exp(t)))*-sqrt(exp(t))*t^2"
+        " + (exp(t)/(2*sqrt(exp(t)))*t^2 + sqrt(exp(t))*(2*t))*sqrt(exp(t)))")
+    assert str(g.b1) == (
+        "(sqrt(exp(t))*(0.5*t) + sqrt(exp(t))*t^2*-(1 + t^2))*(1/sqrt(exp(t)))"
+        " + exp(t)/(2*sqrt(exp(t)))*(1/sqrt(exp(t)))"
+        " - (1/sqrt(exp(t))*-(1 + t^2)*-sqrt(exp(t))*t^2"
+        " + 1/sqrt(exp(t))*(-0.5*t)*sqrt(exp(t))"
+        " + -exp(t)/(2*sqrt(exp(t)))/sqrt(exp(t))^2*sqrt(exp(t)))")
+    assert str(g.b2) == "-1/sqrt(exp(t))*-(1 + t^2)*(1/sqrt(exp(t)))"
 
 
 def test_inverse_entries():

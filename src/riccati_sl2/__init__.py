@@ -14,9 +14,9 @@ from .expr import (Expr, Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call,
                    differentiate, substitute, integral_from, as_expr, sqrt,
                    exp, log, sin, cos, tan, tanh, arctan, integral,
                    ParseError, EvalDomainError, QuadratureError)
-from .projline import (ExtReal, INF, ext, Mat2, M0, M1, M2, mobius_apply,
-                       cross_ratio, SingularMatrixError,
-                       CoincidentPointsError)
+from .projline import (ExtReal, INF, ext, points, Mat2, M0, M1, M2,
+                       mobius_apply, mobius_apply_array, cross_ratio,
+                       SingularMatrixError, CoincidentPointsError)
 from .riccati import (RiccatiEquation, Trajectory, rhs, time_grid,
                       integrate_direct)
 from .sl2 import (AlgebraCurve, GroupTrajectory, OneDimensionalTarget,
@@ -27,8 +27,8 @@ from .sl2 import (AlgebraCurve, GroupTrajectory, OneDimensionalTarget,
 from .transform import (CurveSL2, theta_apply, transform_coefficients,
                         gauge_transform_algebra, compose, inverse,
                         normalize_negative_determinant, NormalizationError)
-from .solvers import (SolutionForm, ResidualError, PreconditionError,
-                      solve_linear, solve_bernoulli,
+from .solvers import (SolutionForm, sample_forms, ResidualError,
+                      PreconditionError, solve_linear, solve_bernoulli,
                       reduce_with_known_solution, solve_with_two_solutions,
                       superpose_three, solve_autonomous, solve_separable)
 from .criteria import (CriterionReport, GridDomainError, constancy_fit,

@@ -33,12 +33,14 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .criteria import (DETECTORS, HintError, classify, holds_on_solve_grid,
-                       max_pair_deviation, read_hints, solve_via_report)
-from .expr import Expr, EvalDomainError, ParseError, QuadratureError, T, parse
+from .criteria import (CURVE_MATCH_TOL, DETECTORS, HintError, classify,
+                       curve_residual, holds_on_solve_grid, max_pair_deviation,
+                       read_hints, solve_via_report)
+from .expr import (Expr, EvalDomainError, ParseError, QuadratureError, T,
+                   evaluate_grid, parse)
 from .projline import (CoincidentPointsError, ExtReal, INF, cross_ratio,
-                       mobius_apply)
-from .riccati import RiccatiEquation, integrate_direct
+                       mobius_apply_array, points)
+from .riccati import RiccatiEquation, integrate_direct, time_grid
 from .sl2 import (OneDimensionalTarget, algebra_curve_from_riccati,
                   integrate_group_equation, reconstruct_solution)
 from .solvers import ResidualError, SolutionForm, verify_particular_solution
@@ -315,17 +317,18 @@ def cmd_solve(problem: Problem, args) -> int:
     else:
         log.debug("no reduction found; falling back to direct integration")
 
+    ics = problem.initial_conditions
+    if chosen is not None:
+        trajs = solve_via_report(problem.equation, chosen, ics,
+                                 problem.t_interval, problem.step)
+    else:
+        trajs = [integrate_direct(problem.equation, x0, problem.t_interval,
+                                  problem.step) for x0 in ics]
     outdir = Path(getattr(args, "output", ".") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
     truncated = False
-    for i, x0 in enumerate(problem.initial_conditions):
-        if chosen is not None:
-            traj = solve_via_report(problem.equation, chosen, x0,
-                                    problem.t_interval, problem.step)
-        else:
-            traj = integrate_direct(problem.equation, x0,
-                                    problem.t_interval, problem.step)
+    for i, (x0, traj) in enumerate(zip(ics, trajs)):
         fname = f"trajectory_{i}.csv"
         (outdir / fname).write_text(traj.to_csv_text())
         truncated = truncated or traj.error is not None
@@ -398,24 +401,34 @@ def cmd_verify(problem: Problem, args) -> int:
     # The direct oracle, integrated once per initial condition.
     direct = {x: integrate_direct(eq, x, span, step) for x in dict.fromkeys(ics)}
 
+    # Each satisfied reduction on the solve grid, where solve uses it.
+    solve_grid = time_grid(span, step)[0]
+    for r in satisfied:
+        check(f"solve_grid[{r.name}]", CURVE_MATCH_TOL,
+              lambda r=r: curve_residual(r, solve_grid))
+
     # Solution equivariance of each satisfied criterion's curve.
     base = direct[ics[0]]
     for r in satisfied:
-        def equivariance(c=r.curve):
-            image = integrate_direct(transform_coefficients(eq, c),
-                                     theta_apply(c, span[0], ics[0]), span, step)
-            return _points_dev([mobius_apply(A, x) for A, x in zip(
-                c.sample(base.ts), _complete(base))], _complete(image))
+        def equivariance(r=r):
+            c = r.curve
+            image = integrate_direct(r.transformed, theta_apply(c, span[0], ics[0]),
+                                     span, step)
+            return _points_dev(points(mobius_apply_array(
+                *evaluate_grid(c.entries(), base.ts), _complete(base))),
+                _complete(image))
         check(f"equivariance[{r.name}]", 1e-6, equivariance)
 
     # Gauge law versus coefficient law, on each reducing curve (or on an
     # elementary curve when nothing is satisfied).
-    pairs = [(r.name, r.curve) for r in satisfied] or [
-        ("translation", CurveSL2.translation(T))]
+    pairs = [(r.name, r.curve, r.transformed) for r in satisfied]
+    if not pairs:
+        c = CurveSL2.translation(T)
+        pairs = [("translation", c, transform_coefficients(eq, c))]
     a = algebra_curve_from_riccati(eq)
-    for name, c in pairs:
+    for name, c, transformed in pairs:
         g1 = gauge_transform_algebra(a, c)
-        g2 = algebra_curve_from_riccati(transform_coefficients(eq, c))
+        g2 = algebra_curve_from_riccati(transformed)
         check(f"gauge_consistency[{name}]", 1e-9, lambda: max_pair_deviation(
             ((g1.b0, g2.b0), (g1.b1, g2.b1), (g1.b2, g2.b2)), grid))
 

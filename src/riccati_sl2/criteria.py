@@ -32,19 +32,20 @@ import numpy as np
 from .expr import (Expr, ONE, ZERO, Const, Div, EvalDomainError, ParseError,
                    QuadratureError, _sample, differentiate, evaluate,
                    evaluate_grid, exp, integral_from, parse, sqrt)
-from .projline import ext, mobius_apply
+from .projline import ext, mobius_apply, mobius_apply_array, points
 from .riccati import RiccatiEquation, Trajectory, time_grid
 from .sl2 import (AffineSolvableTarget, OneDimensionalTarget,
-                  reconstruct_solution, solve_one_dimensional_target)
-from .solvers import solve_bernoulli, solve_linear, PreconditionError
-from .transform import CurveSL2, inverse, theta_apply, transform_coefficients
+                  solve_one_dimensional_target)
+from .solvers import (PreconditionError, sample_forms, solve_bernoulli,
+                      solve_linear)
+from .transform import CurveSL2, inverse, transform_coefficients
 
 __all__ = [
     "CriterionReport", "GridDomainError", "HintError", "constancy_fit",
     "check_rao_K", "check_rao_W0", "check_ru68", "check_allen_stein",
     "check_ko06", "check_ra61", "check_rdm05", "check_zh99_basic",
     "check_zh99_E", "check_zh99_table", "classify", "read_hints",
-    "holds_on_solve_grid", "solve_via_report",
+    "curve_residual", "holds_on_solve_grid", "solve_via_report",
     "max_pair_deviation", "Detector", "DETECTORS", "DETECTOR_ORDER",
     "DEFAULT_TOL", "CURVE_MATCH_TOL",
 ]
@@ -63,7 +64,8 @@ class HintError(ValueError):
 
 @dataclass
 class CriterionReport:
-    """Outcome of one detector run."""
+    """Outcome of one detector run.  ``transformed`` is the equation the
+    curve carries the detected one to, kept from the self-check."""
 
     name: str
     satisfied: bool
@@ -73,6 +75,7 @@ class CriterionReport:
     target: OneDimensionalTarget | AffineSolvableTarget | None = None
     diagnostics: dict = field(default_factory=dict)
     alternates: list = field(default_factory=list)
+    transformed: RiccatiEquation | None = None
 
 
 def constancy_fit(f: Expr, grid) -> tuple[float, float]:
@@ -108,11 +111,9 @@ def _finish(report: CriterionReport, eq: RiccatiEquation, grid) -> CriterionRepo
     through the coefficient transformation law."""
     if not report.satisfied or report.curve is None or report.target is None:
         return report
-    target = report.target
-    teq = target.equation() if isinstance(target, OneDimensionalTarget) else target.equation
-    tr = transform_coefficients(eq, report.curve)
-    worst = max_pair_deviation(
-        ((tr.b0, teq.b0), (tr.b1, teq.b1), (tr.b2, teq.b2)), grid)
+    if report.transformed is None:
+        report.transformed = transform_coefficients(eq, report.curve)
+    worst = curve_residual(report, grid)
     report.diagnostics["curve_residual"] = worst
     if worst > CURVE_MATCH_TOL:
         report.satisfied = False
@@ -120,6 +121,16 @@ def _finish(report: CriterionReport, eq: RiccatiEquation, grid) -> CriterionRepo
             f"reducing curve does not reproduce the target "
             f"(residual {worst:.3g} > {CURVE_MATCH_TOL:g})")
     return report
+
+
+def curve_residual(report: CriterionReport, grid) -> float:
+    """Worst relative deviation on the grid between the report's
+    transformed equation and its target."""
+    target = report.target
+    teq = target.equation() if isinstance(target, OneDimensionalTarget) else target.equation
+    tr = report.transformed
+    return max_pair_deviation(
+        ((tr.b0, teq.b0), (tr.b1, teq.b1), (tr.b2, teq.b2)), grid)
 
 
 def holds_on_solve_grid(report: CriterionReport, eq: RiccatiEquation,
@@ -700,26 +711,62 @@ def classify(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL,
     return reports
 
 
-def solve_via_report(eq: RiccatiEquation, report: CriterionReport, x0,
-                     t_span, step: float = 1e-3) -> Trajectory:
-    """Solve the equation through a satisfied report: map the initial
-    point with the reducing curve, solve the solvable target, and pull
-    the solution back through the inverse curve."""
+def solve_via_report(eq: RiccatiEquation, report: CriterionReport, x0s,
+                     t_span, step: float = 1e-3) -> list[Trajectory]:
+    """Solve the equation through a satisfied report from each initial
+    point of ``x0s``: map the point with the reducing curve, solve the
+    solvable target, and pull the solution back through the inverse
+    curve.  One trajectory per point.
+
+    What the points share is computed once: the curve at t_a, the
+    target's group solution (one-dimensional target) or the deferred
+    integrals of its closed forms (affine target, all sampled in one grid
+    run), and the inverse curve's entries.  An error is the one a loop
+    over the points would raise: the first failing point's first."""
     if not report.satisfied or report.curve is None or report.target is None:
         raise ValueError("report is not a satisfied reduction")
+    # A loop over the points stops at the first point that fails.  So a
+    # step made per point runs on the ``running`` points before the first
+    # failure so far, whose error is ``failure``; a step shared by all
+    # points fails the first of them and may raise at once.
+    running, failure = len(x0s), None
+
+    def each(f, items):
+        """f on each running point's item; a failure stops the points
+        from there on."""
+        nonlocal running, failure
+        out = []
+        for i, item in enumerate(items[:running]):
+            try:
+                out.append(f(item))
+            except (ValueError, ArithmeticError) as exc:
+                running, failure = i, exc
+                break
+        if running == 0:
+            raise failure
+        return out
+
     ts, h = time_grid(t_span, step)
+    x0s = each(ext, x0s)
     curve = report.curve
-    x0p = theta_apply(curve, ts[0], ext(x0))
-    if isinstance(report.target, OneDimensionalTarget):
-        G = solve_one_dimensional_target(report.target, t_span, step)
-        ys = reconstruct_solution(G, x0p).xs
+    start = curve.matrix_at(ts[0])
+    y0s = each(lambda x0: mobius_apply(start, x0), x0s)
+    target = report.target
+    if isinstance(target, OneDimensionalTarget):
+        group = solve_one_dimensional_target(target, t_span, step).entries()
+        ys = each(lambda y0: mobius_apply_array(*group, y0), y0s)
     else:
-        leq = report.target.equation
-        try:
-            form = solve_linear(leq, x0p, ts)
-        except PreconditionError:
-            form = solve_bernoulli(leq, x0p, ts)
-        ys = form.sample(ts)
-    mats = inverse(curve).sample(ts)
-    return Trajectory(ts, [mobius_apply(A, y) for A, y in zip(mats, ys)],
-                      step=h)
+        def form(y0):
+            try:
+                return solve_linear(target.equation, y0, ts)
+            except PreconditionError:
+                return solve_bernoulli(target.equation, y0, ts)
+
+        forms = each(form, y0s)
+        rows = sample_forms(forms, ts)
+        ys = each(lambda _: next(rows), forms)
+    back = evaluate_grid(inverse(curve).entries(), ts)
+    xs = each(lambda y: points(mobius_apply_array(*back, y)), ys)
+    if failure is not None:
+        raise failure
+    return [Trajectory(list(ts), x, step=h) for x in xs]

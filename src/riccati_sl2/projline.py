@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
-    "ExtReal", "INF", "ext", "Mat2", "M0", "M1", "M2",
-    "mobius_apply", "cross_ratio",
+    "ExtReal", "INF", "ext", "points", "Mat2", "M0", "M1", "M2",
+    "mobius_apply", "mobius_apply_array", "cross_ratio",
     "SingularMatrixError", "CoincidentPointsError",
 ]
 
@@ -50,11 +52,20 @@ class ExtReal:
     def is_inf(self) -> bool:
         return self.value is None
 
+    def __float__(self) -> float:
+        """The value, or inf for the point at infinity."""
+        return math.inf if self.value is None else self.value
+
     def __str__(self) -> str:
         return "inf" if self.value is None else format(self.value, ".17g")
 
 
 INF = ExtReal()
+
+
+def points(xs) -> list[ExtReal]:
+    """The floats ``xs``, with inf for the point at infinity, as points."""
+    return [INF if math.isinf(v) else ExtReal(v) for v in np.asarray(xs).tolist()]
 
 
 def ext(x) -> ExtReal:
@@ -137,6 +148,34 @@ def mobius_apply(A: Mat2, x: ExtReal) -> ExtReal:
     if abs(den) <= _POLE_TOL * (1.0 + abs(A.a21 * v) + abs(A.a22)):
         return INF
     return ExtReal(num / den)
+
+
+def mobius_apply_array(a11, a12, a21, a22, xs) -> np.ndarray:
+    """:func:`mobius_apply` element by element over arrays of matrix
+    entries and points, broadcast together, with inf standing for the
+    point at infinity in ``xs`` and in the result.  Each element takes
+    the same float operations in the same order, so the results are the
+    same bits.  At the first element where :func:`mobius_apply` raises
+    (a singular matrix, or an image that overflows), raises that error."""
+    a11, a12, a21, a22, xs = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a11, a12, a21, a22, xs)))
+    at_inf = np.isinf(xs)
+    v = np.where(at_inf, 0.0, xs)
+    with np.errstate(all="ignore"):
+        det = a11 * a22 - a12 * a21
+        scale = (abs(a11) + abs(a12)) * (abs(a21) + abs(a22)) + 1.0
+        fixed = (a21 == 0.0) | (abs(a21) <= _POLE_TOL * (abs(a11) + abs(a22)))
+        den = a21 * v + a22
+        pole = abs(den) <= _POLE_TOL * (1.0 + abs(a21 * v) + abs(a22))
+        to_inf = np.where(at_inf, fixed, pole)
+        out = np.where(to_inf, math.inf,
+                       np.where(at_inf, a11 / a21, (a11 * v + a12) / den))
+    bad = np.flatnonzero((abs(det) <= 1e-14 * scale) | ~(to_inf | np.isfinite(out)))
+    if bad.size:
+        i = np.unravel_index(bad[0], out.shape)
+        A = Mat2(*(float(a[i]) for a in (a11, a12, a21, a22)))
+        mobius_apply(A, ext(float(xs[i])))  # raises the error there
+    return out
 
 
 def _normalizing_matrix(x1: ExtReal, x2: ExtReal, x3: ExtReal) -> Mat2:

@@ -22,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .expr import Expr, Integral, as_expr, evaluate_grid
-from .projline import Mat2, mobius_apply, ext
+from .projline import Mat2, ext, mobius_apply_array, points
 from .riccati import RiccatiEquation, Trajectory, _stage_samples, time_grid
 
 __all__ = [
@@ -64,6 +66,10 @@ class GroupTrajectory:
 
     def __len__(self) -> int:
         return len(self.ts)
+
+    def entries(self) -> np.ndarray:
+        """The four entries as rows (a11, a12, a21, a22) over the samples."""
+        return np.array([(A.a11, A.a12, A.a21, A.a22) for A in self.mats]).T
 
     def to_csv_text(self) -> str:
         lines = ["t,a11,a12,a21,a22"]
@@ -160,9 +166,8 @@ def reconstruct_solution(G: GroupTrajectory, x0) -> Trajectory:
     """Pointwise Möbius application of the group trajectory to x0."""
     if len(G) == 0:
         raise ValueError("empty group trajectory")
-    x0 = ext(x0)
-    xs = [mobius_apply(A, x0) for A in G.mats]
-    return Trajectory(list(G.ts), xs, step=G.step)
+    xs = mobius_apply_array(*G.entries(), ext(x0))
+    return Trajectory(list(G.ts), points(xs), step=G.step)
 
 
 def expm_traceless(N: Mat2, tau: float = 1.0) -> Mat2:

@@ -16,13 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import (Expr, T, ZERO, Const, Integral, as_expr, cos, differentiate,
-                   evaluate, evaluate_grid, exp, integral_from, sin, substitute)
-from .projline import INF, ExtReal, ext
+import numpy as np
+
+from .expr import (Expr, T, ZERO, Const, EvalDomainError, Integral,
+                   QuadratureError, as_expr, cos, differentiate, evaluate,
+                   evaluate_grid, exp, integral_from, sin, substitute)
+from .projline import ExtReal, ext, points
 from .riccati import RiccatiEquation
 
 __all__ = [
-    "SolutionForm", "ResidualError", "PreconditionError",
+    "SolutionForm", "sample_forms", "ResidualError", "PreconditionError",
     "verify_particular_solution",
     "solve_linear", "solve_bernoulli", "reduce_with_known_solution",
     "solve_with_two_solutions", "superpose_three", "solve_autonomous",
@@ -64,10 +67,33 @@ class SolutionForm:
         """The solution on the compactified line at every time of the
         non-decreasing ``ts``, in one grid evaluation; division poles map
         to infinity."""
-        if self.expression is None:
-            return [INF] * len(ts)
-        vals = evaluate_grid(self.expression, ts, poles=True).tolist()
-        return [INF if math.isinf(v) else ExtReal(v) for v in vals]
+        return points(next(sample_forms([self], ts)))
+
+
+def sample_forms(forms, ts):
+    """Yield, form by form, the values of each solution form at every
+    time of the non-decreasing ``ts``, as floats with inf for the point
+    at infinity (a division pole, or a form with no formula).
+
+    Several forms are evaluated together in one grid run, so the
+    subtrees they share, such as equal deferred integrals, are computed
+    once.  If that run fails at any time, each form is evaluated alone
+    instead, so a failure in one form never reaches another; a form that
+    fails raises its first error when its turn comes."""
+    exprs = [f.expression for f in forms if f.expression is not None]
+    rows = None
+    if len(exprs) > 1:
+        try:
+            rows = iter(evaluate_grid(exprs, ts))
+        except (EvalDomainError, QuadratureError):
+            pass
+    for f in forms:
+        if f.expression is None:
+            yield np.full(len(ts), math.inf)
+        elif rows is not None:
+            yield next(rows)
+        else:
+            yield evaluate_grid(f.expression, ts, poles=True)
 
 
 def verify_particular_solution(eq: RiccatiEquation, x1: Expr, grid) -> None:

@@ -333,7 +333,7 @@ def test_acceptance_07_detectors():
         worst_curve = max(worst_curve, _coefficient_dev(
             transform_coefficients(eq, rep.curve), teq, GRID[::5]))
         # Pulled-back solution against the oracle.
-        reduced = solve_via_report(eq, rep, 0.2, span, 2e-3)
+        reduced = solve_via_report(eq, rep, [0.2], span, 2e-3)[0]
         oracle = integrate_direct(eq, 0.2, span, 2e-3)
         worst_end = max(worst_end, max_traj_dev(reduced.xs, oracle.xs))
     assert worst_curve <= 1e-8, f"curve/target residual {worst_curve:.3g}"

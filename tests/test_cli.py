@@ -119,6 +119,36 @@ def test_solve_falls_through_a_curve_that_fails_on_the_solve_grid(tmp_path, caps
                              "sqrt of negative value")
 
 
+def test_verify_checks_reductions_on_the_solve_grid(tmp_path, capsys):
+    path = _write_problem(tmp_path, **_ALIASED)
+    assert main(["verify", str(path)]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    check = checks["solve_grid[RDM05]"]
+    assert check["passed"] is False and check["tolerance"] == 1e-8
+    assert check["max_deviation"] == pytest.approx(1 / 3, rel=1e-3)
+    # A residual that cannot be evaluated fails with the reason.
+    path = _write_problem(tmp_path, **{**_ALIASED, "coefficients": {
+        "b0": "1 - 2*sin(314.1592653589793*t)^2", "b1": "0", "b2": "1"}})
+    assert main(["verify", str(path)]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    check = checks["solve_grid[AllenStein]"]
+    assert check["passed"] is False and check["max_deviation"] is None
+    assert check["reason"].startswith("sqrt of negative value")
+
+
+def test_failing_solve_writes_no_csv(tmp_path, capsys):
+    # RDM05 reduces through the root 999 to a linear target whose closed
+    # form overflows near t = 0.71 from x0 = 0; from x0 = 999, the root
+    # itself, it has none to evaluate.
+    path = _write_problem(
+        tmp_path, coefficients={"b0": "-999", "b1": "1000", "b2": "-1"},
+        initial_conditions=[999, 0.0])
+    assert main(["solve", str(path), "--output", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: overflow in ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_solve_malformed_expression(tmp_path, capsys):
     path = _write_problem(tmp_path,
                           coefficients={"b0": "1 +* t", "b1": "0", "b2": "1"})

@@ -2,29 +2,32 @@ import math
 import re
 import statistics
 
+import numpy as np
 import pytest
 
 from conftest import (PROBLEMS, bundled_problems, grid, max_traj_dev,
                       scalar_evaluator)
 
-from riccati_sl2 import (Const, CurveSL2, EvalDomainError, ONE,
-                         RiccatiEquation, T, ZERO, differentiate, evaluate,
-                         exp, integral_from, integrate_direct, inverse, parse,
-                         sqrt, transform_coefficients)
-from riccati_sl2.criteria import (DETECTORS, DETECTOR_ORDER, GridDomainError,
-                                  HintError, check_allen_stein, check_ko06,
+from riccati_sl2 import (AffineSolvableTarget, Const, CurveSL2, EvalDomainError,
+                         ONE, OneDimensionalTarget, RiccatiEquation, T, ZERO,
+                         differentiate, evaluate, exp, integral_from,
+                         integrate_direct, inverse, parse, sqrt,
+                         transform_coefficients)
+from riccati_sl2.criteria import (DETECTORS, DETECTOR_ORDER, CriterionReport,
+                                  GridDomainError, HintError,
+                                  check_allen_stein, check_ko06,
                                   check_ra61, check_rao_K, check_rao_W0,
                                   check_rdm05, check_ru68, check_zh99_E,
                                   check_zh99_basic, check_zh99_table,
                                   classify, constancy_fit,
-                                  solve_via_report)
+                                  holds_on_solve_grid, solve_via_report)
 from riccati_sl2.cli import load_problem
 
 GRID = grid(0.0, 1.0, 101)
 
 
 def _end_to_end_dev(eq, report, x0=0.3, span=(0.0, 1.0), step=1e-3):
-    reduced = solve_via_report(eq, report, x0, span, step)
+    reduced = solve_via_report(eq, report, [x0], span, step)[0]
     oracle = integrate_direct(eq, x0, span, step)
     return max_traj_dev(reduced.xs, oracle.xs)
 
@@ -398,8 +401,8 @@ def test_zh99_sign_symmetry():
     r1 = check_zh99_basic(eq, GRID, hint={"D": D, "a": 1.0, "b": 0.0, "c": 1.0})
     r2 = check_zh99_basic(eq, GRID, hint={"D": D, "a": -1.0, "b": 0.0, "c": -1.0})
     assert r1.satisfied and r2.satisfied
-    t1 = solve_via_report(eq, r1, 0.2, (0.0, 0.4), 1e-3)
-    t2 = solve_via_report(eq, r2, 0.2, (0.0, 0.4), 1e-3)
+    t1 = solve_via_report(eq, r1, [0.2], (0.0, 0.4), 1e-3)[0]
+    t2 = solve_via_report(eq, r2, [0.2], (0.0, 0.4), 1e-3)[0]
     assert max(abs(p.value - q.value) for p, q in zip(t1.xs, t2.xs)
                if not p.is_inf and not q.is_inf) <= 1e-8
 
@@ -421,7 +424,7 @@ def test_classify_constant_equation_multiple_hits():
     assert len(sat) >= 2
     oracle = integrate_direct(eq, 0.0, (0.0, 1.0), 1e-3)
     for rep in sat:
-        reduced = solve_via_report(eq, rep, 0.0, (0.0, 1.0), 1e-3)
+        reduced = solve_via_report(eq, rep, [0.0], (0.0, 1.0), 1e-3)[0]
         assert max_traj_dev(reduced.xs, oracle.xs) <= 1e-6
 
 
@@ -661,3 +664,42 @@ def test_every_unsatisfied_report_carries_a_reason(path, hinted):
             assert reason is None, r.name
         else:
             assert isinstance(reason, str) and reason, r.name
+
+
+def _bits(traj):
+    return traj.ts, np.array([float(x) for x in traj.xs]).tobytes()
+
+
+def test_batched_solve_equals_one_point_calls():
+    # Every usable reduction of the bundled problems, from their own
+    # initial points, the point at infinity and 0.
+    targets = set()
+    for problem in bundled_problems():
+        eq, span, step = problem.equation, problem.t_interval, problem.step
+        x0s = [*problem.initial_conditions, "inf", 0.0]
+        for r in classify(eq, problem.grid(), problem.tol, problem.hints):
+            if not (r.satisfied and holds_on_solve_grid(r, eq, span, step)):
+                continue
+            batched = solve_via_report(eq, r, x0s, span, step)
+            assert len(batched) == len(x0s)
+            for x0, traj in zip(x0s, batched):
+                alone, = solve_via_report(eq, r, [x0], span, step)
+                assert _bits(traj) == _bits(alone), (r.name, x0)
+            targets.add(type(r.target))
+    assert targets == {OneDimensionalTarget, AffineSolvableTarget}
+
+
+def test_batched_solve_raises_the_first_failing_points_error():
+    # The target keeps y = x0; pulling back multiplies by e^(2t), which
+    # overflows for x0 = 1e308 before t = 0.3, while "nan" fails as
+    # soon as it is read.  The first point to fail decides.
+    report = CriterionReport(
+        "test", True, curve=CurveSL2(exp(-T), ZERO, ZERO, exp(T)),
+        target=AffineSolvableTarget(RiccatiEquation.of(0, 0, 0)))
+    eq = RiccatiEquation.of(0, 2, 0)
+    overflow = "use ExtReal\\(\\) / INF for the point at infinity"
+    for x0s, message in (([1e308, "nan"], overflow),
+                         ([0.5, 1e308, "nan"], overflow),
+                         ([0.5, "nan", 1e308], "NaN is not a point")):
+        with pytest.raises(ValueError, match=message):
+            solve_via_report(eq, report, x0s, (0.0, 1.0), 1e-2)

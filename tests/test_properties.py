@@ -5,13 +5,16 @@ coefficients, and exact differentiation."""
 import math
 import operator
 
+import numpy as np
+import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import PLAIN_TREES, TREE_LEAVES, tree_operations
 
 from riccati_sl2 import (INF, Const, CurveSL2, EvalDomainError, ExtReal, Mat2,
                          RiccatiEquation, T, compose, differentiate, evaluate,
-                         exp, mobius_apply, parse, transform_coefficients)
+                         exp, ext, mobius_apply, mobius_apply_array, parse,
+                         transform_coefficients)
 from riccati_sl2.criteria import max_pair_deviation
 
 TIMES = st.floats(0.2, 1.3)
@@ -118,3 +121,63 @@ def test_curve_actions_compose(b, c1, c2):
     dev = max_pair_deviation(((twice.b0, once.b0), (twice.b1, once.b1),
                               (twice.b2, once.b2)), grid)
     assert dev <= 1e-9
+
+
+# Floats at the edges Hypothesis favours, and ones with inexact quotients.
+_MOBIUS_FLOATS = st.one_of(st.floats(-1e3, 1e3),
+                           st.integers(-10**6, 10**6).map(lambda n: n / 977.0))
+
+
+@st.composite
+def _mobius_cases(draw):
+    """A matrix and a point, mixing generic cases with the edges of
+    :func:`mobius_apply`: the point at infinity, exact and near poles,
+    a21 at or near 0, near-singular matrices and images that overflow."""
+    kind = draw(st.sampled_from(("generic", "generic", "pole", "near pole",
+                                 "a21=0", "singular", "huge")))
+    a11, a12, a21, a22 = (draw(_MOBIUS_FLOATS) for _ in range(4))
+    x = draw(st.one_of(st.just(math.inf), _MOBIUS_FLOATS))
+    if kind in ("pole", "near pole"):
+        # a21 a power of two, so that a21*x + a22 is exactly zero, or
+        # within a few pole tolerances of it.
+        a21 = draw(st.sampled_from((0.5, -1.0, 4.0)))
+        if kind == "pole":
+            x = draw(_MOBIUS_FLOATS)
+            a22 = -a21 * x
+        else:
+            x = draw(st.floats(-2.0, 2.0))
+            a22 = -a21 * x + draw(st.floats(-3.0, 3.0)) * 1e-13
+    elif kind == "a21=0":
+        # Exactly zero, or within a few pole tolerances of it.
+        a21 = draw(st.one_of(st.sampled_from((0.0, -0.0)), st.floats(
+            -1e-12, 1e-12).map(lambda r: r * (abs(a11) + abs(a22)))))
+    elif kind == "singular":
+        # Proportional rows, up to a relative perturbation near roundoff.
+        r = draw(st.floats(-10.0, 10.0))
+        a12, a22 = a11 * r, a21 * r * (1.0 + draw(st.floats(-1e-14, 1e-14)))
+    elif kind == "huge":
+        x = draw(st.floats(1e306, 1.7e308)) * draw(st.sampled_from((1.0, -1.0)))
+    return (a11, a12, a21, a22), x
+
+
+def _scalar_outcome(entries, x):
+    try:
+        return float(mobius_apply(Mat2(*entries), ext(x))), None
+    except ValueError as exc:
+        return None, exc
+
+
+@given(cases=st.lists(_mobius_cases(), min_size=1, max_size=8))
+def test_array_mobius_map_is_mobius_apply_bit_for_bit(cases):
+    outcomes = [_scalar_outcome(m, x) for m, x in cases]
+    entries = np.array([m for m, _ in cases]).T
+    xs = np.array([x for _, x in cases])
+    failure = next((exc for _, exc in outcomes if exc is not None), None)
+    if failure is not None:
+        with pytest.raises(ValueError) as got:
+            mobius_apply_array(*entries, xs)
+        assert type(got.value) is type(failure)
+        assert str(got.value) == str(failure)
+    else:
+        want = np.array([v for v, _ in outcomes])
+        assert mobius_apply_array(*entries, xs).tobytes() == want.tobytes()

@@ -5,14 +5,15 @@ import pytest
 
 from conftest import bundled_problems, grid, max_traj_dev, random_poly
 
-from riccati_sl2 import (Const, INF, ONE, PreconditionError,
-                         ResidualError, RiccatiEquation, T, cross_ratio,
+from riccati_sl2 import (Const, EvalDomainError, INF, ONE, PreconditionError,
+                         ResidualError, RiccatiEquation, SolutionForm, T,
+                         cross_ratio,
                          differentiate, evaluate, integrate_direct,
                          parse, reduce_with_known_solution, rhs,
                          solve_autonomous, solve_bernoulli, solve_linear,
                          solve_separable, solve_with_two_solutions,
                          superpose_three, tanh)
-from riccati_sl2.solvers import verify_particular_solution
+from riccati_sl2.solvers import sample_forms, verify_particular_solution
 
 GRID = grid(0.0, 1.0, 101)
 
@@ -267,3 +268,25 @@ def test_residual_error_matches_per_point_loop(x1):
             verify_particular_solution(eq, x1, grid_)
         assert info.value.at_t == at_t
         assert info.value.max_residual == pytest.approx(worst, rel=1e-12)
+
+
+def test_sample_forms_evaluates_each_form_alone_after_a_failure():
+    # The pole at 0.5 fails the joint grid run; each form is then
+    # evaluated alone, and the pole reaches only its own row.
+    ts = [i / 10 for i in range(11)]
+    pole, line = (SolutionForm(parse(s), "test") for s in ("1/(t - 0.5)", "t"))
+    rows = list(sample_forms([pole, line], ts))
+    assert rows[0].tolist() == [math.inf if t == 0.5 else 1.0 / (t - 0.5)
+                                for t in ts]
+    assert rows[1].tolist() == ts
+
+
+def test_sample_forms_raises_a_failing_form_error_in_its_turn():
+    ts = [0.0, 0.25, 0.5, 0.75, 0.85, 1.0]
+    forms = [SolutionForm(T, "test"), SolutionForm(parse("log(0.8 - t)"), "test")]
+    rows = sample_forms(forms, ts)
+    assert next(rows).tolist() == ts
+    with pytest.raises(EvalDomainError, match="log of non-positive value"):
+        next(rows)
+    # Up to the last time before 0.8 both forms evaluate.
+    assert len(list(sample_forms(forms, ts[:4]))) == 2

@@ -25,6 +25,7 @@ truncated trajectory, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -319,8 +320,7 @@ def cmd_solve(problem: Problem, args) -> int:
 
     ics = problem.initial_conditions
     if chosen is not None:
-        trajs = solve_via_report(problem.equation, chosen, ics,
-                                 problem.t_interval, problem.step)
+        trajs = solve_via_report(chosen, ics, problem.t_interval, problem.step)
     else:
         trajs = [integrate_direct(problem.equation, x0, problem.t_interval,
                                   problem.step) for x0 in ics]
@@ -479,6 +479,7 @@ def cmd_verify(problem: Problem, args) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riccati-sl2",

@@ -32,7 +32,7 @@ import numpy as np
 from .expr import (Expr, ONE, ZERO, Const, Div, EvalDomainError, ParseError,
                    QuadratureError, _sample, differentiate, evaluate,
                    evaluate_grid, exp, integral_from, parse, sqrt)
-from .projline import ext, mobius_apply, mobius_apply_array, points
+from .projline import ext, mobius_apply_array, points
 from .riccati import RiccatiEquation, Trajectory, time_grid
 from .sl2 import (AffineSolvableTarget, OneDimensionalTarget,
                   solve_one_dimensional_target)
@@ -181,7 +181,7 @@ def _sign_choice(name: str, eq: RiccatiEquation, grid, build, abc,
     for s in (1.0, -1.0):
         curve = build(s)
         try:
-            curve.sample(grid)
+            evaluate_grid(curve.entries(), grid)
             break
         except (EvalDomainError, QuadratureError):
             pass
@@ -711,62 +711,40 @@ def classify(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL,
     return reports
 
 
-def solve_via_report(eq: RiccatiEquation, report: CriterionReport, x0s,
-                     t_span, step: float = 1e-3) -> list[Trajectory]:
-    """Solve the equation through a satisfied report from each initial
+def solve_via_report(report: CriterionReport, x0s, t_span,
+                     step: float = 1e-3) -> list[Trajectory]:
+    """Solve the equation a satisfied report reduces, from each initial
     point of ``x0s``: map the point with the reducing curve, solve the
     solvable target, and pull the solution back through the inverse
     curve.  One trajectory per point.
 
-    What the points share is computed once: the curve at t_a, the
-    target's group solution (one-dimensional target) or the deferred
-    integrals of its closed forms (affine target, all sampled in one grid
-    run), and the inverse curve's entries.  An error is the one a loop
-    over the points would raise: the first failing point's first."""
+    The points go through each step together, as arrays: the curve at
+    t_a, the target's group solution (one-dimensional target) or its
+    closed forms (affine target, sampled by :func:`sample_forms`), and
+    the inverse curve.  If that fails, the points are solved one at a
+    time, so the error is the first failing point's first."""
     if not report.satisfied or report.curve is None or report.target is None:
         raise ValueError("report is not a satisfied reduction")
-    # A loop over the points stops at the first point that fails.  So a
-    # step made per point runs on the ``running`` points before the first
-    # failure so far, whose error is ``failure``; a step shared by all
-    # points fails the first of them and may raise at once.
-    running, failure = len(x0s), None
-
-    def each(f, items):
-        """f on each running point's item; a failure stops the points
-        from there on."""
-        nonlocal running, failure
-        out = []
-        for i, item in enumerate(items[:running]):
-            try:
-                out.append(f(item))
-            except (ValueError, ArithmeticError) as exc:
-                running, failure = i, exc
-                break
-        if running == 0:
-            raise failure
-        return out
-
     ts, h = time_grid(t_span, step)
-    x0s = each(ext, x0s)
-    curve = report.curve
-    start = curve.matrix_at(ts[0])
-    y0s = each(lambda x0: mobius_apply(start, x0), x0s)
-    target = report.target
-    if isinstance(target, OneDimensionalTarget):
-        group = solve_one_dimensional_target(target, t_span, step).entries()
-        ys = each(lambda y0: mobius_apply_array(*group, y0), y0s)
-    else:
-        def form(y0):
-            try:
-                return solve_linear(target.equation, y0, ts)
-            except PreconditionError:
-                return solve_bernoulli(target.equation, y0, ts)
+    curve, target = report.curve, report.target
+    try:
+        start = evaluate_grid(curve.entries(), ts[:1])
+        y0s = mobius_apply_array(*start, [float(ext(x0)) for x0 in x0s])
+        if isinstance(target, OneDimensionalTarget):
+            group = solve_one_dimensional_target(target, t_span, step).entries()
+            ys = mobius_apply_array(*group[:, None, :], y0s[:, None])
+        else:
+            def form(y0):
+                try:
+                    return solve_linear(target.equation, y0, ts)
+                except PreconditionError:
+                    return solve_bernoulli(target.equation, y0, ts)
 
-        forms = each(form, y0s)
-        rows = sample_forms(forms, ts)
-        ys = each(lambda _: next(rows), forms)
-    back = evaluate_grid(inverse(curve).entries(), ts)
-    xs = each(lambda y: points(mobius_apply_array(*back, y)), ys)
-    if failure is not None:
-        raise failure
-    return [Trajectory(list(ts), x, step=h) for x in xs]
+            ys = np.array(list(sample_forms([form(y0) for y0 in y0s], ts)))
+        back = evaluate_grid(inverse(curve).entries(), ts)
+        xs = mobius_apply_array(*back[:, None, :], ys)
+    except (ValueError, ArithmeticError):
+        if len(x0s) < 2:
+            raise
+        return [solve_via_report(report, [x0], t_span, step)[0] for x0 in x0s]
+    return [Trajectory(list(ts), points(x), step=h) for x in xs]

@@ -78,13 +78,7 @@ class CurveSL2:
         return cls(ZERO, ONE, Const(-1.0), ZERO)
 
     def matrix_at(self, t: float) -> Mat2:
-        return self.sample([t])[0]
-
-    def sample(self, ts) -> list[Mat2]:
-        """``matrix_at`` on every time of the non-decreasing ``ts``, in
-        one grid evaluation of the four entries."""
-        rows = evaluate_grid(self.entries(), ts).tolist()
-        return [Mat2(*m) for m in zip(*rows)]
+        return Mat2(*evaluate_grid(self.entries(), [t])[:, 0].tolist())
 
     def matrix(self) -> Mat2:
         """The curve as a matrix of expressions."""

@@ -375,6 +375,17 @@ def test_determinism_bundled_problems(tmp_path):
         assert outputs[0][1] == outputs[1][1]
 
 
+def test_consecutive_main_calls_carry_no_option_over(tmp_path, capsys):
+    path = _write_problem(tmp_path, options={"step": 0.05, "grid": 51, "tol": 1e-6})
+    plain = ["solve", str(path), "--output", str(tmp_path)]
+    outputs = []
+    for argv in (plain, [*plain, "--step", "0.01"], plain):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] != outputs[0]
+    assert outputs[2] == outputs[0]
+
+
 def test_package_imports_without_scipy():
     # numpy is the only runtime dependency; the child interpreter finds
     # the package through the PYTHONPATH that conftest sets.

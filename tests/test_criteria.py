@@ -11,7 +11,7 @@ from conftest import (PROBLEMS, bundled_problems, grid, max_traj_dev,
 from riccati_sl2 import (AffineSolvableTarget, Const, CurveSL2, EvalDomainError,
                          ONE, OneDimensionalTarget, RiccatiEquation, T, ZERO,
                          differentiate, evaluate, exp, integral_from,
-                         integrate_direct, inverse, parse, sqrt,
+                         integrate_direct, inverse, log, parse, sqrt,
                          transform_coefficients)
 from riccati_sl2.criteria import (DETECTORS, DETECTOR_ORDER, CriterionReport,
                                   GridDomainError, HintError,
@@ -27,7 +27,7 @@ GRID = grid(0.0, 1.0, 101)
 
 
 def _end_to_end_dev(eq, report, x0=0.3, span=(0.0, 1.0), step=1e-3):
-    reduced = solve_via_report(eq, report, [x0], span, step)[0]
+    reduced = solve_via_report(report, [x0], span, step)[0]
     oracle = integrate_direct(eq, x0, span, step)
     return max_traj_dev(reduced.xs, oracle.xs)
 
@@ -401,8 +401,8 @@ def test_zh99_sign_symmetry():
     r1 = check_zh99_basic(eq, GRID, hint={"D": D, "a": 1.0, "b": 0.0, "c": 1.0})
     r2 = check_zh99_basic(eq, GRID, hint={"D": D, "a": -1.0, "b": 0.0, "c": -1.0})
     assert r1.satisfied and r2.satisfied
-    t1 = solve_via_report(eq, r1, [0.2], (0.0, 0.4), 1e-3)[0]
-    t2 = solve_via_report(eq, r2, [0.2], (0.0, 0.4), 1e-3)[0]
+    t1 = solve_via_report(r1, [0.2], (0.0, 0.4), 1e-3)[0]
+    t2 = solve_via_report(r2, [0.2], (0.0, 0.4), 1e-3)[0]
     assert max(abs(p.value - q.value) for p, q in zip(t1.xs, t2.xs)
                if not p.is_inf and not q.is_inf) <= 1e-8
 
@@ -424,7 +424,7 @@ def test_classify_constant_equation_multiple_hits():
     assert len(sat) >= 2
     oracle = integrate_direct(eq, 0.0, (0.0, 1.0), 1e-3)
     for rep in sat:
-        reduced = solve_via_report(eq, rep, [0.0], (0.0, 1.0), 1e-3)[0]
+        reduced = solve_via_report(rep, [0.0], (0.0, 1.0), 1e-3)[0]
         assert max_traj_dev(reduced.xs, oracle.xs) <= 1e-6
 
 
@@ -680,26 +680,36 @@ def test_batched_solve_equals_one_point_calls():
         for r in classify(eq, problem.grid(), problem.tol, problem.hints):
             if not (r.satisfied and holds_on_solve_grid(r, eq, span, step)):
                 continue
-            batched = solve_via_report(eq, r, x0s, span, step)
+            batched = solve_via_report(r, x0s, span, step)
             assert len(batched) == len(x0s)
             for x0, traj in zip(x0s, batched):
-                alone, = solve_via_report(eq, r, [x0], span, step)
+                alone, = solve_via_report(r, [x0], span, step)
                 assert _bits(traj) == _bits(alone), (r.name, x0)
             targets.add(type(r.target))
     assert targets == {OneDimensionalTarget, AffineSolvableTarget}
 
 
 def test_batched_solve_raises_the_first_failing_points_error():
-    # The target keeps y = x0; pulling back multiplies by e^(2t), which
-    # overflows for x0 = 1e308 before t = 0.3, while "nan" fails as
-    # soon as it is read.  The first point to fail decides.
+    # The report reduces x' = 2x.  The target keeps y = x0; pulling back
+    # multiplies by e^(2t), which overflows for x0 = 1e308 before t = 0.3,
+    # while "nan" fails as soon as it is read.  The first point to fail
+    # decides.
     report = CriterionReport(
         "test", True, curve=CurveSL2(exp(-T), ZERO, ZERO, exp(T)),
         target=AffineSolvableTarget(RiccatiEquation.of(0, 0, 0)))
-    eq = RiccatiEquation.of(0, 2, 0)
     overflow = "use ExtReal\\(\\) / INF for the point at infinity"
     for x0s, message in (([1e308, "nan"], overflow),
                          ([0.5, 1e308, "nan"], overflow),
                          ([0.5, "nan", 1e308], "NaN is not a point")):
         with pytest.raises(ValueError, match=message):
-            solve_via_report(eq, report, x0s, (0.0, 1.0), 1e-2)
+            solve_via_report(report, x0s, (0.0, 1.0), 1e-2)
+    # A step all points share: the inverse curve cannot be evaluated past
+    # t = 0.6, so the first point fails there, although "nan" is read
+    # before that step.
+    report = CriterionReport(
+        "test", True, curve=CurveSL2(ONE, log(0.6 - T), ZERO, ONE),
+        target=AffineSolvableTarget(RiccatiEquation.of(0, 0, 0)))
+    for x0s in ([0.5], [0.5, 2.0], [0.5, "nan", 1.0]):
+        with pytest.raises(EvalDomainError, match="log of non-positive value "
+                           "in 'log\\(0.59999999999999998 - t\\)'"):
+            solve_via_report(report, x0s, (0.0, 1.0), 1e-2)

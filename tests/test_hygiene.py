@@ -1,6 +1,6 @@
 """Static hygiene of the package sources, checked with the standard
-library's ``ast``: no unused imports, and no module-level private name
-that nothing refers to."""
+library's ``ast``: no unused imports, no module-level private name that
+nothing refers to, and no function parameter that is never read."""
 
 import ast
 from pathlib import Path
@@ -81,3 +81,32 @@ def test_every_private_module_name_is_referenced():
         f"{module}: {name}" for module, name in defined
         if not references.get(name, set()) - {f"{module}:{name}"})
     assert not unreferenced, f"private names nothing refers to: {unreferenced}"
+
+
+def _command_handlers(tree) -> set[str]:
+    """The functions a module-level ``_COMMANDS`` table names; the table
+    calls each of them with the same arguments."""
+    for stmt in tree.body:
+        if _defined_name(stmt) == "_COMMANDS":
+            return {value.id for value in stmt.value.values}
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    """Every parameter of a function is read in its body; lambdas,
+    command handlers and the receivers ``self`` and ``cls`` aside."""
+    tree = _tree(path)
+    handlers = _command_handlers(tree)
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef) or node.name in handlers:
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg) if p is not None]
+        read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        unread += [f"{node.name}({p}) line {node.lineno}" for p in params
+                   if p not in read and p not in ("self", "cls")]
+    assert not unread, f"{path.name} has parameters it never reads: {unread}"

@@ -34,13 +34,15 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .criteria import (CURVE_MATCH_TOL, DETECTORS, HintError, classify,
                        curve_residual, holds_on_solve_grid, max_pair_deviation,
                        read_hints, solve_via_report)
 from .expr import (Expr, EvalDomainError, ParseError, QuadratureError, T,
                    evaluate_grid, parse)
 from .projline import (CoincidentPointsError, ExtReal, INF, cross_ratio,
-                       mobius_apply_array, points)
+                       mobius_apply_array)
 from .riccati import RiccatiEquation, integrate_direct, time_grid
 from .sl2 import (OneDimensionalTarget, algebra_curve_from_riccati,
                   integrate_group_equation, reconstruct_solution)
@@ -261,20 +263,16 @@ def _problem_json(problem: Problem):
 
 
 def _points_dev(xs_a, xs_b) -> float:
-    """Max relative deviation between two sampled trajectories on the
-    compactified line.  A pair with both |x| <= 10 compares in the x
-    chart, else a pair with both |x| >= 1 compares in the chart
-    w = -1/x (infinity is w = 0); any other pair is a mismatch (inf)."""
-    worst = 0.0
-    for a, b in zip(xs_a, xs_b):
-        u = math.inf if a.is_inf else a.value
-        v = math.inf if b.is_inf else b.value
-        if abs(u) > _COMPARE_CAP or abs(v) > _COMPARE_CAP:
-            if abs(u) < 1.0 or abs(v) < 1.0:
-                return math.inf
-            u, v = -1.0 / u, -1.0 / v
-        worst = max(worst, abs(u - v) / (1.0 + max(abs(u), abs(v))))
-    return worst
+    """Max relative deviation between two sampled trajectories, float
+    arrays with inf for infinity.  A pair with both |x| <= 10 compares
+    in the x chart, else a pair with both |x| >= 1 in the chart w = -1/x
+    (infinity is w = 0); any other pair is a mismatch (inf)."""
+    u, v = np.array(xs_a, dtype=float), np.array(xs_b, dtype=float)
+    far = np.maximum(abs(u), abs(v)) > _COMPARE_CAP
+    if np.any(far & (np.minimum(abs(u), abs(v)) < 1.0)):
+        return math.inf
+    u[far], v[far] = -1.0 / u[far], -1.0 / v[far]
+    return float(np.max(abs(u - v) / (1.0 + np.maximum(abs(u), abs(v))), initial=0.0))
 
 
 def cmd_classify(problem: Problem, args) -> int:
@@ -353,10 +351,10 @@ class _Truncated(Exception):
     """A check compares against a trajectory that stopped early."""
 
 
-def _complete(traj) -> list[ExtReal]:
+def _complete(traj):
     if traj.error is not None:
         raise _Truncated(traj.error)
-    return traj.xs
+    return traj
 
 
 def cmd_verify(problem: Problem, args) -> int:
@@ -414,9 +412,9 @@ def cmd_verify(problem: Problem, args) -> int:
             c = r.curve
             image = integrate_direct(r.transformed, theta_apply(c, span[0], ics[0]),
                                      span, step)
-            return _points_dev(points(mobius_apply_array(
-                *evaluate_grid(c.entries(), base.ts), _complete(base))),
-                _complete(image))
+            return _points_dev(mobius_apply_array(
+                *evaluate_grid(c.entries(), base.ts), _complete(base).values),
+                _complete(image).values)
         check(f"equivariance[{r.name}]", 1e-6, equivariance)
 
     # Gauge law versus coefficient law, on each reducing curve (or on an
@@ -441,16 +439,17 @@ def cmd_verify(problem: Problem, args) -> int:
         def reconstruction(xi=xi):
             if isinstance(G, Exception):
                 raise G
-            return _points_dev(reconstruct_solution(G, xi).xs, _complete(direct[xi]))
+            return _points_dev(reconstruct_solution(G, xi).values,
+                               _complete(direct[xi]).values)
         check(f"reconstruction[{i}]", 1e-6, reconstruction)
 
     # Cross-ratio constancy, when three reference solutions are available
     # besides the probe.
     def cross_ratio_dev():
-        xs = _complete(base)
+        xs = _complete(base).xs
         refs = [SolutionForm(k, "known-solution").sample(base.ts)
                 for k in problem.known_solutions]
-        refs += [_complete(direct[xi]) for xi in ics[1:]]
+        refs += [_complete(direct[xi]).xs for xi in ics[1:]]
         ratios = []
         for idx, x in enumerate(xs):
             try:

@@ -32,7 +32,7 @@ import numpy as np
 from .expr import (Expr, ONE, ZERO, Const, Div, EvalDomainError, ParseError,
                    QuadratureError, _sample, differentiate, evaluate,
                    evaluate_grid, exp, integral_from, parse, sqrt)
-from .projline import ext, mobius_apply_array, points
+from .projline import ext, mobius_apply_array
 from .riccati import RiccatiEquation, Trajectory, time_grid
 from .sl2 import (AffineSolvableTarget, OneDimensionalTarget,
                   solve_one_dimensional_target)
@@ -726,6 +726,8 @@ def solve_via_report(report: CriterionReport, x0s, t_span,
     if not report.satisfied or report.curve is None or report.target is None:
         raise ValueError("report is not a satisfied reduction")
     ts, h = time_grid(t_span, step)
+    if len(x0s) == 0:
+        return []
     curve, target = report.curve, report.target
     try:
         start = evaluate_grid(curve.entries(), ts[:1])
@@ -747,4 +749,4 @@ def solve_via_report(report: CriterionReport, x0s, t_span,
         if len(x0s) < 2:
             raise
         return [solve_via_report(report, [x0], t_span, step)[0] for x0 in x0s]
-    return [Trajectory(list(ts), points(x), step=h) for x in xs]
+    return [Trajectory(list(ts), x, step=h) for x in xs]

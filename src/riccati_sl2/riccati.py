@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .expr import Expr, _sample, as_expr, evaluate_grid
-from .projline import INF, ExtReal, ext
+from .projline import ExtReal, ext, points
 
 __all__ = ["RiccatiEquation", "Trajectory", "rhs", "time_grid",
            "integrate_direct"]
@@ -49,38 +50,42 @@ def rhs(eq: RiccatiEquation, t: float, x: float) -> float:
     return b0 + x * (b1 + x * b2)
 
 
-@dataclass
+@dataclass(eq=False, frozen=True)
 class Trajectory:
-    """Sampled solution curve on the compactified line.
-
-    ``ts`` is strictly increasing; ``xs`` holds one point per sample.
+    """Sampled solution curve on the compactified line, compared by
+    identity.  ``ts`` is strictly increasing; ``values`` is a 1-D float
+    array, one sample per time, inf for the point at infinity (never NaN
+    or -inf), and ``xs`` reads it as points on first use.
     ``chart_switches`` records (t, from_chart, to_chart) events and
     ``error`` is set when integration was truncated by a coefficient
-    domain error.
-    """
+    domain error."""
 
     ts: list[float]
-    xs: list[ExtReal]
+    values: np.ndarray
     step: float
     chart_switches: list[tuple[float, str, str]] = field(default_factory=list)
     error: str | None = None
+
+    @cached_property
+    def xs(self) -> list[ExtReal]:
+        return points(self.values)
 
     def __len__(self) -> int:
         return len(self.ts)
 
     def to_csv_text(self) -> str:
         lines = ["t,x"]
-        for t, x in zip(self.ts, self.xs):
-            lines.append(f"{t:.17g},{x}")
+        for t, x in zip(self.ts, self.values.tolist()):
+            lines.append(f"{t:.17g},{x:.17g}")
         return "\n".join(lines) + "\n"
 
 
-def _emit(chart: str, u: float) -> ExtReal:
+def _emit(chart: str, u: float) -> float:
     if chart == "x":
-        return ExtReal(u)
+        return u
     if abs(u) <= _BLOWUP_TOL:
-        return INF
-    return ExtReal(-1.0 / u)
+        return math.inf
+    return -1.0 / u
 
 
 def time_grid(t_span, step: float) -> tuple[list[float], float]:
@@ -162,4 +167,4 @@ def integrate_direct(eq: RiccatiEquation, x0, t_span, step: float = 1e-3) -> Tra
         if error is not None or failure is not None:
             error = error or str(failure)
             break
-    return Trajectory(ts, xs, step=h, chart_switches=switches, error=error)
+    return Trajectory(ts, np.array(xs), step=h, chart_switches=switches, error=error)

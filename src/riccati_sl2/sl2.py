@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .expr import Expr, Integral, as_expr, evaluate_grid
-from .projline import Mat2, ext, mobius_apply_array, points
+from .projline import Mat2, ext, mobius_apply_array
 from .riccati import RiccatiEquation, Trajectory, _stage_samples, time_grid
 
 __all__ = [
@@ -56,25 +57,31 @@ class AlgebraCurve:
             *evaluate_grid((self.b0, self.b1, self.b2), [t])[:, 0].tolist())
 
 
-@dataclass
+@dataclass(eq=False, frozen=True)
 class GroupTrajectory:
-    """Sampled curve in SL(2,R) starting at the identity."""
+    """Sampled curve in SL(2,R) starting at the identity, compared by
+    identity; ``mats`` reads :meth:`entries` as matrices on first use."""
 
     ts: list[float]
-    mats: list[Mat2]
+    values: np.ndarray
     step: float
+
+    @cached_property
+    def mats(self) -> list[Mat2]:
+        return [Mat2(*A) for A in self.values.T.tolist()]
 
     def __len__(self) -> int:
         return len(self.ts)
 
     def entries(self) -> np.ndarray:
-        """The four entries as rows (a11, a12, a21, a22) over the samples."""
-        return np.array([(A.a11, A.a12, A.a21, A.a22) for A in self.mats]).T
+        """The four entries as rows (a11, a12, a21, a22) over the samples,
+        the ``values`` array itself."""
+        return self.values
 
     def to_csv_text(self) -> str:
         lines = ["t,a11,a12,a21,a22"]
-        for t, A in zip(self.ts, self.mats):
-            lines.append(f"{t:.17g},{A.a11:.17g},{A.a12:.17g},{A.a21:.17g},{A.a22:.17g}")
+        for t, A in zip(self.ts, self.values.T.tolist()):
+            lines.append(",".join(format(v, ".17g") for v in (t, *A)))
         return "\n".join(lines) + "\n"
 
 
@@ -140,7 +147,7 @@ def integrate_group_equation(a: AlgebraCurve, t_span, step: float = 1e-3) -> Gro
     """
     grid, h = time_grid(t_span, step)
     A = (1.0, 0.0, 0.0, 1.0)
-    mats = [Mat2(*A)]
+    rows = [A]
     for b0, b1, b2, steps, failure in _stage_samples((a.b0, a.b1, a.b2), grid, h):
         for i in range(0, 2 * steps, 2):
             k1 = _amul(b0[i], b1[i], b2[i], A)
@@ -152,22 +159,22 @@ def integrate_group_equation(a: AlgebraCurve, t_span, step: float = 1e-3) -> Gro
             d = A[0] * A[3] - A[1] * A[2]
             if not math.isfinite(d) or d <= 0.0:
                 raise ArithmeticError(
-                    f"determinant collapsed to {d:.3g} at t={grid[len(mats)]:.6g}; "
+                    f"determinant collapsed to {d:.3g} at t={grid[len(rows)]:.6g}; "
                     "reduce the step")
             root = math.sqrt(d)
             A = tuple(x / root for x in A)
-            mats.append(Mat2(*A))
+            rows.append(A)
         if failure is not None:
             raise failure
-    return GroupTrajectory(grid, mats, step=h)
+    return GroupTrajectory(grid, np.array(rows).T, step=h)
 
 
 def reconstruct_solution(G: GroupTrajectory, x0) -> Trajectory:
     """Pointwise Möbius application of the group trajectory to x0."""
     if len(G) == 0:
         raise ValueError("empty group trajectory")
-    xs = mobius_apply_array(*G.entries(), ext(x0))
-    return Trajectory(list(G.ts), points(xs), step=G.step)
+    return Trajectory(list(G.ts), mobius_apply_array(*G.entries(), ext(x0)),
+                      step=G.step)
 
 
 def expm_traceless(N: Mat2, tau: float = 1.0) -> Mat2:
@@ -205,5 +212,6 @@ def solve_one_dimensional_target(target: OneDimensionalTarget, t_span,
     ts, h = time_grid(t_span, step)
     N = target.direction()
     tau = evaluate_grid(Integral(target.rate), ts)
-    mats = [expm_traceless(N, v) for v in (tau - tau[0]).tolist()]
-    return GroupTrajectory(ts, mats, step=h)
+    mats = (expm_traceless(N, v) for v in (tau - tau[0]).tolist())
+    return GroupTrajectory(
+        ts, np.array([(A.a11, A.a12, A.a21, A.a22) for A in mats]).T, step=h)

@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import riccati_sl2.cli as cli_module
-from riccati_sl2 import integrate_direct
+from riccati_sl2 import integrate_direct, points
 from riccati_sl2.cli import load_problem, main
 from riccati_sl2.criteria import DETECTORS, classify
 
@@ -526,3 +528,38 @@ def test_solve_criterion_without_its_hint(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "hints.Zh99Table3 is missing" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+# The per-pair loop over points that cli._points_dev replaced, kept as
+# the reference for the array version.
+
+def _reference_points_dev(xs_a, xs_b):
+    worst = 0.0
+    for a, b in zip(xs_a, xs_b):
+        u = math.inf if a.is_inf else a.value
+        v = math.inf if b.is_inf else b.value
+        if abs(u) > 10.0 or abs(v) > 10.0:
+            if abs(u) < 1.0 or abs(v) < 1.0:
+                return math.inf
+            u, v = -1.0 / u, -1.0 / v
+        worst = max(worst, abs(u - v) / (1.0 + max(abs(u), abs(v))))
+    return worst
+
+
+# Trajectory values: finite or inf, rich in the chart boundaries +-1 and
+# +-10 and the floats just beside them.
+_EDGES = [float(np.nextafter(x, d)) for c in (1.0, 10.0) for x in (c, -c)
+          for d in (-math.inf, x, math.inf)]
+_VALUES = st.one_of(st.sampled_from([math.inf, 0.0, -0.0, *_EDGES]),
+                    st.floats(-20.0, 20.0),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(pairs=st.lists(st.tuples(_VALUES, _VALUES), max_size=12))
+@example(pairs=[])
+def test_points_dev_matches_the_per_pair_loop(pairs):
+    a = [u for u, _ in pairs]
+    b = [v for _, v in pairs]
+    got = cli_module._points_dev(np.array(a), np.array(b))
+    assert got == _reference_points_dev(points(a), points(b))
+    assert cli_module._points_dev(np.array(b), np.array(a)) == got

@@ -713,3 +713,13 @@ def test_batched_solve_raises_the_first_failing_points_error():
         with pytest.raises(EvalDomainError, match="log of non-positive value "
                            "in 'log\\(0.59999999999999998 - t\\)'"):
             solve_via_report(report, x0s, (0.0, 1.0), 1e-2)
+
+
+@pytest.mark.parametrize("target", [
+    AffineSolvableTarget(RiccatiEquation.of(0, 0, 0)),
+    OneDimensionalTarget(1.0, 0.0, 1.0, ONE)], ids=["affine", "one-dimensional"])
+def test_solve_without_initial_points_gives_no_trajectories(target):
+    report = CriterionReport(
+        "test", True, curve=CurveSL2(exp(-T), ZERO, ZERO, exp(T)), target=target)
+    assert solve_via_report(report, [], (0.0, 1.0), 1e-2) == []
+    assert len(solve_via_report(report, [0.5], (0.0, 1.0), 1e-2)) == 1

@@ -1,17 +1,20 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import scalar_function, traj_vs_fn
+from conftest import bundled_problems, scalar_function, traj_vs_fn
 
 import riccati_sl2.riccati as riccati_module
 from riccati_sl2 import (EvalDomainError, ExtReal, INF, QuadratureError,
                          RiccatiEquation, Trajectory, algebra_curve_from_riccati,
                          classify, ext, integrate_direct,
-                         integrate_group_equation, parse, rhs, time_grid,
-                         transform_coefficients)
+                         integrate_group_equation, parse, points,
+                         reconstruct_solution, rhs, solve_via_report,
+                         time_grid, transform_coefficients)
 from riccati_sl2.cli import load_problem
+from riccati_sl2.criteria import holds_on_solve_grid
 from riccati_sl2.riccati import _emit
 
 
@@ -91,6 +94,57 @@ def test_csv_serialization():
     assert lines[0] == "t,x"
     assert len(lines) == len(traj) + 1
     assert any(",inf" in line for line in lines) or True  # inf only when sampled
+
+
+# The formatter over points that to_csv_text replaced, kept as the
+# reference for the float formatter.
+
+def _reference_csv_text(traj):
+    lines = ["t,x"]
+    for t, x in zip(traj.ts, traj.xs):
+        lines.append(f"{t:.17g},{x}")
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_text_matches_the_point_formatter():
+    values = [math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+              -1.7976931348623157e308, 0.1, -0.1, -2.5, 1.0 / 3.0, 1e22, -7.0]
+    traj = Trajectory([0.25 * i for i in range(len(values))], np.array(values),
+                      step=0.25)
+    text = traj.to_csv_text()
+    assert text == _reference_csv_text(traj)
+    assert ",inf\n" in text and ",-0\n" in text
+    blowup = integrate_direct(RiccatiEquation.of(0, 0, 1), 1.0, (0.0, 2.0), 1e-3)
+    assert blowup.xs[1000].is_inf
+    assert blowup.to_csv_text() == _reference_csv_text(blowup)
+
+
+def _assert_points(traj):
+    """The invariant ExtReal enforces on each point: every value is
+    finite or +inf, and xs reads the values as points."""
+    v = traj.values
+    assert isinstance(v, np.ndarray) and v.dtype == np.float64
+    assert v.shape == (len(traj),)
+    assert np.all(np.isfinite(v) | (v == math.inf))
+    assert traj.xs == points(v)
+    assert traj.xs is traj.xs  # built once, not on every index
+    return bool(np.isinf(v).any())
+
+
+def test_trajectory_values_are_points_on_bundled_problems():
+    seen_inf = False
+    for problem in bundled_problems():
+        eq, span, step = problem.equation, problem.t_interval, problem.step
+        x0s = [*problem.initial_conditions, INF]
+        G = integrate_group_equation(algebra_curve_from_riccati(eq), span, step)
+        for x0 in x0s:
+            seen_inf |= _assert_points(integrate_direct(eq, x0, span, step))
+            seen_inf |= _assert_points(reconstruct_solution(G, x0))
+        for r in classify(eq, problem.grid(), problem.tol, problem.hints):
+            if r.satisfied and holds_on_solve_grid(r, eq, span, step):
+                for traj in solve_via_report(r, x0s, span, step):
+                    seen_inf |= _assert_points(traj)
+    assert seen_inf
 
 
 def test_step_validation():

@@ -2,8 +2,9 @@
 code, stdout, stderr and every CSV it writes.
 
 The runs are classify, solve and verify on each bundled problem, then,
-for each seed given, solve and verify on every generated solve-reduced
-problem and verify on every generated verify-transformed problem.  The
+for each seed given, classify on every generated classify-catalogue
+problem, solve and verify on every generated solve-reduced problem and
+verify on every generated verify-transformed problem.  The
 problems are generated by ``perfbench/workloads.py`` into a temporary
 directory, and every run takes paths relative to it, so two checkouts
 print the same lines exactly when their outputs agree:
@@ -33,7 +34,8 @@ import riccati_sl2.cli  # noqa: E402
 import workloads  # noqa: E402
 
 BUNDLED = ROOT / "problems"
-GENERATED = {"solve-reduced": ("solve", "verify"),
+GENERATED = {"classify-catalogue": ("classify",),
+             "solve-reduced": ("solve", "verify"),
              "verify-transformed": ("verify",)}
 
 

@@ -233,7 +233,8 @@ def _b0_b2_values(name: str, eq: RiccatiEquation, grid, b0_first: bool):
     """(b0, b2) on the grid, or the report that b2 vanishes.  As at each
     time b0 and b2 were evaluated (b0 first or last) and b2 tested right
     after, the earliest time where b2 vanishes (where b2 / b2 divides by
-    zero) or an evaluation fails decides; a failure raises."""
+    zero, in the test or in b0: the node is interned, so one object) or
+    an evaluation fails decides; a failure raises."""
     b0, b2 = eq.b0, eq.b2
     test = Div(b2, b2)
     roots = (b0, b2, test) if b0_first else (b2, test, b0)

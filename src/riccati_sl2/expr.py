@@ -5,9 +5,9 @@ functions: arithmetic, integer powers, a fixed set of elementary
 functions, and a deferred definite integral ``integral(e)`` standing for
 the map t -> integral of e(s) ds from 0 to t, evaluated cumulatively
 over the cells of a grid by :func:`evaluate_grid` with Gauss-Kronrod
-quadrature (a single point is a one-point grid).  Trees are immutable
-and hashable; differentiation is exact on the whole grammar (the
-integral node differentiates back to its integrand).
+quadrature (a single point is a one-point grid).  Nodes are interned:
+equal trees are one object and ``==`` is ``is``.  Differentiation is
+exact on the whole grammar (an integral gives back its integrand).
 
 The text syntax accepted by :func:`parse` is also the coefficient syntax
 of the CLI problem files: infix ``+ - * / ^`` (``**`` is accepted for
@@ -17,8 +17,8 @@ integral``.
 
 There is deliberately no general simplifier.  Only local constant
 folding is performed (``0*e -> 0``, ``e+0 -> e``, ``1*e -> e`` and
-arithmetic on literal constants); everything downstream compares
-expressions numerically on grids, never structurally.
+arithmetic on literal constants), so ``t + 1`` and ``1 + t`` stay two
+trees; everything downstream compares expressions numerically on grids.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +70,31 @@ class QuadratureError(ExprError):
 
 
 class Expr:
-    """Abstract expression node.  Immutable; supports ``+ - * / **``
+    """Abstract expression node, immutable and interned: equal trees are
+    one object, compared and hashed by identity.  Supports ``+ - * / **``
     against other expressions and numbers."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
     precedence = 4
+
+    def __new__(cls, *fields):
+        # The live node equal to cls(*fields), else a new one, its fields set
+        # once.  A constant is a float; 0.0 and -0.0 print as 0 and -0.
+        if cls is Const:
+            fields = (float(fields[0]),)
+            key = (cls, *fields, math.copysign(1.0, fields[0]))
+        else:
+            key = (cls, *fields)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(node, name, value)
+            # The entry goes with its node, unless an equal node replaced it.
+            _NODES[key] = weakref.ref(node, lambda ref, key=key, nodes=_NODES: (
+                nodes.get(key) is ref and nodes.pop(key)))
+        return node
 
     def ev(self, t: float) -> float:
         return evaluate(self, t)
@@ -119,7 +140,11 @@ class Expr:
         return _neg(self)
 
 
-@dataclass(frozen=True, slots=True)
+# The live nodes: (class, *fields) -> weak reference to the node.
+_NODES: dict[tuple, weakref.ref] = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Const(Expr):
     value: float
 
@@ -130,7 +155,7 @@ class Const(Expr):
         return format(self.value, ".17g")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Var(Expr):
     """The independent variable t."""
 
@@ -153,7 +178,7 @@ def _wrap(e: Expr, minimum: int) -> str:
     return f"({s})" if _prec_of(e) < minimum else s
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Neg(Expr):
     arg: Expr
     precedence = 2
@@ -165,7 +190,7 @@ class Neg(Expr):
         return "-" + _wrap(self.arg, 2)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class _Binary(Expr):
     """An infix node ``left symbol right``.  The right operand keeps its
     parentheses when it is an infix node of no higher precedence (all
@@ -182,7 +207,7 @@ class _Binary(Expr):
         return f"{_wrap(self.left, prec)}{self.symbol}{rs}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Add(_Binary):
     precedence = 1
     symbol = " + "
@@ -191,7 +216,7 @@ class Add(_Binary):
         return _add(self.left.diff(), self.right.diff())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Sub(_Binary):
     precedence = 1
     symbol = " - "
@@ -200,7 +225,7 @@ class Sub(_Binary):
         return _sub(self.left.diff(), self.right.diff())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Mul(_Binary):
     precedence = 2
     symbol = "*"
@@ -210,7 +235,7 @@ class Mul(_Binary):
                     _mul(self.left, self.right.diff()))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Div(_Binary):
     precedence = 2
     symbol = "/"
@@ -221,7 +246,7 @@ class Div(_Binary):
         return _div(num, _pow(self.right, 2))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -229,7 +254,7 @@ class Pow(Expr):
 
     def diff(self):
         n = self.exponent
-        return _mul(_mul(Const(float(n)), _pow(self.base, n - 1)),
+        return _mul(_mul(Const(n), _pow(self.base, n - 1)),
                     self.base.diff())
 
     def _fmt(self):
@@ -256,7 +281,7 @@ _FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Call(Expr):
     name: str
     arg: Expr
@@ -268,7 +293,7 @@ class Call(Expr):
         return f"{self.name}({self.arg._fmt()})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Integral(Expr):
     """Deferred definite integral of the integrand from 0 to t (see
     :func:`evaluate_grid`)."""
@@ -291,7 +316,7 @@ def as_expr(v) -> Expr:
     if isinstance(v, Expr):
         return v
     if isinstance(v, (int, float)):
-        return Const(float(v))
+        return Const(v)
     raise TypeError(f"cannot interpret {v!r} as an expression")
 
 
@@ -363,7 +388,7 @@ def _pow(a: Expr, n) -> Expr:
         return a
     if isinstance(a, Const) and not (a.value == 0.0 and n < 0):
         try:
-            return Const(float(a.value ** n))
+            return Const(a.value ** n)
         except OverflowError:
             pass
     return Pow(a, n)
@@ -522,8 +547,8 @@ _OVERFLOW = "overflow"
 
 class _Grid:
     """Evaluates expression trees on successive chunks of non-decreasing
-    times, one walk per chunk with structurally equal subtrees computed
-    once.
+    times, one walk per chunk in which each node, so each distinct
+    subtree, is computed once.
 
     Failures are recorded per point, first one wins, in evaluation
     order: root by root, each tree depth first, a denominator before its
@@ -546,17 +571,15 @@ class _Grid:
         into ``reasons`` of its first failure (0 where none)."""
         self._ts = ts
         self._fail = np.zeros(len(ts), dtype=np.intp)
-        self._ids: dict[int, int] = {}
-        self._canon: dict[tuple, int] = {}
-        self._vals: list[np.ndarray] = []
+        self._vals: dict[Expr, np.ndarray] = {}
         outs = []
         for root in roots:
             self._root = root
-            v = self._vals[self._walk(root)]
+            v = self._walk(root)
             self._mark(~np.isfinite(v), _OVERFLOW)
             outs.append(v)
         fail = self._fail
-        self._ids = self._canon = self._vals = None
+        self._vals = None
         return outs, fail
 
     def _mark(self, mask, error, subexpr=None) -> None:
@@ -572,70 +595,45 @@ class _Grid:
             self.reasons.append(error)
             self._fail[hit] = len(self.reasons)
 
-    def _walk(self, e: Expr) -> int:
-        i = self._ids.get(id(e))
-        if i is not None:
-            return i
-        vals = self._vals
-        cls = type(e)
+    def _walk(self, e: Expr) -> np.ndarray:
+        v = self._vals.get(e)
+        if v is None:
+            v = self._vals[e] = self._compute(e)
+        return v
+
+    def _compute(self, e: Expr) -> np.ndarray:
         # Children are walked, and domain checks made, in evaluation
         # order, so that the first failure at each point is the one a
         # walk of the tree node by node would meet.
-        if cls is Const:
-            key = (cls, e.value, math.copysign(1.0, e.value))
-        elif cls is Var:
-            key = (cls,)
-        elif cls is Neg:
-            key = (cls, self._walk(e.arg))
-        elif cls is Div:
-            r = self._walk(e.right)
-            self._mark(vals[r] == 0.0, _DIV0, e)
-            key = (cls, self._walk(e.left), r)
-        elif cls is Pow:
-            b = self._walk(e.base)
-            if e.exponent < 0:
-                self._mark(vals[b] == 0.0, _DIV0, e)
-            key = (cls, b, e.exponent)
-        elif cls is Call:
-            u = self._walk(e.arg)
-            rule = _FUNCTIONS[e.name][1]
-            if rule is not None:
-                self._mark(rule[0](vals[u]), rule[1], e)
-            key = (cls, e.name, u)
-        elif cls is Integral:
-            key = (cls, e)
-        else:
-            key = (cls, self._walk(e.left), self._walk(e.right))
-        i = self._canon.get(key)
-        if i is None:
-            i = len(vals)
-            vals.append(self._compute(e, key))
-            self._canon[key] = i
-        self._ids[id(e)] = i
-        return i
-
-    def _compute(self, e: Expr, key: tuple) -> np.ndarray:
-        cls = key[0]
+        cls = type(e)
         if cls is Const:
             return np.full(len(self._ts), e.value)
         if cls is Var:
             return self._ts
         if cls is Integral:
             return self._integral(e)
-        vals = self._vals
         if cls is Neg:
-            return -vals[key[1]]
+            return -self._walk(e.arg)
         if cls is Call:
-            u = vals[key[2]]
-            out = _FUNCTIONS[e.name][0](u)
+            u = self._walk(e.arg)
+            fn, rule, _ = _FUNCTIONS[e.name]
+            if rule is not None:
+                self._mark(rule[0](u), rule[1], e)
+            out = fn(u)
             self._mark(np.isinf(out) & np.isfinite(u), _OVERFLOW)
             return out
         if cls is Pow:
-            b = vals[key[1]]
+            b = self._walk(e.base)
+            if e.exponent < 0:
+                self._mark(b == 0.0, _DIV0, e)
             out = np.power(b, float(e.exponent))
             self._mark(np.isinf(out) & np.isfinite(b), _OVERFLOW)
             return out
-        return _BINARY[cls][0](vals[key[1]], vals[key[2]])
+        if cls is Div:
+            r = self._walk(e.right)
+            self._mark(r == 0.0, _DIV0, e)
+            return np.divide(self._walk(e.left), r)
+        return _BINARY[cls][0](self._walk(e.left), self._walk(e.right))
 
     def _integral(self, e: Integral) -> np.ndarray:
         """Running integral at every time of the chunk: the value carried

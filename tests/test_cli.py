@@ -371,6 +371,8 @@ def test_determinism_bundled_problems(tmp_path):
                  str(PROBLEMS / problem), "--output", str(outdir),
                  "--step", "0.01"],
                 capture_output=True, check=True)
+            # Nothing on stderr, not even from weakref callbacks at exit.
+            assert proc.stderr == b""
             csvs = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
             outputs.append((proc.stdout, csvs))
         assert outputs[0][0] == outputs[1][0]

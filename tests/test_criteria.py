@@ -616,6 +616,19 @@ def test_b2_vanishing_before_a_later_failure_is_reported():
             "reason": "b2 vanishes on the grid", "at_t": C25}
 
 
+def test_b2_over_b2_inside_b0_is_the_vanishing_test():
+    # b0 holds the very node b2/b2 that Ra61 and RU68 test b2 with, so
+    # where it divides by zero b2 vanishes, whether b0 or b2 comes first.
+    b2 = T - 0.5
+    eq = RiccatiEquation(b2 / b2 + 1.0, T, b2)
+    by_name = {r.name: r for r in classify(eq, GRID)}
+    for name in ("Ra61", "RU68"):
+        assert by_name[name].diagnostics == {
+            "reason": "b2 vanishes on the grid", "at_t": 0.5}
+    assert by_name["Zh99Basic"].diagnostics == {
+        "reason": "evaluation failed: division by zero in '(t - 0.5)/(t - 0.5)'"}
+
+
 def _rdm05_cases():
     b1, b2 = parse("sin(3*t)"), parse("exp(t)")
     cases = [(f"bundled{i}", p.equation, p.grid(), p.tol)

@@ -1,5 +1,8 @@
+import gc
 import math
 import random
+import weakref
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +59,48 @@ def test_unknown_function():
         parse("foo(t)")
     assert "foo" in str(err.value)
     assert err.value.offset == 0
+
+
+# Interning.
+
+def test_equal_trees_are_one_node():
+    text = "exp(2*t) + integral(sin(t))/(t - 1)"
+    assert parse(text) is parse(text)
+    assert T + 1 is parse("t + 1")
+
+
+def test_signed_zeros_stay_two_nodes():
+    zero, neg_zero = Const(0.0), Const(-0.0)
+    assert zero is not neg_zero
+    assert (str(zero), str(neg_zero)) == ("0", "-0")
+    signs = np.copysign(1.0, evaluate_grid([zero, neg_zero], [0.0, 1.0]))
+    assert signs.tolist() == [[1.0, 1.0], [-1.0, -1.0]]
+
+
+def test_building_a_node_leaves_the_live_one_unchanged():
+    assert Const(1) is expr_module.ONE
+    assert type(expr_module.ONE.value) is float
+    assert evaluate_grid(expr_module.ONE, [0.0, 1.0]).dtype == np.float64
+
+
+def test_a_dead_tree_leaves_the_node_table():
+    gc.collect()
+    before = len(expr_module._NODES)
+    tree = sin(T * Const(0.123456789012345)) + T
+    ref = weakref.ref(tree)
+    assert len(expr_module._NODES) > before
+    del tree
+    gc.collect()
+    assert ref() is None
+    assert len(expr_module._NODES) <= before
+
+
+def test_node_fields_cannot_be_assigned():
+    e = parse("t + 1")
+    with pytest.raises(FrozenInstanceError):
+        e.left = T
+    with pytest.raises(FrozenInstanceError):
+        Const(2.0).value = 3.0
 
 
 def test_unbalanced_parens():

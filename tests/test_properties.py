@@ -1,21 +1,32 @@
 """Property tests of the algebraic laws the reductions rest on: the
 printer and parser, the Möbius action, composition of curve actions on
-coefficients, and exact differentiation."""
+coefficients, exact differentiation, and reductions carried along the
+curve action."""
 
+import dataclasses
 import math
 import operator
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import PLAIN_TREES, TREE_LEAVES, tree_operations
+from conftest import PLAIN_TREES, PROBLEMS, TREE_LEAVES, tree_operations
 
 from riccati_sl2 import (INF, Const, CurveSL2, EvalDomainError, ExtReal, Mat2,
-                         RiccatiEquation, T, compose, differentiate, evaluate,
-                         exp, ext, mobius_apply, mobius_apply_array, parse,
+                         RiccatiEquation, T, classify, compose, differentiate,
+                         evaluate, exp, ext, integrate_direct, inverse,
+                         mobius_apply, mobius_apply_array, parse, theta_apply,
                          transform_coefficients)
-from riccati_sl2.criteria import max_pair_deviation
+from riccati_sl2.cli import _points_dev, load_problem
+from riccati_sl2.criteria import (holds_on_solve_grid, max_pair_deviation,
+                                  solve_via_report)
+
+# The benchmark's problem generator, read only: its elementary curves.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 TIMES = st.floats(0.2, 1.3)
 
@@ -181,3 +192,30 @@ def test_array_mobius_map_is_mobius_apply_bit_for_bit(cases):
     else:
         want = np.array([v for v, _ in outcomes])
         assert mobius_apply_array(*entries, xs).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
+def test_a_reduction_stays_a_reduction_under_the_curve_action(path):
+    """If c carries an equation to a solvable target, c o g^-1 carries
+    the equation pushed by g to the same target, and the pushed
+    solutions are the reduction's solutions from the pushed points."""
+    problem = load_problem(path)
+    eq, span, step = problem.equation, problem.t_interval, problem.step
+    reports = [r for r in classify(eq, problem.grid(), problem.tol, problem.hints)
+               if r.satisfied and r.curve is not None and r.target is not None]
+    draw = workloads.Draw("verify-transformed", 7)
+    for kind in ("translation", "scaling", "inversion"):
+        g = workloads._elementary_curve(draw, kind)
+        pushed = transform_coefficients(eq, g)
+        x0s = [theta_apply(g, span[0], x0) for x0 in problem.initial_conditions]
+        for report in reports:
+            moved = dataclasses.replace(
+                report, curve=compose(report.curve, inverse(g)),
+                transformed=None, diagnostics={})
+            assert holds_on_solve_grid(moved, pushed, span, step), (
+                kind, report.name, moved.diagnostics)
+            for x0, traj in zip(x0s, solve_via_report(moved, x0s, span, step)):
+                direct = integrate_direct(pushed, x0, span, step)
+                assert direct.error is None
+                assert _points_dev(traj.values, direct.values) <= 1e-6, (
+                    kind, report.name, str(x0))

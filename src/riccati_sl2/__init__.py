@@ -20,7 +20,7 @@ from .projline import (ExtReal, INF, ext, points, Mat2, M0, M1, M2,
 from .riccati import (RiccatiEquation, Trajectory, rhs, time_grid,
                       integrate_direct)
 from .sl2 import (AlgebraCurve, GroupTrajectory, OneDimensionalTarget,
-                  AffineSolvableTarget, TargetSubalgebra,
+                  AffineSolvableTarget,
                   algebra_curve_from_riccati, integrate_group_equation,
                   reconstruct_solution, solve_one_dimensional_target,
                   expm_traceless, algebra_matrix)

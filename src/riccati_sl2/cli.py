@@ -146,16 +146,12 @@ def load_problem(path, overrides=None) -> Problem:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise InputError(f"{path}: options must be an object")
-    step = options.get("step", 1e-3)
-    grid_n = options.get("grid", 101)
-    tol = options.get("tol", 1e-6)
-    if overrides is not None:
-        if getattr(overrides, "step", None) is not None:
-            step = overrides.step
-        if getattr(overrides, "grid", None) is not None:
-            grid_n = overrides.grid
-        if getattr(overrides, "tol", None) is not None:
-            tol = overrides.tol
+
+    def option(key, default):
+        value = getattr(overrides, key, None)
+        return options.get(key, default) if value is None else value
+
+    step, grid_n, tol = option("step", 1e-3), option("grid", 101), option("tol", 1e-6)
     if not (_number(step) and step > 0):
         raise InputError(f"{path}: step must be a positive finite number")
     if not (isinstance(grid_n, int) and grid_n >= 2):
@@ -183,10 +179,6 @@ def load_problem(path, overrides=None) -> Problem:
 # Deterministic JSON: fixed key order (construction order) and floats
 # with 17 significant digits.
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _dumps(obj, level: int = 0) -> str:
     pad = "  " * level
     inner = "  " * (level + 1)
@@ -210,7 +202,7 @@ def _dumps(obj, level: int = 0) -> str:
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return "null"
-        return _fmt_float(obj)
+        return format(obj, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -431,17 +423,10 @@ def cmd_verify(problem: Problem, args) -> int:
             ((g1.b0, g2.b0), (g1.b1, g2.b1), (g1.b2, g2.b2)), grid))
 
     # Group-equation reconstruction against the direct oracle.
-    try:
-        G = integrate_group_equation(a, span, step)
-    except (EvalDomainError, QuadratureError, ArithmeticError) as exc:
-        G = exc
+    group = functools.cache(lambda: integrate_group_equation(a, span, step))
     for i, xi in enumerate(ics):
-        def reconstruction(xi=xi):
-            if isinstance(G, Exception):
-                raise G
-            return _points_dev(reconstruct_solution(G, xi).values,
-                               _complete(direct[xi]).values)
-        check(f"reconstruction[{i}]", 1e-6, reconstruction)
+        check(f"reconstruction[{i}]", 1e-6, lambda xi=xi: _points_dev(
+            reconstruct_solution(group(), xi).values, _complete(direct[xi]).values))
 
     # Cross-ratio constancy, when three reference solutions are available
     # besides the probe.

@@ -734,7 +734,7 @@ def solve_via_report(report: CriterionReport, x0s, t_span,
         start = evaluate_grid(curve.entries(), ts[:1])
         y0s = mobius_apply_array(*start, [float(ext(x0)) for x0 in x0s])
         if isinstance(target, OneDimensionalTarget):
-            group = solve_one_dimensional_target(target, t_span, step).entries()
+            group = solve_one_dimensional_target(target, t_span, step).values
             ys = mobius_apply_array(*group[:, None, :], y0s[:, None])
         else:
             def form(y0):

@@ -11,7 +11,7 @@ exact on the whole grammar (an integral gives back its integrand).
 
 The text syntax accepted by :func:`parse` is also the coefficient syntax
 of the CLI problem files: infix ``+ - * / ^`` (``**`` is accepted for
-``^``) with the usual precedence, parentheses, decimal literals, the
+``^``) with the usual precedence, parentheses, finite decimal literals, the
 variable ``t``, and calls of ``sqrt exp log sin cos tan tanh arctan
 integral``.
 
@@ -394,38 +394,15 @@ def _pow(a: Expr, n) -> Expr:
     return Pow(a, n)
 
 
-# Named builders for the function grammar.
-
-def sqrt(e) -> Expr:
-    return Call("sqrt", as_expr(e))
-
-
-def exp(e) -> Expr:
-    return Call("exp", as_expr(e))
+def _builder(name: str):
+    def build(e) -> Expr:
+        return Call(name, as_expr(e))
+    build.__name__ = build.__qualname__ = name
+    return build
 
 
-def log(e) -> Expr:
-    return Call("log", as_expr(e))
-
-
-def sin(e) -> Expr:
-    return Call("sin", as_expr(e))
-
-
-def cos(e) -> Expr:
-    return Call("cos", as_expr(e))
-
-
-def tan(e) -> Expr:
-    return Call("tan", as_expr(e))
-
-
-def tanh(e) -> Expr:
-    return Call("tanh", as_expr(e))
-
-
-def arctan(e) -> Expr:
-    return Call("arctan", as_expr(e))
+# Named builders for the function grammar, one per row of _FUNCTIONS.
+sqrt, exp, log, sin, cos, tan, tanh, arctan = map(_builder, _FUNCTIONS)
 
 
 def integral(e) -> Expr:
@@ -524,17 +501,6 @@ def quad(f, a: float, b: float):
     error = sum(-part[0] for part in heap)
     # One rule for the whole interval, then two per bisection.
     return (value if a < b else -value), error, {"neval": 15 * (2 * len(heap) - 1)}
-
-
-def _adaptive_quad(f: Expr, a: float, b: float) -> float:
-    """Integral of f from a to b by :func:`quad` on grid evaluations of
-    f; raises QuadratureError when the error estimate is too large."""
-    value, abserr, _ = quad(lambda ts: evaluate_grid(f, ts), a, b)
-    if abserr > 1e-10 * (1.0 + abs(value)):
-        raise QuadratureError(
-            f"quadrature of '{f}' over [{a:.17g}, {b}] did not converge "
-            f"(error estimate {abserr:.3g})")
-    return value
 
 
 # Cells per batch of integrand evaluations: bounds the memory of a
@@ -703,12 +669,18 @@ class _Grid:
 
 
 def _quad_or_failure(f: Expr, a: float, b: float):
-    """``_adaptive_quad(f, a, b)`` and None, or NaN and the error it
-    raised."""
+    """The integral of f from a to b by :func:`quad` on grid evaluations
+    of f, and None; or NaN and the failure: the error evaluating f
+    raised, or a QuadratureError when the error estimate is too large."""
     try:
-        return _adaptive_quad(f, a, b), None
+        value, abserr, _ = quad(lambda ts: evaluate_grid(f, ts), a, b)
     except (EvalDomainError, QuadratureError) as exc:
         return math.nan, exc
+    if abserr > 1e-10 * (1.0 + abs(value)):
+        return math.nan, QuadratureError(
+            f"quadrature of '{f}' over [{a:.17g}, {b}] did not converge "
+            f"(error estimate {abserr:.3g})")
+    return value, None
 
 
 # Each binary node class -> (numpy operation, folding constructor).
@@ -899,7 +871,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Const(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"numeric literal {text!r} overflows", pos)
+            return Const(value)
         if kind == "ident":
             if text == "t":
                 return T

@@ -112,12 +112,6 @@ class Mat2:
             self.a21 * other.a12 + self.a22 * other.a22,
         )
 
-    def inverse(self) -> "Mat2":
-        d = self.det()
-        if d == 0.0:
-            raise SingularMatrixError("matrix is singular")
-        return Mat2(self.a22 / d, -self.a12 / d, -self.a21 / d, self.a11 / d)
-
     @classmethod
     def identity(cls) -> "Mat2":
         return cls(1.0, 0.0, 0.0, 1.0)

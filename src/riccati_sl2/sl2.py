@@ -31,7 +31,7 @@ from .riccati import RiccatiEquation, Trajectory, _stage_samples, time_grid
 
 __all__ = [
     "AlgebraCurve", "GroupTrajectory", "OneDimensionalTarget",
-    "AffineSolvableTarget", "TargetSubalgebra",
+    "AffineSolvableTarget",
     "algebra_curve_from_riccati", "integrate_group_equation",
     "reconstruct_solution", "solve_one_dimensional_target",
     "expm_traceless", "algebra_matrix",
@@ -60,7 +60,8 @@ class AlgebraCurve:
 @dataclass(eq=False, frozen=True)
 class GroupTrajectory:
     """Sampled curve in SL(2,R) starting at the identity, compared by
-    identity; ``mats`` reads :meth:`entries` as matrices on first use."""
+    identity.  ``values`` holds the rows a11, a12, a21, a22 over the
+    samples; ``mats`` reads them as matrices on first use."""
 
     ts: list[float]
     values: np.ndarray
@@ -72,11 +73,6 @@ class GroupTrajectory:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    def entries(self) -> np.ndarray:
-        """The four entries as rows (a11, a12, a21, a22) over the samples,
-        the ``values`` array itself."""
-        return self.values
 
     def to_csv_text(self) -> str:
         lines = ["t,a11,a12,a21,a22"]
@@ -116,9 +112,6 @@ class AffineSolvableTarget:
     b2 identically zero (linear) or b0 identically zero (Bernoulli)."""
 
     equation: RiccatiEquation
-
-
-TargetSubalgebra = OneDimensionalTarget | AffineSolvableTarget
 
 
 def algebra_curve_from_riccati(eq: RiccatiEquation) -> AlgebraCurve:
@@ -173,7 +166,7 @@ def reconstruct_solution(G: GroupTrajectory, x0) -> Trajectory:
     """Pointwise Möbius application of the group trajectory to x0."""
     if len(G) == 0:
         raise ValueError("empty group trajectory")
-    return Trajectory(list(G.ts), mobius_apply_array(*G.entries(), ext(x0)),
+    return Trajectory(list(G.ts), mobius_apply_array(*G.values, ext(x0)),
                       step=G.step)
 
 

@@ -308,7 +308,9 @@ def test_verify_zero_equation(tmp_path, capsys):
      "coefficients.b0: unexpected end of input (at offset 3)"),
     ({"known_solutions": ["tanh(t"]},
      "known_solutions[0]: expected ')' (at offset 6)"),
-], ids=["coefficient", "known-solution"])
+    ({"coefficients": {"b0": "1e400*t + 1", "b1": "0", "b2": "-1"}},
+     "coefficients.b0: numeric literal '1e400' overflows (at offset 0)"),
+], ids=["coefficient", "known-solution", "overflowing-literal"])
 def test_parse_errors_name_the_file(tmp_path, capsys, over, message):
     path = _write_problem(tmp_path, **over)
     assert main(["classify", str(path)]) == 2

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import PLAIN_TREES, TREE_LEAVES, scalar_evaluator, tree_operations
 
 import riccati_sl2.expr as expr_module
-from riccati_sl2 import (Add, Call, Const, Div, EvalDomainError, Integral,
-                         Mul, Neg, ParseError, Pow, QuadratureError,
+from riccati_sl2 import (ONE, ZERO, Add, Call, Const, Div, EvalDomainError,
+                         Integral, Mul, Neg, ParseError, Pow, QuadratureError,
                          SolutionForm, Sub, T, Var, arctan, as_expr, classify,
                          cos, differentiate, evaluate, evaluate_grid, exp,
                          integral, integral_from, log, parse, sin, sqrt,
@@ -59,6 +59,24 @@ def test_unknown_function():
         parse("foo(t)")
     assert "foo" in str(err.value)
     assert err.value.offset == 0
+
+
+def test_overflowing_literal_is_a_parse_error():
+    # Const(inf) would print as 'inf', which does not parse again.
+    for text, offset in (("1e400*t + 1", 0), ("2*t + 1e400", 6)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset
+        assert "1e400" in str(err.value)
+    assert parse("1e-400") is ZERO
+
+
+@pytest.mark.parametrize("name", list(expr_module._FUNCTIONS))
+def test_function_builders_match_the_table(name):
+    build = getattr(expr_module, name)
+    assert build.__name__ == name
+    assert build(T) is Call(name, T)
+    assert build(1) is Call(name, ONE)
 
 
 # Interning.

@@ -1,6 +1,7 @@
 """Static hygiene of the package sources, checked with the standard
 library's ``ast``: no unused imports, no module-level private name that
-nothing refers to, and no function parameter that is never read."""
+nothing refers to, no exported name that nothing reads, and no function
+parameter that is never read."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "riccati_sl2"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# The code outside src/ that reads the package's names.
+READERS = sorted(p for directory in ("tests", "perfbench", "tools")
+                 for p in (PACKAGE.parent.parent / directory).glob("*.py"))
 
 
 def _tree(path):
@@ -110,3 +114,32 @@ def test_every_parameter_is_read(path):
         unread += [f"{node.name}({p}) line {node.lineno}" for p in params
                    if p not in read and p not in ("self", "cls")]
     assert not unread, f"{path.name} has parameters it never reads: {unread}"
+
+
+def _loaded(node) -> set[str]:
+    """Names and attribute names read in ``node``; importing a name is
+    not reading it."""
+    return _read_names(node, attributes=False) | {
+        sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def test_every_exported_name_is_read():
+    """Each name in a module's ``__all__`` is read somewhere in src/,
+    other than inside its own definition and the package ``__init__``,
+    or in tests/, perfbench/ or tools/."""
+    exported = []
+    references: dict[str, set[str]] = {}
+    for path in MODULES:
+        for stmt in _tree(path).body:
+            name = _defined_name(stmt)
+            if name == "__all__":
+                exported += [(path.name, elt.value) for elt in stmt.value.elts]
+            for used in _loaded(stmt):
+                references.setdefault(used, set()).add(f"{path.name}:{name}")
+    for path in READERS:
+        for used in _loaded(_tree(path)):
+            references.setdefault(used, set()).add(path.name)
+    unread = sorted(
+        f"{module}: {name}" for module, name in exported
+        if not references.get(name, set()) - {f"{module}:{name}"})
+    assert not unread, f"exported names nothing reads: {unread}"

@@ -20,7 +20,7 @@ from riccati_sl2 import (INF, Const, CurveSL2, EvalDomainError, ExtReal, Mat2,
                          evaluate, exp, ext, integrate_direct, inverse,
                          mobius_apply, mobius_apply_array, parse, theta_apply,
                          transform_coefficients)
-from riccati_sl2.cli import _points_dev, load_problem
+from riccati_sl2.cli import Problem, _points_dev, load_problem
 from riccati_sl2.criteria import (holds_on_solve_grid, max_pair_deviation,
                                   solve_via_report)
 
@@ -194,15 +194,36 @@ def test_array_mobius_map_is_mobius_apply_bit_for_bit(cases):
         assert mobius_apply_array(*entries, xs).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
-def test_a_reduction_stays_a_reduction_under_the_curve_action(path):
+# One problem per planted family of the benchmark's generator, drawn as
+# the classify-catalogue workload draws it at seed 7.
+PLANTED = [f for f in workloads.FAMILIES if f not in ("generic", "pushed")]
+
+
+def _problem(case):
+    """A bundled problem file, or a planted family's problem on the
+    classify-catalogue interval, step and detection grid from 0, 0.5 and
+    infinity; and the detector it satisfies by construction (or None)."""
+    if isinstance(case, Path):
+        return load_problem(case), workloads.BUNDLED_PLANTED[case.stem]
+    eq, hints, planted = workloads.FAMILIES[case](
+        workloads.Draw("classify-catalogue", 7))
+    return Problem(equation=eq, t_interval=workloads.SPANS["classify-catalogue"],
+                   initial_conditions=[ExtReal(0.0), ExtReal(0.5), INF],
+                   step=workloads.STEPS["classify-catalogue"], grid_n=101,
+                   tol=1e-6, hints=hints, known_solutions=[]), planted
+
+
+@pytest.mark.parametrize("case", sorted(PROBLEMS.glob("*.json")) + PLANTED,
+                         ids=lambda c: c.stem if isinstance(c, Path) else c)
+def test_a_reduction_stays_a_reduction_under_the_curve_action(case):
     """If c carries an equation to a solvable target, c o g^-1 carries
     the equation pushed by g to the same target, and the pushed
     solutions are the reduction's solutions from the pushed points."""
-    problem = load_problem(path)
+    problem, planted = _problem(case)
     eq, span, step = problem.equation, problem.t_interval, problem.step
     reports = [r for r in classify(eq, problem.grid(), problem.tol, problem.hints)
                if r.satisfied and r.curve is not None and r.target is not None]
+    assert planted is None or planted in {r.name for r in reports}
     draw = workloads.Draw("verify-transformed", 7)
     for kind in ("translation", "scaling", "inversion"):
         g = workloads._elementary_curve(draw, kind)

@@ -11,7 +11,7 @@ detectors, all cross-validated against the oracle.
 
 from .expr import (Expr, Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call,
                    Integral, T, ZERO, ONE, parse, evaluate, evaluate_grid,
-                   differentiate, substitute, integral_from, as_expr, sqrt,
+                   differentiate, substitute, session, integral_from, as_expr, sqrt,
                    exp, log, sin, cos, tan, tanh, arctan, integral,
                    ParseError, EvalDomainError, QuadratureError)
 from .projline import (ExtReal, INF, ext, points, Mat2, M0, M1, M2,

@@ -40,10 +40,10 @@ from .criteria import (CURVE_MATCH_TOL, DETECTORS, HintError, classify,
                        curve_residual, holds_on_solve_grid, max_pair_deviation,
                        read_hints, solve_via_report)
 from .expr import (Expr, EvalDomainError, ParseError, QuadratureError, T,
-                   evaluate_grid, parse)
+                   evaluate_grid, parse, session)
 from .projline import (CoincidentPointsError, ExtReal, INF, cross_ratio,
                        mobius_apply_array)
-from .riccati import RiccatiEquation, integrate_direct, time_grid
+from .riccati import RiccatiEquation, _csv_text, integrate_direct, time_grid
 from .sl2 import (OneDimensionalTarget, algebra_curve_from_riccati,
                   integrate_group_equation, reconstruct_solution)
 from .solvers import ResidualError, SolutionForm, verify_particular_solution
@@ -316,11 +316,14 @@ def cmd_solve(problem: Problem, args) -> int:
                                   problem.step) for x0 in ics]
     outdir = Path(getattr(args, "output", ".") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
+    # Every trajectory runs on this grid, or on a prefix when truncated.
+    times = [format(t, ".17g")
+             for t in time_grid(problem.t_interval, problem.step)[0]]
     entries = []
     truncated = False
     for i, (x0, traj) in enumerate(zip(ics, trajs)):
         fname = f"trajectory_{i}.csv"
-        (outdir / fname).write_text(traj.to_csv_text())
+        (outdir / fname).write_text(_csv_text(times, traj.values))
         truncated = truncated or traj.error is not None
         entries.append({
             "initial_condition": str(x0), "file": fname,
@@ -501,15 +504,21 @@ def main(argv=None) -> int:
         logging.basicConfig(
             stream=sys.stderr,
             level=getattr(logging, level.upper(), logging.DEBUG))
-    try:
-        problem = load_problem(args.problem, args)
-        return _COMMANDS[args.command](problem, args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EvalDomainError, QuadratureError, ArithmeticError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # One session per command: detectors and checks share derivatives
+    # and grid values.
+    with session() as shared:
+        try:
+            problem = load_problem(args.problem, args)
+            rc = _COMMANDS[args.command](problem, args)
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            rc = 2
+        except (EvalDomainError, QuadratureError, ArithmeticError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            rc = 1
+    if level and level.upper() == "DEBUG":
+        print(json.dumps(shared.counts()), file=sys.stderr)
+    return rc
 
 
 if __name__ == "__main__":

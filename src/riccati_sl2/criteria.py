@@ -659,7 +659,7 @@ def read_hints(hints) -> dict[str, dict]:
 
     Each name must be a detector that takes a hint, and its block must
     hold exactly the row's keys: function keys an :class:`Expr` or
-    expression text, constant keys a number (not a boolean).  Raises
+    expression text, constant keys a finite number (not a boolean).  Raises
     :class:`HintError` naming the offending block and what it expects."""
     if not isinstance(hints, dict):
         raise HintError("hints must be an object")
@@ -682,6 +682,8 @@ def read_hints(hints) -> dict[str, dict]:
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise HintError(f"{where} must be a number")
                 value = float(value)
+                if not math.isfinite(value):
+                    raise HintError(f"{where} must be finite")
             elif isinstance(value, str):
                 try:
                     value = parse(value)

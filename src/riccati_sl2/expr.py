@@ -8,6 +8,8 @@ over the cells of a grid by :func:`evaluate_grid` with Gauss-Kronrod
 quadrature (a single point is a one-point grid).  Nodes are interned:
 equal trees are one object and ``==`` is ``is``.  Differentiation is
 exact on the whole grammar (an integral gives back its integrand).
+Within one :func:`session` each node is differentiated once, and each
+failure-free subtree without integrals is computed once per grid.
 
 The text syntax accepted by :func:`parse` is also the coefficient syntax
 of the CLI problem files: infix ``+ - * / ^`` (``**`` is accepted for
@@ -23,6 +25,8 @@ trees; everything downstream compares expressions numerically on grids.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import heapq
 import math
 import re
@@ -35,6 +39,7 @@ __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "Call", "Integral", "T", "ZERO", "ONE",
     "parse", "evaluate", "evaluate_grid", "differentiate", "substitute",
+    "session",
     "integral_from",
     "as_expr", "sqrt", "exp", "log", "sin", "cos", "tan", "tanh",
     "arctan", "integral",
@@ -100,6 +105,8 @@ class Expr:
         return evaluate(self, t)
 
     def diff(self) -> "Expr":
+        """This node's rule of differentiation, given its children's
+        derivatives from the session that :func:`differentiate` opens."""
         raise NotImplementedError
 
     def _fmt(self) -> str:
@@ -184,7 +191,7 @@ class Neg(Expr):
     precedence = 2
 
     def diff(self):
-        return _neg(self.arg.diff())
+        return _neg(_derivative(self.arg))
 
     def _fmt(self):
         return "-" + _wrap(self.arg, 2)
@@ -213,7 +220,7 @@ class Add(_Binary):
     symbol = " + "
 
     def diff(self):
-        return _add(self.left.diff(), self.right.diff())
+        return _add(_derivative(self.left), _derivative(self.right))
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -222,7 +229,7 @@ class Sub(_Binary):
     symbol = " - "
 
     def diff(self):
-        return _sub(self.left.diff(), self.right.diff())
+        return _sub(_derivative(self.left), _derivative(self.right))
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -231,8 +238,8 @@ class Mul(_Binary):
     symbol = "*"
 
     def diff(self):
-        return _add(_mul(self.left.diff(), self.right),
-                    _mul(self.left, self.right.diff()))
+        return _add(_mul(_derivative(self.left), self.right),
+                    _mul(self.left, _derivative(self.right)))
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -241,8 +248,8 @@ class Div(_Binary):
     symbol = "/"
 
     def diff(self):
-        num = _sub(_mul(self.left.diff(), self.right),
-                   _mul(self.left, self.right.diff()))
+        num = _sub(_mul(_derivative(self.left), self.right),
+                   _mul(self.left, _derivative(self.right)))
         return _div(num, _pow(self.right, 2))
 
 
@@ -255,7 +262,7 @@ class Pow(Expr):
     def diff(self):
         n = self.exponent
         return _mul(_mul(Const(n), _pow(self.base, n - 1)),
-                    self.base.diff())
+                    _derivative(self.base))
 
     def _fmt(self):
         bs = _wrap(self.base, 4)
@@ -287,7 +294,7 @@ class Call(Expr):
     arg: Expr
 
     def diff(self):
-        return _FUNCTIONS[self.name][2](self.arg, self.arg.diff())
+        return _FUNCTIONS[self.name][2](self.arg, _derivative(self.arg))
 
     def _fmt(self):
         return f"{self.name}({self.arg._fmt()})"
@@ -511,6 +518,43 @@ _DIV0 = "division by zero"
 _OVERFLOW = "overflow"
 
 
+class _Session:
+    """What one :func:`session` keeps: each node's derivative, and the
+    values of subtrees on each outermost grid, keyed by the grid's origin
+    and times; with counts of each computed and reused."""
+
+    def __init__(self):
+        self.derivatives: dict[Expr, Expr] = {}
+        self.grids: dict[tuple[float, bytes], dict[Expr, np.ndarray]] = {}
+        self.depth = 0  # grid runs in progress
+        self.computed = self.reused = self.derived = self.rederived = 0
+
+    def counts(self) -> dict[str, int]:
+        return {"expr.evaluate_grid.subtrees_computed": self.computed,
+                "expr.evaluate_grid.subtrees_reused": self.reused,
+                "expr.differentiate.nodes_computed": self.derived,
+                "expr.differentiate.nodes_reused": self.rederived}
+
+
+_SESSION: contextvars.ContextVar[_Session | None] = contextvars.ContextVar(
+    "riccati_sl2.expr.session", default=None)
+
+
+@contextlib.contextmanager
+def session():
+    """Share derivatives and grid values across the calls in the block,
+    typically one command, and drop them at its end.  Yields the session,
+    whose ``counts()`` says how much was computed and reused.
+
+    A call of :func:`differentiate`, :func:`evaluate_grid` or
+    :func:`evaluate` outside a session runs in a fresh one of its own."""
+    token = _SESSION.set(_Session())
+    try:
+        yield _SESSION.get()
+    finally:
+        _SESSION.reset(token)
+
+
 class _Grid:
     """Evaluates expression trees on successive chunks of non-decreasing
     times, one walk per chunk in which each node, so each distinct
@@ -524,10 +568,19 @@ class _Grid:
     Each integral node keeps its running value from one chunk to the
     next and owns the grid that evaluates its integrand at the
     Gauss-Kronrod nodes of its cells.  Every integral starts at
-    ``origin``, the first time of the outermost grid."""
+    ``origin``, the first time of the outermost grid.
 
-    def __init__(self, origin: float):
+    A run nested in no other reads and keeps, in ``session``, the values
+    of the subtrees that are failure-free on its times: no domain check
+    of theirs marked a point, none holds an integral, whose value runs on
+    from chunk to chunk, and every child is failure-free too.  Replaying
+    one marks nothing, as computing it would, so the first failure at
+    each point stays the same.  Nested runs, on integrand and quadrature
+    grids that seldom repeat, keep nothing past their end."""
+
+    def __init__(self, origin: float, session: _Session):
         self.origin = origin
+        self.session = session
         self.reasons: list[ExprError] = []
         self._carry: dict[Integral, tuple[float, float, ExprError | str | None]] = {}
         self._subs: dict[Integral, _Grid] = {}
@@ -538,14 +591,23 @@ class _Grid:
         self._ts = ts
         self._fail = np.zeros(len(ts), dtype=np.intp)
         self._vals: dict[Expr, np.ndarray] = {}
-        outs = []
-        for root in roots:
-            self._root = root
-            v = self._walk(root)
-            self._mark(~np.isfinite(v), _OVERFLOW)
-            outs.append(v)
+        self._failing: set[Expr] = set()
+        self._clean = True
+        s = self.session
+        self._kept = (s.grids.setdefault((self.origin, ts.tobytes()), {})
+                      if s.depth == 0 else self._vals)
+        s.depth += 1
+        try:
+            outs = []
+            for root in roots:
+                self._root = root
+                v = self._walk(root)
+                self._mark(~np.isfinite(v), _OVERFLOW)
+                outs.append(v)
+        finally:
+            s.depth -= 1
         fail = self._fail
-        self._vals = None
+        self._vals = self._kept = None
         return outs, fail
 
     def _mark(self, mask, error, subexpr=None) -> None:
@@ -554,6 +616,7 @@ class _Grid:
         default the root, where an overflow is charged."""
         if not np.count_nonzero(mask):
             return
+        self._clean = False
         hit = mask & (self._fail == 0)
         if np.count_nonzero(hit):
             if isinstance(error, str):
@@ -563,8 +626,24 @@ class _Grid:
 
     def _walk(self, e: Expr) -> np.ndarray:
         v = self._vals.get(e)
-        if v is None:
-            v = self._vals[e] = self._compute(e)
+        if v is not None:
+            if e in self._failing:
+                self._clean = False
+            return v
+        v = self._kept.get(e)
+        if v is not None:
+            self.session.reused += 1
+        else:
+            outer, self._clean = self._clean, True
+            v = self._compute(e)
+            self.session.computed += 1
+            if not self._clean:
+                self._failing.add(e)
+            elif e is not T:  # t's values are the caller's own times
+                v.flags.writeable = False
+                self._kept[e] = v
+            self._clean = self._clean and outer
+        self._vals[e] = v
         return v
 
     def _compute(self, e: Expr) -> np.ndarray:
@@ -577,6 +656,7 @@ class _Grid:
         if cls is Var:
             return self._ts
         if cls is Integral:
+            self._clean = False
             return self._integral(e)
         if cls is Neg:
             return -self._walk(e.arg)
@@ -618,7 +698,7 @@ class _Grid:
         if reason is None:
             sub = self._subs.get(e)
             if sub is None:
-                sub = self._subs[e] = _Grid(self.origin)
+                sub = self._subs[e] = _Grid(self.origin, self.session)
             live = np.flatnonzero(ts > lo)
             for s in range(0, len(live), _BLOCK):
                 idx = live[s:s + _BLOCK]
@@ -697,7 +777,7 @@ def _sample(roots, chunks):
     grid = None
     for ts in chunks:
         if grid is None:
-            grid = _Grid(float(ts[0]))
+            grid = _Grid(float(ts[0]), _SESSION.get() or _Session())
         with np.errstate(all="ignore"):
             outs, fail = grid.run(roots, ts)
         bad = fail.nonzero()[0]
@@ -720,6 +800,9 @@ def evaluate_grid(e, ts, *, poles: bool = False) -> np.ndarray:
     :class:`EvalDomainError` with its kind and subexpression, or
     :class:`QuadratureError`.  With ``poles``, a time whose first
     failure is an exact-zero denominator instead comes back as inf.
+
+    Within a :func:`session`, subtrees computed failure-free on the same
+    times before are read back, with the same values and failures.
     """
     roots = (e,) if isinstance(e, Expr) else tuple(e)
     ts = np.asarray(ts, dtype=float)
@@ -737,8 +820,23 @@ def evaluate_grid(e, ts, *, poles: bool = False) -> np.ndarray:
 
 
 def differentiate(e: Expr) -> Expr:
-    """Exact symbolic derivative with respect to t."""
-    return e.diff()
+    """Exact symbolic derivative with respect to t, each node's built
+    once per :func:`session`."""
+    if _SESSION.get() is None:
+        with session():
+            return _derivative(e)
+    return _derivative(e)
+
+
+def _derivative(e: Expr) -> Expr:
+    s = _SESSION.get()
+    d = s.derivatives.get(e)
+    if d is None:
+        d = s.derivatives[e] = e.diff()
+        s.derived += 1
+    else:
+        s.rederived += 1
+    return d
 
 
 def substitute(e: Expr, replacement: Expr) -> Expr:

@@ -74,10 +74,17 @@ class Trajectory:
         return len(self.ts)
 
     def to_csv_text(self) -> str:
-        lines = ["t,x"]
-        for t, x in zip(self.ts, self.values.tolist()):
-            lines.append(f"{t:.17g},{x:.17g}")
-        return "\n".join(lines) + "\n"
+        return _csv_text([format(t, ".17g") for t in self.ts], self.values)
+
+
+def _csv_text(times: list[str], values: np.ndarray) -> str:
+    """CSV text ``t,x`` of a trajectory's values, each at its time of
+    ``times`` (formatted already, so that trajectories on one grid can
+    share them; extra times are ignored) and printed with 17 digits."""
+    lines = ["t,x"]
+    for t, x in zip(times, values.tolist()):
+        lines.append(f"{t},{x:.17g}")
+    return "\n".join(lines) + "\n"
 
 
 def _emit(chart: str, u: float) -> float:

@@ -188,6 +188,9 @@ def test_solve_truncated_trajectory_exits_1(tmp_path, capsys):
     assert entry["chart_switches"] == 0
     lines = (tmp_path / "trajectory_0.csv").read_text().strip().split("\n")
     assert len(lines) == 501
+    # The shared time column is cut to the trajectory's own times.
+    traj = integrate_direct(load_problem(path).equation, 0.0, (0.0, 1.0), 0.001)
+    assert (tmp_path / "trajectory_0.csv").read_text() == traj.to_csv_text()
 
 
 def test_solve_complete_trajectory_reports_no_error(tmp_path, capsys):
@@ -310,11 +313,34 @@ def test_verify_zero_equation(tmp_path, capsys):
      "known_solutions[0]: expected ')' (at offset 6)"),
     ({"coefficients": {"b0": "1e400*t + 1", "b1": "0", "b2": "-1"}},
      "coefficients.b0: numeric literal '1e400' overflows (at offset 0)"),
-], ids=["coefficient", "known-solution", "overflowing-literal"])
+    ({"hints": {"Zh99Basic": {"D": "1", "a": 1e400, "b": 1, "c": 1}}},
+     "hints.Zh99Basic.a must be finite"),
+], ids=["coefficient", "known-solution", "overflowing-literal",
+        "infinite-hint-constant"])
 def test_parse_errors_name_the_file(tmp_path, capsys, over, message):
     path = _write_problem(tmp_path, **over)
     assert main(["classify", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "solve", "verify"])
+def test_debug_log_adds_the_session_counts_to_stderr(tmp_path, capsys,
+                                                     monkeypatch, command):
+    path = _write_problem(tmp_path, initial_conditions=[0.0, 0.5, -0.5, 2.0])
+    argv = [command, str(path), "--output", str(tmp_path)]
+    monkeypatch.delenv("RICCATI_LOG", raising=False)
+    rc = main(argv)
+    plain = capsys.readouterr()
+    monkeypatch.setenv("RICCATI_LOG", "debug")
+    assert main(argv) == rc
+    debug = capsys.readouterr()
+    assert debug.out == plain.out
+    counts = json.loads(debug.err.splitlines()[-1])
+    assert set(counts) == {"expr.evaluate_grid.subtrees_computed",
+                           "expr.evaluate_grid.subtrees_reused",
+                           "expr.differentiate.nodes_computed",
+                           "expr.differentiate.nodes_reused"}
+    assert all(type(n) is int and n >= 0 for n in counts.values())
 
 
 def test_bad_known_solution_is_input_error(tmp_path, capsys):

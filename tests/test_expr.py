@@ -16,8 +16,8 @@ from riccati_sl2 import (ONE, ZERO, Add, Call, Const, Div, EvalDomainError,
                          Integral, Mul, Neg, ParseError, Pow, QuadratureError,
                          SolutionForm, Sub, T, Var, arctan, as_expr, classify,
                          cos, differentiate, evaluate, evaluate_grid, exp,
-                         integral, integral_from, log, parse, sin, sqrt,
-                         substitute, tanh, transform_coefficients)
+                         integral, integral_from, log, parse, session, sin,
+                         sqrt, substitute, tanh, transform_coefficients)
 from riccati_sl2.cli import load_problem
 
 
@@ -474,3 +474,85 @@ def test_sample_carries_integrals_across_chunks():
     got = np.concatenate([vals[0] for vals, failures in
                           expr_module._sample((e,), chunks)])
     assert np.array_equal(np.delete(got, 699), whole)
+
+
+# Trees that may leave their domain on [0, 1]: every operation of the
+# plain trees, and unguarded quotients, logarithms, square roots, negative
+# powers, exponentials and integrals.
+_FALLIBLE = st.recursive(TREE_LEAVES, lambda c: st.one_of(
+    tree_operations(c), st.tuples(c, c).map(lambda p: p[0] / p[1]),
+    c.map(log), c.map(sqrt), c.map(lambda a: a ** -2), c.map(exp),
+    c.map(integral)), max_leaves=6)
+_SESSION_GRIDS = (np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 11))
+
+
+def _subtrees(e):
+    yield e
+    for name in e.__match_args__:
+        child = getattr(e, name)
+        if isinstance(child, expr_module.Expr):
+            yield from _subtrees(child)
+
+
+def _outcome(roots, ts):
+    """The bits evaluate_grid gives, or the kind and subexpression of the
+    error it raises."""
+    try:
+        return evaluate_grid(roots, ts).tobytes()
+    except EvalDomainError as exc:
+        return exc.kind, exc.subexpr
+    except QuadratureError as exc:
+        return str(exc)
+
+
+@given(trees=st.lists(_FALLIBLE, min_size=1, max_size=3), data=st.data())
+def test_a_session_changes_no_value_and_no_first_failure(trees, data):
+    # Calls on the subtrees of a few trees share many of them, on the
+    # same grid or on another.
+    pool = sorted({s for e in trees for s in _subtrees(e)}, key=str)
+    calls = data.draw(st.lists(st.tuples(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=3),
+        st.sampled_from(range(len(_SESSION_GRIDS)))), min_size=2, max_size=6))
+    alone = [_outcome(roots, _SESSION_GRIDS[g]) for roots, g in calls]
+    with session():
+        shared = [_outcome(roots, _SESSION_GRIDS[g]) for roots, g in calls]
+    assert shared == alone
+
+
+def test_a_child_that_failed_under_an_earlier_root_is_computed_again():
+    # log(t - 0.5) fails under the first root; the second root reads it
+    # from that walk without marking anything itself, and must not be kept
+    # as failure-free, or the last call would raise its overflow.
+    bad = log(T - 0.5)
+    ts = np.linspace(0.0, 1.0, 11)
+    with session() as s:
+        with pytest.raises(EvalDomainError):
+            evaluate_grid((2.0 * bad, bad + 1.0), ts)
+        with pytest.raises(EvalDomainError) as err:
+            evaluate_grid(bad + 1.0, ts)
+    assert (err.value.kind, err.value.subexpr) == ("log of non-positive value", bad)
+    assert s.counts()["expr.evaluate_grid.subtrees_reused"] == 2  # t - 0.5 and 1
+
+
+def test_sample_of_an_integral_over_chunks_is_the_same_in_a_session():
+    # The first chunk was evaluated before, alone; the integral carries
+    # its value on from that chunk, so it must be computed again.
+    e = parse("integral(cos(t)*exp(-integral(sin(3*t)))) + sin(t)")
+    ts = np.linspace(0.0, 2.0, 2001)
+    chunks = [ts[:700], ts[699:1500], ts[1500:]]
+    alone = [vals for vals, _ in expr_module._sample((e,), chunks)]
+    with session() as s:
+        evaluate_grid(e, chunks[0])
+        shared = [vals for vals, _ in expr_module._sample((e,), chunks)]
+    assert all(np.array_equal(a, b) for a, b in zip(alone, shared))
+    assert s.counts()["expr.evaluate_grid.subtrees_reused"] > 0
+
+
+def test_a_session_builds_each_derivative_once():
+    e = sin(T * T) * exp(T * T)
+    with session() as s:
+        first = differentiate(e)
+        built = s.counts()["expr.differentiate.nodes_computed"]
+        assert differentiate(e) is first
+        assert s.counts()["expr.differentiate.nodes_computed"] == built
+    assert differentiate(e) is first

@@ -43,7 +43,7 @@ from .expr import (Expr, EvalDomainError, ParseError, QuadratureError, T,
                    evaluate_grid, parse, session)
 from .projline import (CoincidentPointsError, ExtReal, INF, cross_ratio,
                        mobius_apply_array)
-from .riccati import RiccatiEquation, _csv_text, integrate_direct, time_grid
+from .riccati import RiccatiEquation, csv_texts, integrate_direct, time_grid
 from .sl2 import (OneDimensionalTarget, algebra_curve_from_riccati,
                   integrate_group_equation, reconstruct_solution)
 from .solvers import ResidualError, SolutionForm, verify_particular_solution
@@ -316,14 +316,11 @@ def cmd_solve(problem: Problem, args) -> int:
                                   problem.step) for x0 in ics]
     outdir = Path(getattr(args, "output", ".") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    # Every trajectory runs on this grid, or on a prefix when truncated.
-    times = [format(t, ".17g")
-             for t in time_grid(problem.t_interval, problem.step)[0]]
     entries = []
     truncated = False
-    for i, (x0, traj) in enumerate(zip(ics, trajs)):
+    for i, (x0, traj, text) in enumerate(zip(ics, trajs, csv_texts(trajs))):
         fname = f"trajectory_{i}.csv"
-        (outdir / fname).write_text(_csv_text(times, traj.values))
+        (outdir / fname).write_text(text)
         truncated = truncated or traj.error is not None
         entries.append({
             "initial_condition": str(x0), "file": fname,

@@ -106,7 +106,7 @@ class Expr:
 
     def diff(self) -> "Expr":
         """This node's rule of differentiation, given its children's
-        derivatives from the session that :func:`differentiate` opens."""
+        derivatives from the current session (or a fresh one)."""
         raise NotImplementedError
 
     def _fmt(self) -> str:
@@ -517,17 +517,32 @@ _BLOCK = 256
 _DIV0 = "division by zero"
 _OVERFLOW = "overflow"
 
+# Bytes of grid values (and of the times that key them) that one session
+# keeps at most, so that what it keeps does not grow with the length of
+# the interval: a long solve samples its stage times in many blocks.
+# Past it, runs still read what is kept but add nothing.  A command on
+# the bundled and benchmark problems keeps under 1 MB.
+_SESSION_BYTES = 2 << 20
+
 
 class _Session:
     """What one :func:`session` keeps: each node's derivative, and the
-    values of subtrees on each outermost grid, keyed by the grid's origin
-    and times; with counts of each computed and reused."""
+    values of subtrees on each outermost grid, keyed by its times, up to
+    ``_SESSION_BYTES`` in all; with counts of each computed and reused."""
 
     def __init__(self):
         self.derivatives: dict[Expr, Expr] = {}
-        self.grids: dict[tuple[float, bytes], dict[Expr, np.ndarray]] = {}
+        self.grids: dict[bytes, dict[Expr, np.ndarray]] = {}
+        self.kept_bytes = 0
         self.depth = 0  # grid runs in progress
         self.computed = self.reused = self.derived = self.rederived = 0
+
+    def room(self, nbytes: int) -> bool:
+        """Whether ``nbytes`` more fit, counting them in if so."""
+        if self.kept_bytes + nbytes > _SESSION_BYTES:
+            return False
+        self.kept_bytes += nbytes
+        return True
 
     def counts(self) -> dict[str, int]:
         return {"expr.evaluate_grid.subtrees_computed": self.computed,
@@ -570,13 +585,14 @@ class _Grid:
     Gauss-Kronrod nodes of its cells.  Every integral starts at
     ``origin``, the first time of the outermost grid.
 
-    A run nested in no other reads and keeps, in ``session``, the values
-    of the subtrees that are failure-free on its times: no domain check
-    of theirs marked a point, none holds an integral, whose value runs on
-    from chunk to chunk, and every child is failure-free too.  Replaying
-    one marks nothing, as computing it would, so the first failure at
-    each point stays the same.  Nested runs, on integrand and quadrature
-    grids that seldom repeat, keep nothing past their end."""
+    A run nested in no other reads and keeps, in ``session`` while it
+    has room, the values of the subtrees that are failure-free on its
+    times: no domain check of theirs marked a point, none holds an
+    integral, whose value runs on from chunk to chunk, and every child is
+    failure-free too.  Replaying one marks nothing, as computing it
+    would, so the first failure at each point stays the same.  Nested
+    runs, on integrand and quadrature grids that seldom repeat, keep
+    nothing past their end."""
 
     def __init__(self, origin: float, session: _Session):
         self.origin = origin
@@ -594,8 +610,12 @@ class _Grid:
         self._failing: set[Expr] = set()
         self._clean = True
         s = self.session
-        self._kept = (s.grids.setdefault((self.origin, ts.tobytes()), {})
-                      if s.depth == 0 else self._vals)
+        self._kept = None
+        if s.depth == 0:
+            key = ts.tobytes()
+            self._kept = s.grids.get(key)
+            if self._kept is None and s.room(len(key)):
+                self._kept = s.grids[key] = {}
         s.depth += 1
         try:
             outs = []
@@ -630,18 +650,20 @@ class _Grid:
             if e in self._failing:
                 self._clean = False
             return v
-        v = self._kept.get(e)
+        s, kept = self.session, self._kept
+        v = kept.get(e) if kept is not None else None
         if v is not None:
-            self.session.reused += 1
+            s.reused += 1
         else:
             outer, self._clean = self._clean, True
             v = self._compute(e)
-            self.session.computed += 1
+            s.computed += 1
             if not self._clean:
                 self._failing.add(e)
-            elif e is not T:  # t's values are the caller's own times
+            # t's values are the caller's own times.
+            elif kept is not None and e is not T and s.room(v.nbytes):
                 v.flags.writeable = False
-                self._kept[e] = v
+                kept[e] = v
             self._clean = self._clean and outer
         self._vals[e] = v
         return v
@@ -822,14 +844,14 @@ def evaluate_grid(e, ts, *, poles: bool = False) -> np.ndarray:
 def differentiate(e: Expr) -> Expr:
     """Exact symbolic derivative with respect to t, each node's built
     once per :func:`session`."""
-    if _SESSION.get() is None:
-        with session():
-            return _derivative(e)
     return _derivative(e)
 
 
 def _derivative(e: Expr) -> Expr:
     s = _SESSION.get()
+    if s is None:
+        with session():
+            return _derivative(e)
     d = s.derivatives.get(e)
     if d is None:
         d = s.derivatives[e] = e.diff()

@@ -21,7 +21,7 @@ from .expr import Expr, _sample, as_expr, evaluate_grid
 from .projline import ExtReal, ext, points
 
 __all__ = ["RiccatiEquation", "Trajectory", "rhs", "time_grid",
-           "integrate_direct"]
+           "integrate_direct", "csv_texts"]
 
 # |w| at or below this in the inverse chart is recorded as infinity.
 _BLOWUP_TOL = 1e-12
@@ -74,17 +74,25 @@ class Trajectory:
         return len(self.ts)
 
     def to_csv_text(self) -> str:
-        return _csv_text([format(t, ".17g") for t in self.ts], self.values)
+        return csv_texts([self])[0]
 
 
-def _csv_text(times: list[str], values: np.ndarray) -> str:
-    """CSV text ``t,x`` of a trajectory's values, each at its time of
-    ``times`` (formatted already, so that trajectories on one grid can
-    share them; extra times are ignored) and printed with 17 digits."""
-    lines = ["t,x"]
-    for t, x in zip(times, values.tolist()):
-        lines.append(f"{t},{x:.17g}")
-    return "\n".join(lines) + "\n"
+def csv_texts(trajs: list[Trajectory]) -> list[str]:
+    """The CSV text ``t,x`` of each trajectory, printed with 17 digits.
+    The times are formatted once for all the trajectories whose times
+    begin those of the longest, as the trajectories of one solve do (a
+    truncated one runs on a prefix)."""
+    longest = max(trajs, key=len).ts if trajs else []
+    shared = [format(t, ".17g") for t in longest]
+    texts = []
+    for traj in trajs:
+        times = (shared if traj.ts == longest[:len(traj)]
+                 else [format(t, ".17g") for t in traj.ts])
+        lines = ["t,x"]
+        for t, x in zip(times, traj.values.tolist()):
+            lines.append(f"{t},{x:.17g}")
+        texts.append("\n".join(lines) + "\n")
+    return texts
 
 
 def _emit(chart: str, u: float) -> float:

@@ -19,6 +19,7 @@ from riccati_sl2 import (ONE, ZERO, Add, Call, Const, Div, EvalDomainError,
                          integral, integral_from, log, parse, session, sin,
                          sqrt, substitute, tanh, transform_coefficients)
 from riccati_sl2.cli import load_problem
+from riccati_sl2.riccati import RiccatiEquation, integrate_direct
 
 
 def test_parse_variable():
@@ -556,3 +557,22 @@ def test_a_session_builds_each_derivative_once():
         assert differentiate(e) is first
         assert s.counts()["expr.differentiate.nodes_computed"] == built
     assert differentiate(e) is first
+
+
+def test_diff_rules_work_outside_a_session():
+    assert (T * T).diff() is differentiate(T * T)
+    assert Call("sin", T * T).diff() is differentiate(sin(T * T))
+
+
+def test_a_long_solve_keeps_at_most_the_session_budget():
+    # 20,000 RK4 steps are sampled in 40 blocks of stage times; keeping
+    # every block's subtrees would take several times the budget.
+    eq = RiccatiEquation.of(sin(T) * T + 1.0, cos(T) / (T + 2.0), exp(-T) * 0.1)
+    with session() as s:
+        traj = integrate_direct(eq, 0.1, (0.0, 20.0), 1e-3)
+    kept = sum(len(key) + sum(v.nbytes for v in vals.values())
+               for key, vals in s.grids.items())
+    assert kept == s.kept_bytes <= expr_module._SESSION_BYTES
+    assert len(s.grids) < 40
+    assert np.array_equal(
+        traj.values, integrate_direct(eq, 0.1, (0.0, 20.0), 1e-3).values)

@@ -15,7 +15,7 @@ from riccati_sl2 import (EvalDomainError, ExtReal, INF, QuadratureError,
                          time_grid, transform_coefficients)
 from riccati_sl2.cli import load_problem
 from riccati_sl2.criteria import holds_on_solve_grid
-from riccati_sl2.riccati import _emit
+from riccati_sl2.riccati import _emit, csv_texts
 
 
 def test_rhs_values():
@@ -117,6 +117,17 @@ def test_csv_text_matches_the_point_formatter():
     blowup = integrate_direct(RiccatiEquation.of(0, 0, 1), 1.0, (0.0, 2.0), 1e-3)
     assert blowup.xs[1000].is_inf
     assert blowup.to_csv_text() == _reference_csv_text(blowup)
+
+
+def test_csv_texts_share_times_only_along_a_prefix():
+    eq = RiccatiEquation.of(0, 0, 1)
+    full = integrate_direct(eq, 0.1, (0.0, 2.0), 1e-2)
+    cut = integrate_direct(RiccatiEquation.of(parse("sqrt(1.5 - t)"), 0, 0),
+                           0.1, (0.0, 2.0), 1e-2)
+    shifted = integrate_direct(eq, 0.1, (0.5, 1.5), 1e-2)
+    assert cut.error is not None and len(cut) < len(full)
+    trajs = [cut, full, shifted]
+    assert csv_texts(trajs) == [_reference_csv_text(t) for t in trajs]
 
 
 def _assert_points(traj):

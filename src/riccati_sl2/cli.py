@@ -510,7 +510,7 @@ def main(argv=None) -> int:
         except InputError as exc:
             print(f"error: {exc}", file=sys.stderr)
             rc = 2
-        except (EvalDomainError, QuadratureError, ArithmeticError, ValueError) as exc:
+        except (ArithmeticError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             rc = 1
     if level and level.upper() == "DEBUG":

@@ -138,7 +138,9 @@ def holds_on_solve_grid(report: CriterionReport, eq: RiccatiEquation,
     """Repeat the self-check of a satisfied report on the grid of
     :func:`solve_via_report`, which uses the curve at every step, not
     only at the detection points.  A report that fails there is marked
-    not satisfied, with the reason."""
+    not satisfied, with the reason; one not satisfied is left as it is."""
+    if not report.satisfied:
+        return False
     probe = replace(report, diagnostics={})
     try:
         _finish(probe, eq, time_grid(t_span, step)[0])

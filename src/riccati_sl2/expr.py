@@ -8,8 +8,9 @@ over the cells of a grid by :func:`evaluate_grid` with Gauss-Kronrod
 quadrature (a single point is a one-point grid).  Nodes are interned:
 equal trees are one object and ``==`` is ``is``.  Differentiation is
 exact on the whole grammar (an integral gives back its integrand).
-Within one :func:`session` each node is differentiated once, and each
-failure-free subtree without integrals is computed once per grid.
+Within one :func:`session` each node is differentiated once, and the
+subtrees of a grid run that fails nowhere and holds no integral are
+computed once per grid.
 
 The text syntax accepted by :func:`parse` is also the coefficient syntax
 of the CLI problem files: infix ``+ - * / ^`` (``**`` is accepted for
@@ -527,8 +528,9 @@ _SESSION_BYTES = 2 << 20
 
 class _Session:
     """What one :func:`session` keeps: each node's derivative, and the
-    values of subtrees on each outermost grid, keyed by its times, up to
-    ``_SESSION_BYTES`` in all; with counts of each computed and reused."""
+    subtree values of the outermost grid runs that failed nowhere and
+    held no integral, keyed by their times, up to ``_SESSION_BYTES`` in
+    all; with counts of each computed and reused."""
 
     def __init__(self):
         self.derivatives: dict[Expr, Expr] = {}
@@ -577,45 +579,38 @@ class _Grid:
 
     Failures are recorded per point, first one wins, in evaluation
     order: root by root, each tree depth first, a denominator before its
-    numerator; the values at failed points are meaningless.  ``reasons``
-    holds the errors raised, a QuadratureError charged from the failed
-    quadrature's cell on.
+    numerator; the values at failed points are meaningless.  A
+    QuadratureError is charged from the failed quadrature's cell on.
     Each integral node keeps its running value from one chunk to the
     next and owns the grid that evaluates its integrand at the
     Gauss-Kronrod nodes of its cells.  Every integral starts at
     ``origin``, the first time of the outermost grid.
 
-    A run nested in no other reads and keeps, in ``session`` while it
-    has room, the values of the subtrees that are failure-free on its
-    times: no domain check of theirs marked a point, none holds an
-    integral, whose value runs on from chunk to chunk, and every child is
-    failure-free too.  Replaying one marks nothing, as computing it
-    would, so the first failure at each point stays the same.  Nested
-    runs, on integrand and quadrature grids that seldom repeat, keep
-    nothing past their end."""
+    A run nested in no other reads the values ``session`` keeps for its
+    times.  If it marked no failure and computed no integral, whose
+    value runs on from chunk to chunk, it keeps there, room permitting,
+    every value it computed; otherwise nothing.  A kept subtree marks
+    nothing when read back, as it marked nothing when computed on the
+    same times, so the first failure at each point stays the same.
+    Nested runs, on integrand and quadrature grids that seldom repeat,
+    read and keep nothing."""
 
     def __init__(self, origin: float, session: _Session):
         self.origin = origin
         self.session = session
-        self.reasons: list[ExprError] = []
         self._carry: dict[Integral, tuple[float, float, ExprError | str | None]] = {}
         self._subs: dict[Integral, _Grid] = {}
 
     def run(self, roots, ts: np.ndarray):
-        """Values of each root at ts, and for each time the 1-based index
-        into ``reasons`` of its first failure (0 where none)."""
+        """Values of each root at ts, and a dict from the index of each
+        failed time to the first error met there."""
         self._ts = ts
-        self._fail = np.zeros(len(ts), dtype=np.intp)
+        self._failures: dict[int, ExprError] = {}
         self._vals: dict[Expr, np.ndarray] = {}
-        self._failing: set[Expr] = set()
         self._clean = True
         s = self.session
-        self._kept = None
-        if s.depth == 0:
-            key = ts.tobytes()
-            self._kept = s.grids.get(key)
-            if self._kept is None and s.room(len(key)):
-                self._kept = s.grids[key] = {}
+        key = ts.tobytes() if s.depth == 0 else None  # None when nested
+        self._kept = s.grids.get(key, {})
         s.depth += 1
         try:
             outs = []
@@ -626,46 +621,41 @@ class _Grid:
                 outs.append(v)
         finally:
             s.depth -= 1
-        fail = self._fail
+        if key is not None and self._clean:
+            # t's values are the caller's own times.
+            new = {e: v for e, v in self._vals.items()
+                   if e is not T and e not in self._kept}
+            if new and s.room(sum(v.nbytes for v in new.values())
+                              + (0 if key in s.grids else len(key))):
+                for v in new.values():
+                    v.flags.writeable = False
+                s.grids.setdefault(key, self._kept).update(new)
         self._vals = self._kept = None
-        return outs, fail
+        return outs, self._failures
 
     def _mark(self, mask, error, subexpr=None) -> None:
         """Record ``error`` at the masked points not failed already.  A
         string is the kind of an EvalDomainError in ``subexpr``, by
         default the root, where an overflow is charged."""
-        if not np.count_nonzero(mask):
+        hit = mask.nonzero()[0].tolist()
+        if not hit:
             return
         self._clean = False
-        hit = mask & (self._fail == 0)
-        if np.count_nonzero(hit):
-            if isinstance(error, str):
-                error = EvalDomainError(error, self._root if subexpr is None else subexpr)
-            self.reasons.append(error)
-            self._fail[hit] = len(self.reasons)
+        if isinstance(error, str):
+            error = EvalDomainError(error, self._root if subexpr is None else subexpr)
+        for i in hit:
+            self._failures.setdefault(i, error)
 
     def _walk(self, e: Expr) -> np.ndarray:
         v = self._vals.get(e)
-        if v is not None:
-            if e in self._failing:
-                self._clean = False
-            return v
-        s, kept = self.session, self._kept
-        v = kept.get(e) if kept is not None else None
-        if v is not None:
-            s.reused += 1
-        else:
-            outer, self._clean = self._clean, True
-            v = self._compute(e)
-            s.computed += 1
-            if not self._clean:
-                self._failing.add(e)
-            # t's values are the caller's own times.
-            elif kept is not None and e is not T and s.room(v.nbytes):
-                v.flags.writeable = False
-                kept[e] = v
-            self._clean = self._clean and outer
-        self._vals[e] = v
+        if v is None:
+            v = self._kept.get(e)
+            if v is not None:
+                self.session.reused += 1
+            else:
+                v = self._compute(e)
+                self.session.computed += 1
+            self._vals[e] = v
         return v
 
     def _compute(self, e: Expr) -> np.ndarray:
@@ -750,17 +740,13 @@ class _Grid:
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         nodes = (mid[:, None] + half[:, None] * _XK).ravel()
-        (fv,), fail = sub.run((f,), nodes)
+        (fv,), failures = sub.run((f,), nodes)
         fv = fv.reshape(-1, 15)
-        fail = fail.reshape(-1, 15)
         kronrod = half * (fv * _WK).sum(axis=1)
         gauss = half * (fv * _WG).sum(axis=1)
-        bad = np.flatnonzero(fail.any(axis=1))
-        n_ok = bad[0] if bad.size else len(a)
-        reason = None
-        if bad.size:
-            row = fail[n_ok]
-            reason = sub.reasons[row[np.flatnonzero(row)[0]] - 1]
+        first = min(failures, default=None)
+        n_ok = len(a) if first is None else first // 15
+        reason = failures.get(first)
         kronrod = kronrod[:n_ok]
         err = np.abs(kronrod - gauss[:n_ok])
         for i in np.flatnonzero(err > np.maximum(_CELL_TOL, _CELL_TOL * np.abs(kronrod))):
@@ -801,10 +787,8 @@ def _sample(roots, chunks):
         if grid is None:
             grid = _Grid(float(ts[0]), _SESSION.get() or _Session())
         with np.errstate(all="ignore"):
-            outs, fail = grid.run(roots, ts)
-        bad = fail.nonzero()[0]
-        yield np.array(outs), {i: grid.reasons[k - 1] for i, k in
-                               zip(bad.tolist(), fail[bad].tolist())}
+            outs, failures = grid.run(roots, ts)
+        yield np.array(outs), failures
 
 
 def evaluate_grid(e, ts, *, poles: bool = False) -> np.ndarray:
@@ -823,8 +807,8 @@ def evaluate_grid(e, ts, *, poles: bool = False) -> np.ndarray:
     :class:`QuadratureError`.  With ``poles``, a time whose first
     failure is an exact-zero denominator instead comes back as inf.
 
-    Within a :func:`session`, subtrees computed failure-free on the same
-    times before are read back, with the same values and failures.
+    Within a :func:`session`, subtrees computed before on the same times,
+    by a run that failed nowhere and held no integral, are read back.
     """
     roots = (e,) if isinstance(e, Expr) else tuple(e)
     ts = np.asarray(ts, dtype=float)
@@ -834,7 +818,7 @@ def evaluate_grid(e, ts, *, poles: bool = False) -> np.ndarray:
         out = np.empty((len(roots), 0))
     else:
         out, failures = next(_sample(roots, (ts,)))
-        for i, err in failures.items():
+        for i, err in sorted(failures.items()):
             if not (poles and getattr(err, "kind", None) == _DIV0):
                 raise err
             out[:, i] = math.inf

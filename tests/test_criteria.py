@@ -244,6 +244,15 @@ def test_rdm05_no_real_solution():
     assert "no real constant solution" in rep.diagnostics["reason"]
 
 
+def test_holds_on_solve_grid_leaves_an_unsatisfied_report_as_it_is():
+    eq = RiccatiEquation.of(1, T, -1)
+    rep = check_rdm05(eq, GRID)
+    before = dict(rep.diagnostics)
+    assert "no real constant solution" in before["reason"]
+    assert holds_on_solve_grid(rep, eq, (0.0, 1.0), 0.01) is False
+    assert not rep.satisfied and rep.diagnostics == before
+
+
 def test_rdm05_zero_solution_is_bernoulli():
     # Only constant solution is 0 (the nonzero root -b1/b2 drifts with t).
     rep = check_rdm05(RiccatiEquation.of(0, 1, 1.0 + T), GRID)

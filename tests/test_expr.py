@@ -17,7 +17,7 @@ from riccati_sl2 import (ONE, ZERO, Add, Call, Const, Div, EvalDomainError,
                          SolutionForm, Sub, T, Var, arctan, as_expr, classify,
                          cos, differentiate, evaluate, evaluate_grid, exp,
                          integral, integral_from, log, parse, session, sin,
-                         sqrt, substitute, tanh, transform_coefficients)
+                         sqrt, substitute, tan, tanh, transform_coefficients)
 from riccati_sl2.cli import load_problem
 from riccati_sl2.riccati import RiccatiEquation, integrate_direct
 
@@ -78,6 +78,13 @@ def test_function_builders_match_the_table(name):
     assert build.__name__ == name
     assert build(T) is Call(name, T)
     assert build(1) is Call(name, ONE)
+
+
+def test_tan_matches_math_and_differentiates_to_sec_squared():
+    ts = np.linspace(-1.5, 1.5, 31)
+    assert evaluate_grid(tan(T), ts).tolist() == pytest.approx(
+        [math.tan(t) for t in ts], rel=1e-14)
+    assert differentiate(tan(T)) is parse("1/cos(t)^2")
 
 
 # Interning.
@@ -523,7 +530,8 @@ def test_a_session_changes_no_value_and_no_first_failure(trees, data):
 def test_a_child_that_failed_under_an_earlier_root_is_computed_again():
     # log(t - 0.5) fails under the first root; the second root reads it
     # from that walk without marking anything itself, and must not be kept
-    # as failure-free, or the last call would raise its overflow.
+    # as failure-free, or the last call would raise its overflow.  A run
+    # that marked a failure keeps nothing at all.
     bad = log(T - 0.5)
     ts = np.linspace(0.0, 1.0, 11)
     with session() as s:
@@ -532,18 +540,34 @@ def test_a_child_that_failed_under_an_earlier_root_is_computed_again():
         with pytest.raises(EvalDomainError) as err:
             evaluate_grid(bad + 1.0, ts)
     assert (err.value.kind, err.value.subexpr) == ("log of non-positive value", bad)
-    assert s.counts()["expr.evaluate_grid.subtrees_reused"] == 2  # t - 0.5 and 1
+    assert s.counts()["expr.evaluate_grid.subtrees_reused"] == 0
+
+
+def test_a_run_keeps_its_values_only_when_it_is_clean():
+    ts = np.linspace(0.0, 1.0, 11)
+    with session() as s:
+        # An integral anywhere in the run, or a failure anywhere in it,
+        # and the run keeps nothing, not even its clean subtrees.
+        evaluate_grid((sin(T), integral(T)), ts)
+        assert s.grids == {}
+        with pytest.raises(EvalDomainError):
+            evaluate_grid((2.0 * T, log(T - 0.5)), ts)
+        assert s.grids == {}
+        e = sin(T) * T + 1.0
+        evaluate_grid(e, ts)
+    assert set(s.grids[ts.tobytes()]) == {sin(T), sin(T) * T, ONE, e}
 
 
 def test_sample_of_an_integral_over_chunks_is_the_same_in_a_session():
-    # The first chunk was evaluated before, alone; the integral carries
-    # its value on from that chunk, so it must be computed again.
+    # sin(t) was evaluated before on the first chunk, alone, and is read
+    # back there; the integral carries its value on from chunk to chunk,
+    # so it is computed again.
     e = parse("integral(cos(t)*exp(-integral(sin(3*t)))) + sin(t)")
     ts = np.linspace(0.0, 2.0, 2001)
     chunks = [ts[:700], ts[699:1500], ts[1500:]]
     alone = [vals for vals, _ in expr_module._sample((e,), chunks)]
     with session() as s:
-        evaluate_grid(e, chunks[0])
+        evaluate_grid(sin(T), chunks[0])
         shared = [vals for vals, _ in expr_module._sample((e,), chunks)]
     assert all(np.array_equal(a, b) for a, b in zip(alone, shared))
     assert s.counts()["expr.evaluate_grid.subtrees_reused"] > 0

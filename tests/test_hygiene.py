@@ -1,15 +1,18 @@
 """Static hygiene of the package sources, checked with the standard
 library's ``ast``: no unused imports, no module-level private name that
 nothing refers to, no exported name that nothing reads, and no function
-parameter that is never read."""
+parameter that is never read; and the package exports each module's
+public names."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "riccati_sl2"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULE_NAMES = {p.stem for p in MODULES}
 # The code outside src/ that reads the package's names.
 READERS = sorted(p for directory in ("tests", "perfbench", "tools")
                  for p in (PACKAGE.parent.parent / directory).glob("*.py"))
@@ -116,11 +119,28 @@ def test_every_parameter_is_read(path):
     assert not unread, f"{path.name} has parameters it never reads: {unread}"
 
 
-def _loaded(node) -> set[str]:
-    """Names and attribute names read in ``node``; importing a name is
-    not reading it."""
+def _package_aliases(tree) -> set[str]:
+    """Names that ``import riccati_sl2[.module] [as name]`` statements in
+    ``tree`` bind to the package or to one of its modules."""
+    return {alias.asname or PACKAGE.name for sub in ast.walk(tree)
+            if isinstance(sub, ast.Import) for alias in sub.names
+            if alias.name.split(".")[0] == PACKAGE.name}
+
+
+def _is_package(node, aliases: set[str]) -> bool:
+    """Whether ``node`` names the package or one of its modules."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in MODULE_NAMES and _is_package(node.value, aliases)
+    return isinstance(node, ast.Name) and node.id in aliases
+
+
+def _loaded(node, aliases: set[str]) -> set[str]:
+    """Names read in ``node``, and attributes read from the package or
+    one of its modules under the names in ``aliases``; importing a name
+    is not reading it."""
     return _read_names(node, attributes=False) | {
-        sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+        sub.attr for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and _is_package(sub.value, aliases)}
 
 
 def test_every_exported_name_is_read():
@@ -130,16 +150,33 @@ def test_every_exported_name_is_read():
     exported = []
     references: dict[str, set[str]] = {}
     for path in MODULES:
-        for stmt in _tree(path).body:
+        tree = _tree(path)
+        aliases = _package_aliases(tree)
+        for stmt in tree.body:
             name = _defined_name(stmt)
             if name == "__all__":
                 exported += [(path.name, elt.value) for elt in stmt.value.elts]
-            for used in _loaded(stmt):
+            for used in _loaded(stmt, aliases):
                 references.setdefault(used, set()).add(f"{path.name}:{name}")
     for path in READERS:
-        for used in _loaded(_tree(path)):
+        tree = _tree(path)
+        for used in _loaded(tree, _package_aliases(tree)):
             references.setdefault(used, set()).add(path.name)
     unread = sorted(
         f"{module}: {name}" for module, name in exported
         if not references.get(name, set()) - {f"{module}:{name}"})
     assert not unread, f"exported names nothing reads: {unread}"
+
+
+def test_the_package_exports_each_module_name():
+    """Each name in a module's ``__all__`` is the same object at package
+    level, and the package ``__all__`` lists them once; the command line
+    and ``python -m`` entry aside."""
+    package = importlib.import_module(PACKAGE.name)
+    names = []
+    for stem in sorted(MODULE_NAMES - {"cli", "__main__"}):
+        module = importlib.import_module(f"{PACKAGE.name}.{stem}")
+        names += module.__all__
+        for name in module.__all__:
+            assert getattr(package, name) is getattr(module, name), f"{stem}.{name}"
+    assert sorted(package.__all__) == sorted(names)

@@ -44,8 +44,8 @@ from .expr import (Expr, EvalDomainError, ParseError, QuadratureError, T,
 from .projline import (CoincidentPointsError, ExtReal, INF, cross_ratio,
                        mobius_apply_array)
 from .riccati import RiccatiEquation, csv_texts, integrate_direct, time_grid
-from .sl2 import (OneDimensionalTarget, algebra_curve_from_riccati,
-                  integrate_group_equation, reconstruct_solution)
+from .sl2 import (OneDimensionalTarget, integrate_group_equation,
+                  reconstruct_solution)
 from .solvers import ResidualError, SolutionForm, verify_particular_solution
 from .transform import (CurveSL2, gauge_transform_algebra, theta_apply,
                         transform_coefficients)
@@ -222,9 +222,8 @@ def _target_json(target):
         return {"kind": "one_dimensional",
                 "c": [target.c0, target.c1, target.c2],
                 "rate": str(target.rate)}
-    eq = target.equation
     return {"kind": "affine_solvable",
-            "b0": str(eq.b0), "b1": str(eq.b1), "b2": str(eq.b2)}
+            "b0": str(target.b0), "b1": str(target.b1), "b2": str(target.b2)}
 
 
 def _report_json(report):
@@ -415,15 +414,13 @@ def cmd_verify(problem: Problem, args) -> int:
     if not pairs:
         c = CurveSL2.translation(T)
         pairs = [("translation", c, transform_coefficients(eq, c))]
-    a = algebra_curve_from_riccati(eq)
-    for name, c, transformed in pairs:
-        g1 = gauge_transform_algebra(a, c)
-        g2 = algebra_curve_from_riccati(transformed)
+    for name, c, tr in pairs:
+        g = gauge_transform_algebra(eq, c)
         check(f"gauge_consistency[{name}]", 1e-9, lambda: max_pair_deviation(
-            ((g1.b0, g2.b0), (g1.b1, g2.b1), (g1.b2, g2.b2)), grid))
+            ((g.b0, tr.b0), (g.b1, tr.b1), (g.b2, tr.b2)), grid))
 
     # Group-equation reconstruction against the direct oracle.
-    group = functools.cache(lambda: integrate_group_equation(a, span, step))
+    group = functools.cache(lambda: integrate_group_equation(eq, span, step))
     for i, xi in enumerate(ics):
         check(f"reconstruction[{i}]", 1e-6, lambda xi=xi: _points_dev(
             reconstruct_solution(group(), xi).values, _complete(direct[xi]).values))
@@ -496,11 +493,9 @@ _COMMANDS = {"solve": cmd_solve, "classify": cmd_classify, "verify": cmd_verify}
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    level = os.environ.get("RICCATI_LOG")
-    if level:
-        logging.basicConfig(
-            stream=sys.stderr,
-            level=getattr(logging, level.upper(), logging.DEBUG))
+    debug = os.environ.get("RICCATI_LOG", "").lower() == "debug"
+    if debug:
+        logging.basicConfig(stream=sys.stderr, level=logging.DEBUG)
     # One session per command: detectors and checks share derivatives
     # and grid values.
     with session() as shared:
@@ -513,7 +508,7 @@ def main(argv=None) -> int:
         except (ArithmeticError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             rc = 1
-    if level and level.upper() == "DEBUG":
+    if debug:
         print(json.dumps(shared.counts()), file=sys.stderr)
     return rc
 

@@ -34,8 +34,7 @@ from .expr import (Expr, ONE, ZERO, Const, Div, EvalDomainError, ParseError,
                    evaluate_grid, exp, integral_from, parse, sqrt)
 from .projline import ext, mobius_apply_array
 from .riccati import RiccatiEquation, Trajectory, time_grid
-from .sl2 import (AffineSolvableTarget, OneDimensionalTarget,
-                  solve_one_dimensional_target)
+from .sl2 import OneDimensionalTarget, solve_one_dimensional_target
 from .solvers import (PreconditionError, sample_forms, solve_bernoulli,
                       solve_linear)
 from .transform import CurveSL2, inverse, transform_coefficients
@@ -72,7 +71,7 @@ class CriterionReport:
     constants: dict[str, float] = field(default_factory=dict)
     functions: dict[str, Expr] = field(default_factory=dict)
     curve: CurveSL2 | None = None
-    target: OneDimensionalTarget | AffineSolvableTarget | None = None
+    target: OneDimensionalTarget | RiccatiEquation | None = None
     diagnostics: dict = field(default_factory=dict)
     alternates: list = field(default_factory=list)
     transformed: RiccatiEquation | None = None
@@ -127,7 +126,7 @@ def curve_residual(report: CriterionReport, grid) -> float:
     """Worst relative deviation on the grid between the report's
     transformed equation and its target."""
     target = report.target
-    teq = target.equation() if isinstance(target, OneDimensionalTarget) else target.equation
+    teq = target.equation() if isinstance(target, OneDimensionalTarget) else target
     tr = report.transformed
     return max_pair_deviation(
         ((tr.b0, teq.b0), (tr.b1, teq.b1), (tr.b2, teq.b2)), grid)
@@ -450,7 +449,7 @@ def check_rdm05(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criterio
     target_eq = RiccatiEquation(b1 * Const(1.0 / k) - b0,
                                 b1 - Const(2.0 * k) * b0, ZERO)
     return _fitted(name, eq, grid, tol, worst, "r", constants={"k": k, "r": r},
-                   curve=curve, target=AffineSolvableTarget(target_eq))
+                   curve=curve, target=target_eq)
 
 
 def check_zh99_basic(eq: RiccatiEquation, grid, hint: dict | None = None,
@@ -730,7 +729,7 @@ def solve_via_report(report: CriterionReport, x0s, t_span,
     time, so the error is the first failing point's first."""
     if not report.satisfied or report.curve is None or report.target is None:
         raise ValueError("report is not a satisfied reduction")
-    ts, h = time_grid(t_span, step)
+    ts = time_grid(t_span, step)[0]
     if len(x0s) == 0:
         return []
     curve, target = report.curve, report.target
@@ -743,9 +742,9 @@ def solve_via_report(report: CriterionReport, x0s, t_span,
         else:
             def form(y0):
                 try:
-                    return solve_linear(target.equation, y0, ts)
+                    return solve_linear(target, y0, ts)
                 except PreconditionError:
-                    return solve_bernoulli(target.equation, y0, ts)
+                    return solve_bernoulli(target, y0, ts)
 
             ys = np.array(list(sample_forms([form(y0) for y0 in y0s], ts)))
         back = evaluate_grid(inverse(curve).entries(), ts)
@@ -754,4 +753,4 @@ def solve_via_report(report: CriterionReport, x0s, t_span,
         if len(x0s) < 2:
             raise
         return [solve_via_report(report, [x0], t_span, step)[0] for x0 in x0s]
-    return [Trajectory(list(ts), x, step=h) for x in xs]
+    return [Trajectory(list(ts), x) for x in xs]

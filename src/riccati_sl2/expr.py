@@ -564,7 +564,8 @@ def session():
     whose ``counts()`` says how much was computed and reused.
 
     A call of :func:`differentiate`, :func:`evaluate_grid` or
-    :func:`evaluate` outside a session runs in a fresh one of its own."""
+    :func:`evaluate` outside a session runs in a fresh one of its own,
+    which the quadratures nested in it share."""
     token = _SESSION.set(_Session())
     try:
         yield _SESSION.get()
@@ -786,8 +787,14 @@ def _sample(roots, chunks):
     for ts in chunks:
         if grid is None:
             grid = _Grid(float(ts[0]), _SESSION.get() or _Session())
-        with np.errstate(all="ignore"):
-            outs, failures = grid.run(roots, ts)
+        # Nested quadratures join the grid's session, unset again before the yield.
+        token = None if _SESSION.get() else _SESSION.set(grid.session)
+        try:
+            with np.errstate(all="ignore"):
+                outs, failures = grid.run(roots, ts)
+        finally:
+            if token is not None:
+                _SESSION.reset(token)
         yield np.array(outs), failures
 
 

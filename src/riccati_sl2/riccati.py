@@ -62,7 +62,6 @@ class Trajectory:
 
     ts: list[float]
     values: np.ndarray
-    step: float
     chart_switches: list[tuple[float, str, str]] = field(default_factory=list)
     error: str | None = None
 
@@ -182,4 +181,4 @@ def integrate_direct(eq: RiccatiEquation, x0, t_span, step: float = 1e-3) -> Tra
         if error is not None or failure is not None:
             error = error or str(failure)
             break
-    return Trajectory(ts, np.array(xs), step=h, chart_switches=switches, error=error)
+    return Trajectory(ts, np.array(xs), chart_switches=switches, error=error)

@@ -1,13 +1,14 @@
 """Lie-algebra/Lie-group layer for Riccati equations.
 
-A Riccati coefficient triple is read as the traceless-matrix curve
+A :class:`RiccatiEquation` is its own algebra curve, the traceless-matrix curve
 
     a(t) = b0(t)*M0 + b1(t)*M1 + b2(t)*M2 = [[b1/2, b0], [-b2, -b1/2]],
 
 and the matrix initial-value problem dA/dt = a(t) A, A(t_a) = I is
 integrated on SL(2,R).  Applying the homography of A(t) to the initial
 point then reproduces the Riccati solution, which is the basis of every
-reduction in this package.
+reduction in this package.  An affine (linear or Bernoulli) target is
+a Riccati equation too; a one-dimensional one, :class:`OneDimensionalTarget`.
 
 Sign convention: the curve enters with a plus sign, a(t) = +sum of
 b_alpha*M_alpha.  With the basis above and the Möbius action used here,
@@ -30,9 +31,7 @@ from .projline import Mat2, ext, mobius_apply_array
 from .riccati import RiccatiEquation, Trajectory, _stage_samples, time_grid
 
 __all__ = [
-    "AlgebraCurve", "GroupTrajectory", "OneDimensionalTarget",
-    "AffineSolvableTarget",
-    "algebra_curve_from_riccati", "integrate_group_equation",
+    "GroupTrajectory", "OneDimensionalTarget", "integrate_group_equation",
     "reconstruct_solution", "solve_one_dimensional_target",
     "expm_traceless", "algebra_matrix",
 ]
@@ -44,19 +43,6 @@ def algebra_matrix(b0, b1, b2) -> Mat2:
     return Mat2(0.5 * b1, b0, -b2, -0.5 * b1)
 
 
-@dataclass(frozen=True)
-class AlgebraCurve:
-    """Curve b0(t)*M0 + b1(t)*M1 + b2(t)*M2 of traceless 2x2 matrices."""
-
-    b0: Expr
-    b1: Expr
-    b2: Expr
-
-    def matrix_at(self, t: float) -> Mat2:
-        return algebra_matrix(
-            *evaluate_grid((self.b0, self.b1, self.b2), [t])[:, 0].tolist())
-
-
 @dataclass(eq=False, frozen=True)
 class GroupTrajectory:
     """Sampled curve in SL(2,R) starting at the identity, compared by
@@ -65,7 +51,6 @@ class GroupTrajectory:
 
     ts: list[float]
     values: np.ndarray
-    step: float
 
     @cached_property
     def mats(self) -> list[Mat2]:
@@ -106,19 +91,6 @@ class OneDimensionalTarget:
         return RiccatiEquation(r * self.c0, r * self.c1, r * self.c2)
 
 
-@dataclass(frozen=True)
-class AffineSolvableTarget:
-    """Two-dimensional solvable (affine) target: a Riccati equation with
-    b2 identically zero (linear) or b0 identically zero (Bernoulli)."""
-
-    equation: RiccatiEquation
-
-
-def algebra_curve_from_riccati(eq: RiccatiEquation) -> AlgebraCurve:
-    """The coefficient triple carried over verbatim into the matrix basis."""
-    return AlgebraCurve(eq.b0, eq.b1, eq.b2)
-
-
 def _amul(b0: float, b1: float, b2: float, A: tuple) -> tuple:
     """a A for a = [[b1/2, b0], [-b2, -b1/2]] and A a row-major 4-tuple."""
     m = 0.5 * b1
@@ -130,8 +102,9 @@ def _axpy(A: tuple, s: float, K: tuple) -> tuple:
     return (A[0] + s * K[0], A[1] + s * K[1], A[2] + s * K[2], A[3] + s * K[3])
 
 
-def integrate_group_equation(a: AlgebraCurve, t_span, step: float = 1e-3) -> GroupTrajectory:
-    """Solve dA/dt = a(t) A, A(t_a) = I, by RK4 on the four entries.
+def integrate_group_equation(eq: RiccatiEquation, t_span, step: float = 1e-3) -> GroupTrajectory:
+    """Solve dA/dt = a(t) A, A(t_a) = I, for the equation's algebra curve
+    a(t) by RK4 on the four entries.
 
     After each step A is rescaled by 1/sqrt(det A); the RK4 update
     drifts from unit determinant only at truncation order, so the square
@@ -141,7 +114,7 @@ def integrate_group_equation(a: AlgebraCurve, t_span, step: float = 1e-3) -> Gro
     grid, h = time_grid(t_span, step)
     A = (1.0, 0.0, 0.0, 1.0)
     rows = [A]
-    for b0, b1, b2, steps, failure in _stage_samples((a.b0, a.b1, a.b2), grid, h):
+    for b0, b1, b2, steps, failure in _stage_samples((eq.b0, eq.b1, eq.b2), grid, h):
         for i in range(0, 2 * steps, 2):
             k1 = _amul(b0[i], b1[i], b2[i], A)
             k2 = _amul(b0[i + 1], b1[i + 1], b2[i + 1], _axpy(A, 0.5 * h, k1))
@@ -159,15 +132,14 @@ def integrate_group_equation(a: AlgebraCurve, t_span, step: float = 1e-3) -> Gro
             rows.append(A)
         if failure is not None:
             raise failure
-    return GroupTrajectory(grid, np.array(rows).T, step=h)
+    return GroupTrajectory(grid, np.array(rows).T)
 
 
 def reconstruct_solution(G: GroupTrajectory, x0) -> Trajectory:
     """Pointwise Möbius application of the group trajectory to x0."""
     if len(G) == 0:
         raise ValueError("empty group trajectory")
-    return Trajectory(list(G.ts), mobius_apply_array(*G.values, ext(x0)),
-                      step=G.step)
+    return Trajectory(list(G.ts), mobius_apply_array(*G.values, ext(x0)))
 
 
 def expm_traceless(N: Mat2, tau: float = 1.0) -> Mat2:
@@ -202,9 +174,9 @@ def solve_one_dimensional_target(target: OneDimensionalTarget, t_span,
     integral of the rate (numeric quadrature, anchored at t_a)."""
     if not isinstance(target, OneDimensionalTarget):
         raise TypeError("expected a one-dimensional target")
-    ts, h = time_grid(t_span, step)
+    ts = time_grid(t_span, step)[0]
     N = target.direction()
     tau = evaluate_grid(Integral(target.rate), ts)
     mats = (expm_traceless(N, v) for v in (tau - tau[0]).tolist())
     return GroupTrajectory(
-        ts, np.array([(A.a11, A.a12, A.a21, A.a22) for A in mats]).T, step=h)
+        ts, np.array([(A.a11, A.a12, A.a21, A.a22) for A in mats]).T)

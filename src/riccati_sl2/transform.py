@@ -31,7 +31,7 @@ from .expr import (Expr, ZERO, ONE, Const, EvalDomainError, as_expr,
                    differentiate, evaluate_grid, sqrt)
 from .projline import ExtReal, Mat2, mobius_apply, ext
 from .riccati import RiccatiEquation
-from .sl2 import AlgebraCurve, algebra_matrix
+from .sl2 import algebra_matrix
 
 __all__ = [
     "CurveSL2", "theta_apply", "transform_coefficients",
@@ -117,16 +117,16 @@ def transform_coefficients(eq: RiccatiEquation, c: CurveSL2) -> RiccatiEquation:
     return RiccatiEquation(nb0, nb1, nb2)
 
 
-def gauge_transform_algebra(a: AlgebraCurve, c: CurveSL2) -> AlgebraCurve:
-    """Gauge transformation a' = A a A^-1 + dA/dt A^-1 of an algebra
-    curve, expanded symbolically in the M-basis."""
+def gauge_transform_algebra(eq: RiccatiEquation, c: CurveSL2) -> RiccatiEquation:
+    """Gauge transformation a' = A a A^-1 + dA/dt A^-1 of the equation's
+    algebra curve a, expanded symbolically in the M-basis."""
     A, A_inv = c.matrix(), inverse(c).matrix()
     dA = Mat2(*(differentiate(e) for e in c.entries()))
-    p = A @ algebra_matrix(a.b0, a.b1, a.b2) @ A_inv + dA @ A_inv
+    p = A @ algebra_matrix(eq.b0, eq.b1, eq.b2) @ A_inv + dA @ A_inv
     # Read coefficients back off the basis: b0' = p12, b2' = -p21,
     # b1'/2 = p11 = -p22 (tracelessness holds up to det == 1, so the
     # difference is used for robustness).
-    return AlgebraCurve(p.a12, p.a11 - p.a22, -p.a21)
+    return RiccatiEquation(p.a12, p.a11 - p.a22, -p.a21)
 
 
 def compose(c2: CurveSL2, c1: CurveSL2) -> CurveSL2:

@@ -11,8 +11,7 @@ from conftest import grid, max_traj_dev, random_curve, random_equation, random_p
 
 from riccati_sl2 import (Const, CurveSL2, ExtReal, Mat2, ONE,
                          OneDimensionalTarget, RiccatiEquation, T, ZERO,
-                         algebra_curve_from_riccati, compose, cross_ratio,
-                         differentiate, evaluate, exp,
+                         compose, cross_ratio, differentiate, evaluate, exp,
                          gauge_transform_algebra, integrate_direct,
                          integrate_group_equation, inverse, mobius_apply,
                          normalize_negative_determinant, parse,
@@ -50,8 +49,7 @@ def test_acceptance_01_group_pipeline():
     for _ in range(20):
         eq = random_equation(rng)
         x0 = rng.uniform(-0.8, 0.8)
-        G = integrate_group_equation(algebra_curve_from_riccati(eq),
-                                     (0.0, 1.0), 1e-3)
+        G = integrate_group_equation(eq, (0.0, 1.0), 1e-3)
         worst_det = max(worst_det, max(abs(m.det() - 1.0) for m in G.mats))
         rec = reconstruct_solution(G, x0)
         direct = integrate_direct(eq, x0, (0.0, 1.0), 1e-3)
@@ -106,8 +104,8 @@ def test_acceptance_04_gauge_consistency():
     for _ in range(20):
         eq = random_equation(rng)
         c = random_curve(rng, 1, 3)
-        g1 = gauge_transform_algebra(algebra_curve_from_riccati(eq), c)
-        g2 = algebra_curve_from_riccati(transform_coefficients(eq, c))
+        g1 = gauge_transform_algebra(eq, c)
+        g2 = transform_coefficients(eq, c)
         for t in GRID:
             for lhs, rhs_ in ((g1.b0, g2.b0), (g1.b1, g2.b1), (g1.b2, g2.b2)):
                 lv, rv = evaluate(lhs, t), evaluate(rhs_, t)
@@ -329,7 +327,7 @@ def test_acceptance_07_detectors():
         # The reported curve must reproduce the reported target through
         # the coefficient law (recomputed here, not read from diagnostics).
         teq = (rep.target.equation() if isinstance(rep.target, OneDimensionalTarget)
-               else rep.target.equation)
+               else rep.target)
         worst_curve = max(worst_curve, _coefficient_dev(
             transform_coefficients(eq, rep.curve), teq, GRID[::5]))
         # Pulled-back solution against the oracle.
@@ -381,7 +379,7 @@ def test_acceptance_09_convergence_order():
         errs.append(abs(traj.xs[-1].value - math.tanh(2.0)))
     ratio_direct = errs[0] / errs[1]
     # Group integrator against the rotation closed form.
-    a = algebra_curve_from_riccati(RiccatiEquation.of(1, 0, 1))
+    a = RiccatiEquation.of(1, 0, 1)
     errs_g = []
     for h in (2e-2, 1e-2):
         G = integrate_group_equation(a, (0.0, 2.0), h)

@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -426,6 +427,17 @@ def test_package_imports_without_scipy():
          "import sys, riccati_sl2; print('scipy' in sys.modules)"],
         capture_output=True, check=True, text=True)
     assert proc.stdout == "False\n"
+
+
+def test_a_log_setting_other_than_debug_is_ignored():
+    argv = [sys.executable, "-m", "riccati_sl2", "classify",
+            str(PROBLEMS / "autonomous.json")]
+    env = {k: v for k, v in os.environ.items() if k != "RICCATI_LOG"}
+    plain = subprocess.run(argv, capture_output=True, check=True, env=env)
+    other = subprocess.run(argv, capture_output=True, check=True,
+                           env={**env, "RICCATI_LOG": "basic_format"})
+    assert other.stdout == plain.stdout
+    assert other.stderr == b""
 
 
 def test_console_entrypoint_runs():

@@ -8,8 +8,8 @@ import pytest
 from conftest import (PROBLEMS, bundled_problems, grid, max_traj_dev,
                       scalar_evaluator)
 
-from riccati_sl2 import (AffineSolvableTarget, Const, CurveSL2, EvalDomainError,
-                         ONE, OneDimensionalTarget, RiccatiEquation, T, ZERO,
+from riccati_sl2 import (Const, CurveSL2, EvalDomainError, ONE,
+                         OneDimensionalTarget, RiccatiEquation, T, ZERO,
                          differentiate, evaluate, exp, integral_from,
                          integrate_direct, inverse, log, parse, sqrt,
                          transform_coefficients)
@@ -220,7 +220,7 @@ def test_rdm05_planted():
     assert rep.satisfied
     assert rep.constants["k"] == pytest.approx(2.0, abs=1e-12)
     assert rep.constants["r"] == pytest.approx(-0.5, abs=1e-12)
-    teq = rep.target.equation
+    teq = rep.target
     for t in GRID[::20]:
         assert evaluate(teq.b0, t) == pytest.approx(t / 2.0 - 1.0)
         assert evaluate(teq.b1, t) == pytest.approx(t - 4.0)
@@ -708,7 +708,7 @@ def test_batched_solve_equals_one_point_calls():
                 alone, = solve_via_report(r, [x0], span, step)
                 assert _bits(traj) == _bits(alone), (r.name, x0)
             targets.add(type(r.target))
-    assert targets == {OneDimensionalTarget, AffineSolvableTarget}
+    assert targets == {OneDimensionalTarget, RiccatiEquation}
 
 
 def test_batched_solve_raises_the_first_failing_points_error():
@@ -718,7 +718,7 @@ def test_batched_solve_raises_the_first_failing_points_error():
     # decides.
     report = CriterionReport(
         "test", True, curve=CurveSL2(exp(-T), ZERO, ZERO, exp(T)),
-        target=AffineSolvableTarget(RiccatiEquation.of(0, 0, 0)))
+        target=RiccatiEquation.of(0, 0, 0))
     overflow = "use ExtReal\\(\\) / INF for the point at infinity"
     for x0s, message in (([1e308, "nan"], overflow),
                          ([0.5, 1e308, "nan"], overflow),
@@ -730,7 +730,7 @@ def test_batched_solve_raises_the_first_failing_points_error():
     # before that step.
     report = CriterionReport(
         "test", True, curve=CurveSL2(ONE, log(0.6 - T), ZERO, ONE),
-        target=AffineSolvableTarget(RiccatiEquation.of(0, 0, 0)))
+        target=RiccatiEquation.of(0, 0, 0))
     for x0s in ([0.5], [0.5, 2.0], [0.5, "nan", 1.0]):
         with pytest.raises(EvalDomainError, match="log of non-positive value "
                            "in 'log\\(0.59999999999999998 - t\\)'"):
@@ -738,7 +738,7 @@ def test_batched_solve_raises_the_first_failing_points_error():
 
 
 @pytest.mark.parametrize("target", [
-    AffineSolvableTarget(RiccatiEquation.of(0, 0, 0)),
+    RiccatiEquation.of(0, 0, 0),
     OneDimensionalTarget(1.0, 0.0, 1.0, ONE)], ids=["affine", "one-dimensional"])
 def test_solve_without_initial_points_gives_no_trajectories(target):
     report = CriterionReport(

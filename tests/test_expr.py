@@ -573,6 +573,26 @@ def test_sample_of_an_integral_over_chunks_is_the_same_in_a_session():
     assert s.counts()["expr.evaluate_grid.subtrees_reused"] > 0
 
 
+def test_a_library_call_runs_in_one_session(monkeypatch):
+    # Outside a session, the quadratures under the integrals (from 0 to
+    # the first time, and the cells' fallbacks) join the call's session.
+    e = parse("integral(cos(t)*exp(-integral(sin(3*t))))")
+    ts = np.linspace(0.5, 2.0, 201)
+    with session():
+        want = evaluate_grid(e, ts)
+    made = []
+    init = expr_module._Session.__init__
+    monkeypatch.setattr(expr_module._Session, "__init__",
+                        lambda self: made.append(self) or init(self))
+    got = evaluate_grid(e, ts)
+    assert len(made) == 1
+    assert got.tobytes() == want.tobytes()
+    # A sample left suspended does not leave its session set.
+    chunks = expr_module._sample((e,), (ts,))
+    next(chunks)
+    assert expr_module._SESSION.get() is None
+
+
 def test_a_session_builds_each_derivative_once():
     e = sin(T * T) * exp(T * T)
     with session() as s:

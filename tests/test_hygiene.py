@@ -1,8 +1,8 @@
 """Static hygiene of the package sources, checked with the standard
 library's ``ast``: no unused imports, no module-level private name that
-nothing refers to, no exported name that nothing reads, and no function
-parameter that is never read; and the package exports each module's
-public names."""
+nothing refers to, no exported name that nothing reads, no function
+parameter that is never read, and no two dataclasses that declare the
+same fields; and the package exports each module's public names."""
 
 import ast
 import importlib
@@ -166,6 +166,31 @@ def test_every_exported_name_is_read():
         f"{module}: {name}" for module, name in exported
         if not references.get(name, set()) - {f"{module}:{name}"})
     assert not unread, f"exported names nothing reads: {unread}"
+
+
+def _decorator_name(node) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_no_two_dataclasses_declare_the_same_fields():
+    """Two dataclasses whose own fields have the same names and
+    annotations are one type written twice.  Classes with no fields of
+    their own, which take them from a base, are left out."""
+    first: dict[frozenset, str] = {}
+    same = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not (isinstance(node, ast.ClassDef) and any(
+                    _decorator_name(d) == "dataclass" for d in node.decorator_list)):
+                continue
+            fields = frozenset((stmt.target.id, ast.unparse(stmt.annotation))
+                               for stmt in node.body if isinstance(stmt, ast.AnnAssign))
+            where = f"{path.stem}.{node.name}"
+            if fields and fields in first:
+                same.append(f"{first[fields]} / {where}")
+            first.setdefault(fields, where)
+    assert not same, f"dataclasses that declare the same fields: {same}"
 
 
 def test_the_package_exports_each_module_name():

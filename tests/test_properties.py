@@ -17,8 +17,9 @@ from conftest import PLAIN_TREES, PROBLEMS, TREE_LEAVES, tree_operations
 
 from riccati_sl2 import (INF, Const, CurveSL2, EvalDomainError, ExtReal, Mat2,
                          RiccatiEquation, T, classify, compose, differentiate,
-                         evaluate, exp, ext, integrate_direct, inverse,
-                         mobius_apply, mobius_apply_array, parse, theta_apply,
+                         evaluate, exp, ext, gauge_transform_algebra,
+                         integrate_direct, inverse, mobius_apply,
+                         mobius_apply_array, parse, theta_apply,
                          transform_coefficients)
 from riccati_sl2.cli import Problem, _points_dev, load_problem
 from riccati_sl2.criteria import (holds_on_solve_grid, max_pair_deviation,
@@ -131,6 +132,17 @@ def test_curve_actions_compose(b, c1, c2):
     grid = [i / 20 for i in range(21)]
     dev = max_pair_deviation(((twice.b0, once.b0), (twice.b1, once.b1),
                               (twice.b2, once.b2)), grid)
+    assert dev <= 1e-9
+
+
+@given(b=st.tuples(PLAIN_TREES, PLAIN_TREES, PLAIN_TREES), c=_curves())
+def test_gauge_law_is_the_coefficient_law(b, c):
+    eq = RiccatiEquation(*b)
+    gauge = gauge_transform_algebra(eq, c)
+    affine = transform_coefficients(eq, c)
+    grid = [i / 20 for i in range(21)]
+    dev = max_pair_deviation(((gauge.b0, affine.b0), (gauge.b1, affine.b1),
+                              (gauge.b2, affine.b2)), grid)
     assert dev <= 1e-9
 
 

@@ -8,8 +8,7 @@ from conftest import bundled_problems, scalar_function, traj_vs_fn
 
 import riccati_sl2.riccati as riccati_module
 from riccati_sl2 import (EvalDomainError, ExtReal, INF, QuadratureError,
-                         RiccatiEquation, Trajectory, algebra_curve_from_riccati,
-                         classify, ext, integrate_direct,
+                         RiccatiEquation, Trajectory, classify, ext, integrate_direct,
                          integrate_group_equation, parse, points,
                          reconstruct_solution, rhs, solve_via_report,
                          time_grid, transform_coefficients)
@@ -109,8 +108,7 @@ def _reference_csv_text(traj):
 def test_csv_text_matches_the_point_formatter():
     values = [math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
               -1.7976931348623157e308, 0.1, -0.1, -2.5, 1.0 / 3.0, 1e22, -7.0]
-    traj = Trajectory([0.25 * i for i in range(len(values))], np.array(values),
-                      step=0.25)
+    traj = Trajectory([0.25 * i for i in range(len(values))], np.array(values))
     text = traj.to_csv_text()
     assert text == _reference_csv_text(traj)
     assert ",inf\n" in text and ",-0\n" in text
@@ -147,7 +145,7 @@ def test_trajectory_values_are_points_on_bundled_problems():
     for problem in bundled_problems():
         eq, span, step = problem.equation, problem.t_interval, problem.step
         x0s = [*problem.initial_conditions, INF]
-        G = integrate_group_equation(algebra_curve_from_riccati(eq), span, step)
+        G = integrate_group_equation(eq, span, step)
         for x0 in x0s:
             seen_inf |= _assert_points(integrate_direct(eq, x0, span, step))
             seen_inf |= _assert_points(reconstruct_solution(G, x0))
@@ -211,7 +209,7 @@ def _reference_integrate(eq, x0, t_span, step):
             chart = new_chart
         ts.append(t_next)
         xs.append(_emit(chart, u))
-    return Trajectory(ts, xs, step=h, chart_switches=switches, error=error)
+    return Trajectory(ts, xs, chart_switches=switches, error=error)
 
 
 def _chart_value(x):
@@ -283,15 +281,13 @@ def test_blocks_leave_the_trajectory_bit_identical(monkeypatch):
     eq = RiccatiEquation(parse("1 + integral(cos(2*t)*integral(t))"),
                          parse("sin(t)"), parse("2 - t"))
     whole = integrate_direct(eq, 0.3, (0.0, 2.0), 1e-3)
-    group = integrate_group_equation(algebra_curve_from_riccati(eq),
-                                     (0.0, 2.0), 1e-3)
+    group = integrate_group_equation(eq, (0.0, 2.0), 1e-3)
     assert whole.chart_switches
     monkeypatch.setattr(riccati_module, "_BLOCK_STEPS", 7)
     blocked = integrate_direct(eq, 0.3, (0.0, 2.0), 1e-3)
     assert (blocked.ts, blocked.xs, blocked.chart_switches, blocked.error) == (
         whole.ts, whole.xs, whole.chart_switches, whole.error)
-    assert integrate_group_equation(algebra_curve_from_riccati(eq),
-                                    (0.0, 2.0), 1e-3).mats == group.mats
+    assert integrate_group_equation(eq, (0.0, 2.0), 1e-3).mats == group.mats
 
 
 def test_truncation_in_a_later_block(monkeypatch):
@@ -301,5 +297,5 @@ def test_truncation_in_a_later_block(monkeypatch):
     got = integrate_direct(eq, 0.0, (0.0, 1.0), 1e-3)
     assert (got.ts[-1], got.error) == (want.ts[-1], want.error)
     with pytest.raises(EvalDomainError) as err:
-        integrate_group_equation(algebra_curve_from_riccati(eq), (0.0, 1.0), 1e-3)
+        integrate_group_equation(eq, (0.0, 1.0), 1e-3)
     assert str(err.value) == want.error

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import max_traj_dev, random_equation
 
-from riccati_sl2 import (AlgebraCurve, INF, Mat2, ONE, OneDimensionalTarget,
-                         RiccatiEquation, ZERO, algebra_curve_from_riccati,
-                         expm_traceless, integrate_direct,
+from riccati_sl2 import (INF, Mat2, ONE, OneDimensionalTarget,
+                         RiccatiEquation, ZERO, algebra_matrix, expm_traceless,
+                         integrate_direct,
                          integrate_group_equation, reconstruct_solution,
                          solve_one_dimensional_target)
 
@@ -18,20 +18,20 @@ def _entry_dev(A: Mat2, B: Mat2) -> float:
 
 
 def test_algebra_curve_matrix_form():
-    a = algebra_curve_from_riccati(RiccatiEquation.of(1, 2, 3))
-    m = a.matrix_at(0.0)
+    eq = RiccatiEquation.of(1, 2, 3)
+    m = algebra_matrix(*eq.coefficients_at(0.0))
     assert (m.a11, m.a12, m.a21, m.a22) == (1.0, 1.0, -3.0, -1.0)
     assert m.trace() == 0.0
 
 
 def test_zero_curve_stays_identity():
-    a = AlgebraCurve(ZERO, ZERO, ZERO)
+    a = RiccatiEquation(ZERO, ZERO, ZERO)
     G = integrate_group_equation(a, (0.0, 1.0), 1e-2)
     assert all(_entry_dev(m, Mat2.identity()) == 0.0 for m in G.mats)
 
 
 def test_constant_m1_diagonal_exponential():
-    a = AlgebraCurve(ZERO, ONE, ZERO)
+    a = RiccatiEquation(ZERO, ONE, ZERO)
     G = integrate_group_equation(a, (0.0, 2.0), 1e-3)
     for t, m in zip(G.ts, G.mats):
         ref = Mat2(math.exp(t / 2.0), 0.0, 0.0, math.exp(-t / 2.0))
@@ -40,7 +40,7 @@ def test_constant_m1_diagonal_exponential():
 
 def test_constant_m0_shear_and_sign_convention():
     # b = (1,0,0) must reconstruct x(t) = x0 + t (solves dx/dt = 1).
-    a = AlgebraCurve(ONE, ZERO, ZERO)
+    a = RiccatiEquation(ONE, ZERO, ZERO)
     G = integrate_group_equation(a, (0.0, 2.0), 1e-3)
     assert _entry_dev(G.mats[-1], Mat2(1.0, 2.0, 0.0, 1.0)) <= 1e-9
     traj = reconstruct_solution(G, 3.0)
@@ -49,7 +49,7 @@ def test_constant_m0_shear_and_sign_convention():
 
 
 def test_reconstruction_m1_exponential():
-    a = AlgebraCurve(ZERO, ONE, ZERO)
+    a = RiccatiEquation(ZERO, ONE, ZERO)
     G = integrate_group_equation(a, (0.0, 1.0), 1e-3)
     traj = reconstruct_solution(G, 3.0)
     oracle = integrate_direct(RiccatiEquation.of(0, 1, 0), 3.0, (0.0, 1.0), 1e-3)
@@ -58,7 +58,7 @@ def test_reconstruction_m1_exponential():
 
 def test_reconstruction_m2_through_infinity():
     # exp(t*M2) = [[1,0],[-t,1]]; x = 1/(1-t) crosses infinity at t = 1.
-    a = AlgebraCurve(ZERO, ZERO, ONE)
+    a = RiccatiEquation(ZERO, ZERO, ONE)
     G = integrate_group_equation(a, (0.0, 2.0), 1e-3)
     traj = reconstruct_solution(G, 1.0)
     crossing = [i for i, x in enumerate(traj.xs) if x.is_inf
@@ -73,14 +73,14 @@ def test_unit_determinant_maintained():
     rng = random.Random(5150)
     for _ in range(5):
         eq = random_equation(rng)
-        G = integrate_group_equation(algebra_curve_from_riccati(eq), (0.0, 1.0), 1e-3)
+        G = integrate_group_equation(eq, (0.0, 1.0), 1e-3)
         assert max(abs(m.det() - 1.0) for m in G.mats) <= 1e-9
 
 
 def test_unit_determinant_renormalized_at_coarse_step():
     # 200 RK4 steps of a rotation: without the 1/sqrt(det A) rescale the
     # determinant drifts by about 4e-8; with it, it stays at roundoff.
-    a = algebra_curve_from_riccati(RiccatiEquation.of(1, 0, 1))
+    a = RiccatiEquation.of(1, 0, 1)
     G = integrate_group_equation(a, (0.0, 10.0), 0.05)
     assert max(abs(m.det() - 1.0) for m in G.mats) <= 1e-12
 
@@ -90,7 +90,7 @@ def test_pipeline_matches_direct_oracle():
     for _ in range(5):
         eq = random_equation(rng)
         x0 = rng.uniform(-0.8, 0.8)
-        G = integrate_group_equation(algebra_curve_from_riccati(eq), (0.0, 1.0), 1e-3)
+        G = integrate_group_equation(eq, (0.0, 1.0), 1e-3)
         rec = reconstruct_solution(G, x0)
         direct = integrate_direct(eq, x0, (0.0, 1.0), 1e-3)
         assert max_traj_dev(rec.xs, direct.xs) <= 1e-6
@@ -99,7 +99,7 @@ def test_pipeline_matches_direct_oracle():
 def test_crossings_within_one_step():
     # dx/dt = x^2 from 1 blows up at t=1; both routes must cross together.
     eq = RiccatiEquation.of(0, 0, 1)
-    G = integrate_group_equation(algebra_curve_from_riccati(eq), (0.0, 2.0), 1e-3)
+    G = integrate_group_equation(eq, (0.0, 2.0), 1e-3)
     rec = reconstruct_solution(G, 1.0)
     direct = integrate_direct(eq, 1.0, (0.0, 2.0), 1e-3)
 
@@ -139,7 +139,7 @@ def test_one_dimensional_target_matches_group_integration():
     target = OneDimensionalTarget(1.0, -0.5, 1.0, ONE)
     G1 = solve_one_dimensional_target(target, (0.0, 2.0), 1e-3)
     teq = target.equation()
-    G2 = integrate_group_equation(algebra_curve_from_riccati(teq), (0.0, 2.0), 1e-3)
+    G2 = integrate_group_equation(teq, (0.0, 2.0), 1e-3)
     assert max(_entry_dev(a, b) for a, b in zip(G1.mats, G2.mats)) <= 1e-8
 
 
@@ -148,7 +148,7 @@ def test_one_dimensional_rotation_closed_form():
     G = solve_one_dimensional_target(target, (0.0, math.pi / 2.0), 1e-3)
     assert _entry_dev(G.mats[-1], Mat2(0.0, 1.0, -1.0, 0.0)) <= 1e-9
     G2 = integrate_group_equation(
-        algebra_curve_from_riccati(target.equation()), (0.0, math.pi / 2.0), 1e-3)
+        target.equation(), (0.0, math.pi / 2.0), 1e-3)
     assert max(_entry_dev(a, b) for a, b in zip(G.mats, G2.mats)) <= 1e-9
 
 
@@ -158,7 +158,7 @@ def test_zero_direction_rejected():
 
 
 def test_reconstruct_from_infinity():
-    a = AlgebraCurve(ZERO, ZERO, ONE)
+    a = RiccatiEquation(ZERO, ZERO, ONE)
     G = integrate_group_equation(a, (0.0, 0.5), 1e-2)
     traj = reconstruct_solution(G, INF)
     assert traj.xs[0].is_inf
@@ -167,7 +167,7 @@ def test_reconstruct_from_infinity():
 
 
 def test_group_csv():
-    a = AlgebraCurve(ZERO, ONE, ZERO)
+    a = RiccatiEquation(ZERO, ONE, ZERO)
     G = integrate_group_equation(a, (0.0, 1.0), 0.5)
     lines = G.to_csv_text().strip().split("\n")
     assert lines[0] == "t,a11,a12,a21,a22"

@@ -6,12 +6,12 @@ import pytest
 from conftest import (bundled_problems, grid, max_traj_dev, random_curve,
                       random_equation)
 
-from riccati_sl2 import (AlgebraCurve, Const, CurveSL2, ExtReal, INF, Mat2,
+from riccati_sl2 import (Const, CurveSL2, ExtReal, INF, Mat2,
                          NormalizationError, ONE, RiccatiEquation, T, ZERO,
-                         algebra_curve_from_riccati, compose, evaluate, exp,
-                         gauge_transform_algebra, integrate_direct, inverse,
-                         mobius_apply, normalize_negative_determinant, parse,
-                         theta_apply, transform_coefficients)
+                         compose, evaluate, exp, gauge_transform_algebra,
+                         integrate_direct, inverse, mobius_apply,
+                         normalize_negative_determinant, parse, theta_apply,
+                         transform_coefficients)
 
 GRID = grid(0.0, 1.0, 101)
 
@@ -20,15 +20,6 @@ def _eq_dev(e1: RiccatiEquation, e2: RiccatiEquation, ts=GRID) -> float:
     worst = 0.0
     for t in ts:
         for lhs, rhs in ((e1.b0, e2.b0), (e1.b1, e2.b1), (e1.b2, e2.b2)):
-            lv, rv = evaluate(lhs, t), evaluate(rhs, t)
-            worst = max(worst, abs(lv - rv) / (1.0 + abs(lv) + abs(rv)))
-    return worst
-
-
-def _alg_dev(a1, a2, ts=GRID) -> float:
-    worst = 0.0
-    for t in ts:
-        for lhs, rhs in ((a1.b0, a2.b0), (a1.b1, a2.b1), (a1.b2, a2.b2)):
             lv, rv = evaluate(lhs, t), evaluate(rhs, t)
             worst = max(worst, abs(lv - rv) / (1.0 + abs(lv) + abs(rv)))
     return worst
@@ -77,16 +68,15 @@ def test_transform_constant_scaling():
 
 def test_gauge_identity_and_translation():
     eq = RiccatiEquation.of(parse("sin(t)"), parse("t"), parse("exp(t)"))
-    a = algebra_curve_from_riccati(eq)
-    assert _alg_dev(gauge_transform_algebra(a, CurveSL2.identity()), a) == 0.0
+    assert _eq_dev(gauge_transform_algebra(eq, CurveSL2.identity()), eq) == 0.0
     c = CurveSL2.translation(parse("t^2"))
-    got = gauge_transform_algebra(a, c)
-    want = algebra_curve_from_riccati(transform_coefficients(eq, c))
-    assert _alg_dev(got, want) <= 1e-12
+    got = gauge_transform_algebra(eq, c)
+    want = transform_coefficients(eq, c)
+    assert _eq_dev(got, want) <= 1e-12
 
 
 def test_gauge_of_zero_curve_is_derivative_term():
-    zero = AlgebraCurve(ZERO, ZERO, ZERO)
+    zero = RiccatiEquation(ZERO, ZERO, ZERO)
     c = CurveSL2.translation(T)
     got = gauge_transform_algebra(zero, c)
     # derivative term for a translation is the constant shear direction
@@ -112,7 +102,7 @@ def test_matrix_products_print_unchanged():
         "sqrt(exp(t))", "sqrt(exp(t))*t^2", "0", "1/sqrt(exp(t))"]
     assert str(c.det_expr()) == "sqrt(exp(t))*(1/sqrt(exp(t)))"
     g = gauge_transform_algebra(
-        AlgebraCurve(parse("sin(t)"), parse("t"), parse("1 + t^2")), c)
+        RiccatiEquation(parse("sin(t)"), parse("t"), parse("1 + t^2")), c)
     assert str(g.b0) == (
         "(sqrt(exp(t))*(0.5*t) + sqrt(exp(t))*t^2*-(1 + t^2))*-sqrt(exp(t))*t^2"
         " + (sqrt(exp(t))*sin(t) + sqrt(exp(t))*t^2*(-0.5*t))*sqrt(exp(t))"
@@ -152,9 +142,9 @@ def test_gauge_coefficient_consistency_random():
     for _ in range(5):
         eq = random_equation(rng)
         c = random_curve(rng)
-        g1 = gauge_transform_algebra(algebra_curve_from_riccati(eq), c)
-        g2 = algebra_curve_from_riccati(transform_coefficients(eq, c))
-        assert _alg_dev(g1, g2) <= 1e-9
+        g1 = gauge_transform_algebra(eq, c)
+        g2 = transform_coefficients(eq, c)
+        assert _eq_dev(g1, g2) <= 1e-9
 
 
 def test_solution_equivariance():

@@ -41,12 +41,12 @@ from .criteria import (CURVE_MATCH_TOL, DETECTORS, HintError, classify,
                        read_hints, solve_via_report)
 from .expr import (Expr, EvalDomainError, ParseError, QuadratureError, T,
                    evaluate_grid, parse, session)
-from .projline import (CoincidentPointsError, ExtReal, INF, cross_ratio,
-                       mobius_apply_array)
+from .projline import ExtReal, INF, cross_ratio_array, mobius_apply_array
 from .riccati import RiccatiEquation, csv_texts, integrate_direct, time_grid
 from .sl2 import (OneDimensionalTarget, integrate_group_equation,
                   reconstruct_solution)
-from .solvers import ResidualError, SolutionForm, verify_particular_solution
+from .solvers import (ResidualError, SolutionForm, sample_forms,
+                      verify_particular_solution)
 from .transform import (CurveSL2, gauge_transform_algebra, theta_apply,
                         transform_coefficients)
 
@@ -374,6 +374,8 @@ def cmd_verify(problem: Problem, args) -> int:
             verify_particular_solution(eq, x1, grid)
         except ResidualError as exc:
             raise InputError(f"known solution '{x1}' fails the equation: {exc}")
+        except (EvalDomainError, QuadratureError) as exc:
+            raise InputError(f"known solution '{x1}' cannot be evaluated: {exc}")
 
     reports = classify(eq, grid, problem.tol, problem.hints)
     satisfied = [r for r in reports if r.satisfied]
@@ -428,22 +430,17 @@ def cmd_verify(problem: Problem, args) -> int:
     # Cross-ratio constancy, when three reference solutions are available
     # besides the probe.
     def cross_ratio_dev():
-        xs = _complete(base).xs
-        refs = [SolutionForm(k, "known-solution").sample(base.ts)
-                for k in problem.known_solutions]
-        refs += [_complete(direct[xi]).xs for xi in ics[1:]]
-        ratios = []
-        for idx, x in enumerate(xs):
-            try:
-                cr = cross_ratio(x, refs[0][idx], refs[1][idx], refs[2][idx])
-            except CoincidentPointsError:
-                continue
-            if not cr.is_inf:
-                ratios.append(cr.value)
+        xs = _complete(base).values
+        known = [SolutionForm(k, "known-solution")
+                 for k in problem.known_solutions[:3]]
+        refs = list(sample_forms(known, base.ts))
+        refs += [_complete(direct[xi]).values for xi in ics[1:4 - len(refs)]]
+        ratios = cross_ratio_array(xs, *refs)
+        ratios = np.sort(ratios[np.isfinite(ratios)])
         if len(ratios) < len(xs) // 2:
             return None
-        mid = sorted(ratios)[len(ratios) // 2]
-        return max(abs(v - mid) for v in ratios) / (1.0 + abs(mid))
+        mid = ratios[len(ratios) // 2]
+        return float(np.max(abs(ratios - mid)) / (1.0 + abs(mid)))
 
     if len(problem.known_solutions) + len(ics) - 1 >= 3:
         check("cross_ratio_constancy", 1e-6, cross_ratio_dev)

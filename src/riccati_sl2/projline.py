@@ -15,7 +15,7 @@ import numpy as np
 
 __all__ = [
     "ExtReal", "INF", "ext", "points", "Mat2", "M0", "M1", "M2",
-    "mobius_apply", "mobius_apply_array", "cross_ratio",
+    "mobius_apply", "mobius_apply_array", "cross_ratio", "cross_ratio_array",
     "SingularMatrixError", "CoincidentPointsError",
 ]
 
@@ -97,9 +97,6 @@ class Mat2:
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a21
 
-    def trace(self) -> float:
-        return self.a11 + self.a22
-
     def __add__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.a11 + other.a11, self.a12 + other.a12,
                     self.a21 + other.a21, self.a22 + other.a22)
@@ -125,34 +122,24 @@ M2 = Mat2(0.0, 0.0, -1.0, 0.0)
 
 
 def mobius_apply(A: Mat2, x: ExtReal) -> ExtReal:
-    """Apply the homography (a11*x + a12)/(a21*x + a22) on the
-    compactified line: infinity maps to a11/a21, the pole -a22/a21 maps
-    to infinity, and when a21 == 0 infinity is fixed."""
-    det = A.det()
-    scale = (abs(A.a11) + abs(A.a12)) * (abs(A.a21) + abs(A.a22)) + 1.0
-    if abs(det) <= 1e-14 * scale:
-        raise SingularMatrixError(f"matrix {A} is singular (det={det:.3g})")
-    if x.is_inf:
-        if A.a21 == 0.0 or abs(A.a21) <= _POLE_TOL * (abs(A.a11) + abs(A.a22)):
-            return INF
-        return ExtReal(A.a11 / A.a21)
-    v = x.value
-    num = A.a11 * v + A.a12
-    den = A.a21 * v + A.a22
-    if abs(den) <= _POLE_TOL * (1.0 + abs(A.a21 * v) + abs(A.a22)):
-        return INF
-    return ExtReal(num / den)
+    """The homography (a11*x + a12)/(a21*x + a22) at one point: a
+    one-point call of :func:`mobius_apply_array`."""
+    return ext(float(mobius_apply_array(A.a11, A.a12, A.a21, A.a22, float(x))))
 
 
-def mobius_apply_array(a11, a12, a21, a22, xs) -> np.ndarray:
-    """:func:`mobius_apply` element by element over arrays of matrix
-    entries and points, broadcast together, with inf standing for the
-    point at infinity in ``xs`` and in the result.  Each element takes
-    the same float operations in the same order, so the results are the
-    same bits.  At the first element where :func:`mobius_apply` raises
-    (a singular matrix, or an image that overflows), raises that error."""
-    a11, a12, a21, a22, xs = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (a11, a12, a21, a22, xs)))
+def mobius_apply_array(a11, a12, a21, a22, xs, *, undefined=None) -> np.ndarray:
+    """The homography (a11*x + a12)/(a21*x + a22) on the compactified
+    line, element by element over arrays of matrix entries and points
+    broadcast together, with inf standing for the point at infinity in
+    ``xs`` and in the result: infinity maps to a11/a21, the pole
+    -a22/a21 maps to infinity, and when a21 == 0 infinity is fixed.
+
+    At the first element whose matrix is singular or whose image
+    overflows, raises SingularMatrixError or OverflowError.  The elements
+    marked in the boolean array ``undefined``, and then also those whose
+    matrix is singular, give NaN instead."""
+    a11, a12, a21, a22, xs = (np.asarray(v, dtype=float)
+                              for v in (a11, a12, a21, a22, xs))
     at_inf = np.isinf(xs)
     v = np.where(at_inf, 0.0, xs)
     with np.errstate(all="ignore"):
@@ -164,39 +151,50 @@ def mobius_apply_array(a11, a12, a21, a22, xs) -> np.ndarray:
         to_inf = np.where(at_inf, fixed, pole)
         out = np.where(to_inf, math.inf,
                        np.where(at_inf, a11 / a21, (a11 * v + a12) / den))
-    bad = np.flatnonzero((abs(det) <= 1e-14 * scale) | ~(to_inf | np.isfinite(out)))
-    if bad.size:
-        i = np.unravel_index(bad[0], out.shape)
-        A = Mat2(*(float(a[i]) for a in (a11, a12, a21, a22)))
-        mobius_apply(A, ext(float(xs[i])))  # raises the error there
+    singular = abs(det) <= 1e-14 * scale
+    failed = singular | ~(to_inf | np.isfinite(out))
+    if undefined is not None:
+        undefined = undefined | singular
+        out = np.where(undefined, math.nan, out)
+        failed = failed & ~undefined
+    if failed.any():
+        i = np.unravel_index(failed.argmax(), failed.shape)
+        *entries, x, at_singular = (float(np.broadcast_to(a, failed.shape)[i])
+                                    for a in (a11, a12, a21, a22, xs, singular))
+        A = Mat2(*entries)
+        if at_singular:
+            raise SingularMatrixError(f"matrix {A} is singular (det={A.det():.3g})")
+        raise OverflowError(f"the image of {ext(x)} under {A} overflows")
     return out
 
 
-def _normalizing_matrix(x1: ExtReal, x2: ExtReal, x3: ExtReal) -> Mat2:
-    # The homography sending x1 -> 0, x2 -> infinity, x3 -> 1.
-    if x1.is_inf:
-        return Mat2(0.0, x3.value - x2.value, 1.0, -x2.value)
-    if x2.is_inf:
-        return Mat2(1.0, -x1.value, 0.0, x3.value - x1.value)
-    if x3.is_inf:
-        return Mat2(1.0, -x1.value, 1.0, -x2.value)
-    return Mat2(
-        x3.value - x2.value, -x1.value * (x3.value - x2.value),
-        x3.value - x1.value, -x2.value * (x3.value - x1.value),
-    )
-
-
 def cross_ratio(x: ExtReal, x1: ExtReal, x2: ExtReal, x3: ExtReal) -> ExtReal:
-    """Cross ratio ((x - x1)/(x - x2)) : ((x3 - x1)/(x3 - x2)) with the
-    standard limiting conventions when one argument is infinity.
-
-    The reference points must be pairwise distinct.  The result is 0 at
-    x = x1, 1 at x = x3 and infinity at x = x2.
-    """
-    if x1 == x2 or x1 == x3 or x2 == x3:
-        raise CoincidentPointsError("reference points must be pairwise distinct")
-    try:
-        return mobius_apply(_normalizing_matrix(x1, x2, x3), x)
-    except SingularMatrixError as exc:
+    """The cross ratio at one point: a one-point call of
+    :func:`cross_ratio_array`, raising CoincidentPointsError where that
+    gives NaN."""
+    cr = float(cross_ratio_array(*(float(p) for p in (x, x1, x2, x3))))
+    if math.isnan(cr):
         raise CoincidentPointsError(
-            "reference points are numerically coincident") from exc
+            "reference points coincide, exactly or numerically")
+    return ext(cr)
+
+
+def cross_ratio_array(x, x1, x2, x3) -> np.ndarray:
+    """Cross ratio ((x - x1)/(x - x2)) : ((x3 - x1)/(x3 - x2)) element by
+    element over arrays broadcast together, inf standing for the point at
+    infinity: the image of x under the homography sending x1 -> 0,
+    x2 -> infinity, x3 -> 1, which gives the limiting values when one
+    argument is infinity.  NaN where the references coincide, exactly or
+    numerically (that homography is singular); raises OverflowError where
+    an image overflows."""
+    x, x1, x2, x3 = (np.asarray(v, dtype=float) for v in (x, x1, x2, x3))
+    inf1, inf2, inf3 = np.isinf(x1), np.isinf(x2), np.isinf(x3)
+    with np.errstate(all="ignore"):
+        d32, d31 = x3 - x2, x3 - x1
+        # One infinite reference at most, or the references coincide.
+        a11 = np.where(inf1, 0.0, np.where(inf2 | inf3, 1.0, d32))
+        a12 = np.where(inf1, d32, np.where(inf2 | inf3, -x1, -x1 * d32))
+        a21 = np.where(inf1 | inf3, 1.0, np.where(inf2, 0.0, d31))
+        a22 = np.where(inf1 | inf3, -x2, np.where(inf2, d31, -x2 * d31))
+    return mobius_apply_array(a11, a12, a21, a22, x, undefined=(
+        (x1 == x2) | (x1 == x3) | (x2 == x3)))

@@ -72,9 +72,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.ts)
 
-    def to_csv_text(self) -> str:
-        return csv_texts([self])[0]
-
 
 def csv_texts(trajs: list[Trajectory]) -> list[str]:
     """The CSV text ``t,x`` of each trajectory, printed with 17 digits.

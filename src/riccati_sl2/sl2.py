@@ -59,12 +59,6 @@ class GroupTrajectory:
     def __len__(self) -> int:
         return len(self.ts)
 
-    def to_csv_text(self) -> str:
-        lines = ["t,a11,a12,a21,a22"]
-        for t, A in zip(self.ts, self.values.T.tolist()):
-            lines.append(",".join(format(v, ".17g") for v in (t, *A)))
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class OneDimensionalTarget:

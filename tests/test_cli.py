@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import riccati_sl2.cli as cli_module
-from riccati_sl2 import integrate_direct, points
+from riccati_sl2 import csv_texts, integrate_direct, points
 from riccati_sl2.cli import load_problem, main
 from riccati_sl2.criteria import DETECTORS, classify
 
@@ -191,7 +191,7 @@ def test_solve_truncated_trajectory_exits_1(tmp_path, capsys):
     assert len(lines) == 501
     # The shared time column is cut to the trajectory's own times.
     traj = integrate_direct(load_problem(path).equation, 0.0, (0.0, 1.0), 0.001)
-    assert (tmp_path / "trajectory_0.csv").read_text() == traj.to_csv_text()
+    assert (tmp_path / "trajectory_0.csv").read_text() == csv_texts([traj])[0]
 
 
 def test_solve_complete_trajectory_reports_no_error(tmp_path, capsys):
@@ -348,6 +348,30 @@ def test_bad_known_solution_is_input_error(tmp_path, capsys):
     path = _write_problem(tmp_path, known_solutions=["t"])
     rc = main(["verify", str(path)])
     assert rc == 2
+
+
+def test_verify_records_an_overflowing_cross_ratio_as_a_failed_check(
+        tmp_path, capsys):
+    # References -1e300, 1e-12 and infinity send the probe 0 to -1e312.
+    path = _write_problem(
+        tmp_path, coefficients={"b0": "0", "b1": "0", "b2": "0"},
+        initial_conditions=[0.0, "inf"], known_solutions=["-1e300", "1e-12"])
+    assert main(["verify", str(path)]) == 1
+    check = json.loads(capsys.readouterr().out)["checks"][-1]
+    assert check == {
+        "name": "cross_ratio_constancy", "max_deviation": None,
+        "tolerance": 1e-6, "passed": False,
+        "reason": "the image of 0 under Mat2(a11=1.0, a12=1e+300, a21=1.0, "
+                  "a22=-1e-12) overflows"}
+
+
+def test_unevaluable_known_solution_is_input_error(tmp_path, capsys):
+    path = _write_problem(tmp_path, known_solutions=["1", "sqrt(t - 0.5)"],
+                          initial_conditions=[0.0, 0.5, -0.5])
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: known solution 'sqrt(t - 0.5)' cannot be evaluated: "
+        "sqrt of negative value in 'sqrt(t - 0.5)'\n")
 
 
 def test_missing_file():

@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import PLAIN_TREES, PROBLEMS, TREE_LEAVES, tree_operations
 
-from riccati_sl2 import (INF, Const, CurveSL2, EvalDomainError, ExtReal, Mat2,
-                         RiccatiEquation, T, classify, compose, differentiate,
+from riccati_sl2 import (INF, CoincidentPointsError, Const, CurveSL2,
+                         EvalDomainError, ExtReal, Mat2, RiccatiEquation,
+                         SingularMatrixError, T, classify, compose,
+                         cross_ratio, cross_ratio_array, differentiate,
                          evaluate, exp, ext, gauge_transform_algebra,
                          integrate_direct, inverse, mobius_apply,
                          mobius_apply_array, parse, theta_apply,
@@ -153,8 +155,8 @@ _MOBIUS_FLOATS = st.one_of(st.floats(-1e3, 1e3),
 
 @st.composite
 def _mobius_cases(draw):
-    """A matrix and a point, mixing generic cases with the edges of
-    :func:`mobius_apply`: the point at infinity, exact and near poles,
+    """A matrix and a point, mixing generic cases with the edges of the
+    Möbius map: the point at infinity, exact and near poles,
     a21 at or near 0, near-singular matrices and images that overflow."""
     kind = draw(st.sampled_from(("generic", "generic", "pole", "near pole",
                                  "a21=0", "singular", "huge")))
@@ -183,27 +185,131 @@ def _mobius_cases(draw):
     return (a11, a12, a21, a22), x
 
 
-def _scalar_outcome(entries, x):
+# The per-point Möbius map and cross ratio that the array forms
+# replaced, kept as their reference.
+
+_POLE_TOL = 1e-13
+
+
+def _reference_mobius_apply(A: Mat2, x: ExtReal) -> ExtReal:
+    det = A.det()
+    scale = (abs(A.a11) + abs(A.a12)) * (abs(A.a21) + abs(A.a22)) + 1.0
+    if abs(det) <= 1e-14 * scale:
+        raise SingularMatrixError(f"matrix {A} is singular (det={det:.3g})")
+    if x.is_inf:
+        if A.a21 == 0.0 or abs(A.a21) <= _POLE_TOL * (abs(A.a11) + abs(A.a22)):
+            return INF
+        return ExtReal(A.a11 / A.a21)
+    v = x.value
+    num = A.a11 * v + A.a12
+    den = A.a21 * v + A.a22
+    if abs(den) <= _POLE_TOL * (1.0 + abs(A.a21 * v) + abs(A.a22)):
+        return INF
+    return ExtReal(num / den)
+
+
+def _reference_cross_ratio(x: ExtReal, x1: ExtReal, x2: ExtReal,
+                           x3: ExtReal) -> ExtReal:
+    if x1 == x2 or x1 == x3 or x2 == x3:
+        raise CoincidentPointsError("reference points must be pairwise distinct")
+    if x1.is_inf:
+        A = Mat2(0.0, x3.value - x2.value, 1.0, -x2.value)
+    elif x2.is_inf:
+        A = Mat2(1.0, -x1.value, 0.0, x3.value - x1.value)
+    elif x3.is_inf:
+        A = Mat2(1.0, -x1.value, 1.0, -x2.value)
+    else:
+        A = Mat2(x3.value - x2.value, -x1.value * (x3.value - x2.value),
+                 x3.value - x1.value, -x2.value * (x3.value - x1.value))
     try:
-        return float(mobius_apply(Mat2(*entries), ext(x))), None
+        return _reference_mobius_apply(A, x)
+    except SingularMatrixError as exc:
+        raise CoincidentPointsError(
+            "reference points are numerically coincident") from exc
+
+
+def _reference_outcome(entries, x):
+    try:
+        return float(_reference_mobius_apply(Mat2(*entries), ext(x))), None
     except ValueError as exc:
         return None, exc
 
 
 @given(cases=st.lists(_mobius_cases(), min_size=1, max_size=8))
 def test_array_mobius_map_is_mobius_apply_bit_for_bit(cases):
-    outcomes = [_scalar_outcome(m, x) for m, x in cases]
+    outcomes = [_reference_outcome(m, x) for m, x in cases]
     entries = np.array([m for m, _ in cases]).T
     xs = np.array([x for _, x in cases])
-    failure = next((exc for _, exc in outcomes if exc is not None), None)
-    if failure is not None:
-        with pytest.raises(ValueError) as got:
+    first = next((i for i, (_, exc) in enumerate(outcomes) if exc is not None), None)
+    if first is not None:
+        m, x = cases[first]
+        failure = outcomes[first][1]
+        if isinstance(failure, SingularMatrixError):
+            error, message = SingularMatrixError, str(failure)
+        else:
+            # The reference's point could not hold the overflowed image.
+            error = OverflowError
+            message = f"the image of {ext(x)} under {Mat2(*m)} overflows"
+        with pytest.raises(error) as got:
             mobius_apply_array(*entries, xs)
-        assert type(got.value) is type(failure)
-        assert str(got.value) == str(failure)
+        assert str(got.value) == message
     else:
         want = np.array([v for v, _ in outcomes])
         assert mobius_apply_array(*entries, xs).tobytes() == want.tobytes()
+        one = [float(mobius_apply(Mat2(*m), ext(x))) for m, x in cases]
+        assert np.array(one).tobytes() == want.tobytes()
+
+
+_CROSS_POINTS = st.tuples(*[st.one_of(
+    st.floats(-1e3, 1e3), st.just(math.inf),
+    st.integers(-10**4, 10**4).map(lambda n: n / 977.0))] * 4)
+_CROSS_KINDS = st.tuples(
+    st.sampled_from(("generic", "equal", "near", "near", "probe")),
+    st.permutations((1, 2, 3)), st.floats(-1e-13, 1e-13),
+    st.sampled_from((0.0, 1e-300, -1e-15)))
+
+
+@st.composite
+def _cross_ratio_rows(draw):
+    """A probe and three references, mixing generic rows with points at
+    infinity, references equal to each other or to the probe, and
+    references apart by a few units of roundoff."""
+    pts = list(draw(_CROSS_POINTS))
+    kind, (i, j, _), rel, shift = draw(_CROSS_KINDS)
+    if kind == "equal":
+        pts[j] = pts[i]
+    elif kind == "near" and math.isfinite(pts[i]):
+        pts[j] = pts[i] * (1.0 + rel) + shift
+    elif kind == "probe":
+        pts[0] = pts[i]
+    return pts
+
+
+@given(rows=st.lists(_cross_ratio_rows(), min_size=1, max_size=8))
+@example(rows=[[0.5, 1.0, -1.0, 0.0], [0.0, -1e300, 1e-12, math.inf]])
+def test_array_cross_ratio_is_the_reference_loop_bit_for_bit(rows):
+    want, failure = [], False
+    for row in rows:
+        try:
+            want.append(float(_reference_cross_ratio(*map(ext, row))))
+        except CoincidentPointsError:
+            want.append(math.nan)
+        except ValueError:
+            failure = True
+            break
+    columns = np.array(rows).T
+    if failure:
+        with pytest.raises(OverflowError, match="overflows"):
+            cross_ratio_array(*columns)
+        return
+    got = cross_ratio_array(*columns)
+    assert got.tobytes() == np.array(want).tobytes()
+    for row, v in zip(rows, want):
+        if math.isnan(v):
+            with pytest.raises(CoincidentPointsError):
+                cross_ratio(*map(ext, row))
+        else:
+            assert float(cross_ratio(*map(ext, row))) == v
 
 
 # One problem per planted family of the benchmark's generator, drawn as

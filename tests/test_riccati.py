@@ -88,14 +88,14 @@ def test_domain_error_truncates():
 def test_csv_serialization():
     eq = RiccatiEquation.of(0, 0, 1)
     traj = integrate_direct(eq, 1.0, (0.0, 2.0), 0.5)
-    text = traj.to_csv_text()
+    text = csv_texts([traj])[0]
     lines = text.strip().split("\n")
     assert lines[0] == "t,x"
     assert len(lines) == len(traj) + 1
     assert any(",inf" in line for line in lines) or True  # inf only when sampled
 
 
-# The formatter over points that to_csv_text replaced, kept as the
+# The formatter over points that csv_texts replaced, kept as the
 # reference for the float formatter.
 
 def _reference_csv_text(traj):
@@ -109,12 +109,12 @@ def test_csv_text_matches_the_point_formatter():
     values = [math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
               -1.7976931348623157e308, 0.1, -0.1, -2.5, 1.0 / 3.0, 1e22, -7.0]
     traj = Trajectory([0.25 * i for i in range(len(values))], np.array(values))
-    text = traj.to_csv_text()
+    text = csv_texts([traj])[0]
     assert text == _reference_csv_text(traj)
     assert ",inf\n" in text and ",-0\n" in text
     blowup = integrate_direct(RiccatiEquation.of(0, 0, 1), 1.0, (0.0, 2.0), 1e-3)
     assert blowup.xs[1000].is_inf
-    assert blowup.to_csv_text() == _reference_csv_text(blowup)
+    assert csv_texts([blowup]) == [_reference_csv_text(blowup)]
 
 
 def test_csv_texts_share_times_only_along_a_prefix():

@@ -177,35 +177,45 @@ def load_problem(path, overrides=None) -> Problem:
 
 
 # Deterministic JSON: fixed key order (construction order) and floats
-# with 17 significant digits.
+# with 17 significant digits; strings as ``json.dumps`` writes them.
+_encode_str = json.encoder.encode_basestring_ascii
 
-def _dumps(obj, level: int = 0) -> str:
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{inner}{json.dumps(str(k))}: {_dumps(v, level + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_dumps(v, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return "null"
-        return format(obj, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+def _dumps(obj) -> str:
+    """``obj`` as indented JSON, written in one pass over a chunk list."""
+    chunks = []
+    put = chunks.append
+
+    def write(obj, pad):
+        if isinstance(obj, dict):
+            inner, sep = pad + "  ", "{\n"
+            for k, v in obj.items():
+                put(f"{sep}{inner}{_encode_str(str(k))}: ")
+                write(v, inner)
+                sep = ",\n"
+            put(f"\n{pad}}}" if obj else "{}")
+        elif isinstance(obj, (list, tuple)):
+            inner, sep = pad + "  ", "[\n"
+            for v in obj:
+                put(sep + inner)
+                write(v, inner)
+                sep = ",\n"
+            put(f"\n{pad}]" if obj else "[]")
+        elif isinstance(obj, bool):
+            put("true" if obj else "false")
+        elif obj is None:
+            put("null")
+        elif isinstance(obj, int):
+            put(str(obj))
+        elif isinstance(obj, float):
+            put(format(obj, ".17g") if math.isfinite(obj) else "null")
+        elif isinstance(obj, str):
+            put(_encode_str(obj))
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+    write(obj, "")
+    return "".join(chunks)
 
 
 def _curve_json(curve: CurveSL2 | None):

@@ -8,9 +8,9 @@ over the cells of a grid by :func:`evaluate_grid` with Gauss-Kronrod
 quadrature (a single point is a one-point grid).  Nodes are interned:
 equal trees are one object and ``==`` is ``is``.  Differentiation is
 exact on the whole grammar (an integral gives back its integrand).
-Within one :func:`session` each node is differentiated once, and the
-subtrees of a grid run that fails nowhere and holds no integral are
-computed once per grid.
+Within one :func:`session` each node is differentiated and printed
+once, and the subtrees of a grid run that fails nowhere and holds no
+integral are computed once per grid.
 
 The text syntax accepted by :func:`parse` is also the coefficient syntax
 of the CLI problem files: infix ``+ - * / ^`` (``**`` is accepted for
@@ -114,7 +114,7 @@ class Expr:
         raise NotImplementedError
 
     def __str__(self) -> str:
-        return self._fmt()
+        return _text(self)
 
     # Operator sugar; numbers coerce to Const.
     def __add__(self, other):
@@ -182,7 +182,7 @@ def _prec_of(e: Expr) -> int:
 
 
 def _wrap(e: Expr, minimum: int) -> str:
-    s = e._fmt()
+    s = _text(e)
     return f"({s})" if _prec_of(e) < minimum else s
 
 
@@ -209,7 +209,7 @@ class _Binary(Expr):
 
     def _fmt(self):
         r, prec = self.right, self.precedence
-        rs = r._fmt()
+        rs = _text(r)
         if isinstance(r, _Binary) and r.precedence <= prec:
             rs = f"({rs})"
         return f"{_wrap(self.left, prec)}{self.symbol}{rs}"
@@ -298,7 +298,7 @@ class Call(Expr):
         return _FUNCTIONS[self.name][2](self.arg, _derivative(self.arg))
 
     def _fmt(self):
-        return f"{self.name}({self.arg._fmt()})"
+        return f"{self.name}({_text(self.arg)})"
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -312,7 +312,7 @@ class Integral(Expr):
         return self.integrand
 
     def _fmt(self):
-        return f"integral({self.integrand._fmt()})"
+        return f"integral({_text(self.integrand)})"
 
 
 ZERO = Const(0.0)
@@ -527,13 +527,15 @@ _SESSION_BYTES = 2 << 20
 
 
 class _Session:
-    """What one :func:`session` keeps: each node's derivative, and the
-    subtree values of the outermost grid runs that failed nowhere and
-    held no integral, keyed by their times, up to ``_SESSION_BYTES`` in
-    all; with counts of each computed and reused."""
+    """What one :func:`session` keeps: each node's derivative and printed
+    text, and the subtree values of the outermost grid runs that failed
+    nowhere and held no integral, keyed by their times, up to
+    ``_SESSION_BYTES`` in all; with counts of each computed and reused."""
 
     def __init__(self):
         self.derivatives: dict[Expr, Expr] = {}
+        self.texts: dict[Expr, str] = {}
+        self.reprinted = 0
         self.grids: dict[bytes, dict[Expr, np.ndarray]] = {}
         self.kept_bytes = 0
         self.depth = 0  # grid runs in progress
@@ -550,7 +552,9 @@ class _Session:
         return {"expr.evaluate_grid.subtrees_computed": self.computed,
                 "expr.evaluate_grid.subtrees_reused": self.reused,
                 "expr.differentiate.nodes_computed": self.derived,
-                "expr.differentiate.nodes_reused": self.rederived}
+                "expr.differentiate.nodes_reused": self.rederived,
+                "expr.print.texts_computed": len(self.texts),
+                "expr.print.texts_reused": self.reprinted}
 
 
 _SESSION: contextvars.ContextVar[_Session | None] = contextvars.ContextVar(
@@ -559,9 +563,10 @@ _SESSION: contextvars.ContextVar[_Session | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def session():
-    """Share derivatives and grid values across the calls in the block,
-    typically one command, and drop them at its end.  Yields the session,
-    whose ``counts()`` says how much was computed and reused.
+    """Share derivatives, printed texts and grid values across the calls
+    in the block, typically one command, and drop them at its end.
+    Yields the session, whose ``counts()`` says how much was computed and
+    reused.  Outside a session, ``str`` prints the whole tree each time.
 
     A call of :func:`differentiate`, :func:`evaluate_grid` or
     :func:`evaluate` outside a session runs in a fresh one of its own,
@@ -571,6 +576,19 @@ def session():
         yield _SESSION.get()
     finally:
         _SESSION.reset(token)
+
+
+def _text(e: Expr) -> str:
+    """The printed text of ``e``, made once per session."""
+    s = _SESSION.get()
+    if s is None:
+        return e._fmt()
+    text = s.texts.get(e)
+    if text is None:
+        text = s.texts[e] = e._fmt()
+    else:
+        s.reprinted += 1
+    return text
 
 
 class _Grid:

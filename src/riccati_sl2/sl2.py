@@ -85,17 +85,6 @@ class OneDimensionalTarget:
         return RiccatiEquation(r * self.c0, r * self.c1, r * self.c2)
 
 
-def _amul(b0: float, b1: float, b2: float, A: tuple) -> tuple:
-    """a A for a = [[b1/2, b0], [-b2, -b1/2]] and A a row-major 4-tuple."""
-    m = 0.5 * b1
-    return (m * A[0] + b0 * A[2], m * A[1] + b0 * A[3],
-            -b2 * A[0] - m * A[2], -b2 * A[1] - m * A[3])
-
-
-def _axpy(A: tuple, s: float, K: tuple) -> tuple:
-    return (A[0] + s * K[0], A[1] + s * K[1], A[2] + s * K[2], A[3] + s * K[3])
-
-
 def integrate_group_equation(eq: RiccatiEquation, t_span, step: float = 1e-3) -> GroupTrajectory:
     """Solve dA/dt = a(t) A, A(t_a) = I, for the equation's algebra curve
     a(t) by RK4 on the four entries.
@@ -106,24 +95,34 @@ def integrate_group_equation(eq: RiccatiEquation, t_span, step: float = 1e-3) ->
     A coefficient that fails to evaluate at a stage time raises its error.
     """
     grid, h = time_grid(t_span, step)
-    A = (1.0, 0.0, 0.0, 1.0)
-    rows = [A]
+    h2, h6 = 0.5 * h, h / 6.0
+    a0, a1, a2, a3 = 1.0, 0.0, 0.0, 1.0  # A, row-major
+    rows = [(a0, a1, a2, a3)]
     for b0, b1, b2, steps, failure in _stage_samples((eq.b0, eq.b1, eq.b2), grid, h):
         for i in range(0, 2 * steps, 2):
-            k1 = _amul(b0[i], b1[i], b2[i], A)
-            k2 = _amul(b0[i + 1], b1[i + 1], b2[i + 1], _axpy(A, 0.5 * h, k1))
-            k3 = _amul(b0[i + 1], b1[i + 1], b2[i + 1], _axpy(A, 0.5 * h, k2))
-            k4 = _amul(b0[i + 2], b1[i + 2], b2[i + 2], _axpy(A, h, k3))
-            A = tuple(x + (h / 6.0) * (p + 2.0 * (q + r) + s)
-                      for x, p, q, r, s in zip(A, k1, k2, k3, k4))
-            d = A[0] * A[3] - A[1] * A[2]
+            # Stages k1..k4 (p, q, r, s) of a(t) X, a = [[m, b], [-c, -m]], m = b1/2.
+            m, b, c = 0.5 * b1[i], b0[i], b2[i]
+            p0, p1, p2, p3 = m * a0 + b * a2, m * a1 + b * a3, -c * a0 - m * a2, -c * a1 - m * a3
+            m, b, c = 0.5 * b1[i + 1], b0[i + 1], b2[i + 1]
+            x0, x1, x2, x3 = a0 + h2 * p0, a1 + h2 * p1, a2 + h2 * p2, a3 + h2 * p3
+            q0, q1, q2, q3 = m * x0 + b * x2, m * x1 + b * x3, -c * x0 - m * x2, -c * x1 - m * x3
+            x0, x1, x2, x3 = a0 + h2 * q0, a1 + h2 * q1, a2 + h2 * q2, a3 + h2 * q3
+            r0, r1, r2, r3 = m * x0 + b * x2, m * x1 + b * x3, -c * x0 - m * x2, -c * x1 - m * x3
+            m, b, c = 0.5 * b1[i + 2], b0[i + 2], b2[i + 2]
+            x0, x1, x2, x3 = a0 + h * r0, a1 + h * r1, a2 + h * r2, a3 + h * r3
+            s0, s1, s2, s3 = m * x0 + b * x2, m * x1 + b * x3, -c * x0 - m * x2, -c * x1 - m * x3
+            a0 += h6 * (p0 + 2.0 * (q0 + r0) + s0)
+            a1 += h6 * (p1 + 2.0 * (q1 + r1) + s1)
+            a2 += h6 * (p2 + 2.0 * (q2 + r2) + s2)
+            a3 += h6 * (p3 + 2.0 * (q3 + r3) + s3)
+            d = a0 * a3 - a1 * a2
             if not math.isfinite(d) or d <= 0.0:
                 raise ArithmeticError(
                     f"determinant collapsed to {d:.3g} at t={grid[len(rows)]:.6g}; "
                     "reduce the step")
             root = math.sqrt(d)
-            A = tuple(x / root for x in A)
-            rows.append(A)
+            a0, a1, a2, a3 = a0 / root, a1 / root, a2 / root, a3 / root
+            rows.append((a0, a1, a2, a3))
         if failure is not None:
             raise failure
     return GroupTrajectory(grid, np.array(rows).T)

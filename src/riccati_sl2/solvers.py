@@ -97,15 +97,21 @@ def sample_forms(forms, ts):
 
 
 def verify_particular_solution(eq: RiccatiEquation, x1: Expr, grid) -> None:
-    """Raise ResidualError unless x1' = b0 + b1 x1 + b2 x1^2 holds on the
-    grid within 1e-8 relative; the error names the first worst time."""
-    x, b0, b1, b2, dx = evaluate_grid(
-        (x1, eq.b0, eq.b1, eq.b2, differentiate(x1)), grid)
+    """Raise ResidualError unless x1' = b0 + b1 x1 + b2 x1^2 holds within
+    1e-8 relative at every grid time but the poles, where x1 is infinite;
+    the error names the first worst time.  A formula with a pole at every
+    grid time raises its evaluation error."""
+    roots = (x1, eq.b0, eq.b1, eq.b2, differentiate(x1))
+    values = evaluate_grid(roots, grid, poles=True)
+    finite = np.isfinite(values[0])
+    if not finite.any():
+        evaluate_grid(roots, grid)  # raises the error at the first pole
+    x, b0, b1, b2, dx = values[:, finite]
     r = b0 + x * (b1 + x * b2)
     res = abs(dx - r) / (1.0 + abs(r))
     i = int(res.argmax())
     if res[i] > _RESIDUAL_TOL:
-        raise ResidualError(float(res[i]), grid[i])
+        raise ResidualError(float(res[i]), float(np.asarray(grid)[finite][i]))
 
 
 def solve_linear(eq: RiccatiEquation, x0, grid) -> SolutionForm:

@@ -67,6 +67,15 @@ def traj_vs_fn(traj, fn, cap=CAP):
     return worst
 
 
+def subtrees(e):
+    """``e`` and every node under it, depth first, repeats included."""
+    yield e
+    for name in e.__match_args__:
+        child = getattr(e, name)
+        if isinstance(child, expr_module.Expr):
+            yield from subtrees(child)
+
+
 # The reference for the grid evaluator: each tree built into a function
 # of one time that evaluates it node by node with scalar math functions,
 # each deferred integral an adaptive quadrature of that function.

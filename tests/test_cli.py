@@ -340,7 +340,9 @@ def test_debug_log_adds_the_session_counts_to_stderr(tmp_path, capsys,
     assert set(counts) == {"expr.evaluate_grid.subtrees_computed",
                            "expr.evaluate_grid.subtrees_reused",
                            "expr.differentiate.nodes_computed",
-                           "expr.differentiate.nodes_reused"}
+                           "expr.differentiate.nodes_reused",
+                           "expr.print.texts_computed",
+                           "expr.print.texts_reused"}
     assert all(type(n) is int and n >= 0 for n in counts.values())
 
 
@@ -372,6 +374,30 @@ def test_unevaluable_known_solution_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: known solution 'sqrt(t - 0.5)' cannot be evaluated: "
         "sqrt of negative value in 'sqrt(t - 0.5)'\n")
+
+
+def test_known_solution_through_a_pole_is_accepted(tmp_path, capsys):
+    # x = 1/(t - 0.5) solves x' = -x^2 through infinity; the grid hits t = 0.5.
+    path = _write_problem(tmp_path, coefficients={"b0": "0", "b1": "0", "b2": "-1"},
+                          initial_conditions=[0.0, 1.0, 2.0, -1.0],
+                          known_solutions=["1/(t - 0.5)"])
+    assert main(["verify", str(path)]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[-1]["name"] == "cross_ratio_constancy"
+
+
+@pytest.mark.parametrize("known, message", [
+    ("1/(t - 0.5) + 1", "error: known solution '1/(t - 0.5) + 1' fails the "
+                        "equation: claimed solution has residual 1.5 at t=0\n"),
+    ("1/(t - t)", "error: known solution '1/(t - t)' cannot be evaluated: "
+                  "division by zero in '1/(t - t)'\n"),
+])
+def test_known_solution_with_a_pole_is_still_checked(tmp_path, capsys, known, message):
+    path = _write_problem(tmp_path, coefficients={"b0": "0", "b1": "0", "b2": "-1"},
+                          initial_conditions=[0.0, 1.0, 2.0, -1.0],
+                          known_solutions=[known])
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_missing_file():
@@ -629,3 +655,68 @@ def test_points_dev_matches_the_per_pair_loop(pairs):
     got = cli_module._points_dev(np.array(a), np.array(b))
     assert got == _reference_points_dev(points(a), points(b))
     assert cli_module._points_dev(np.array(b), np.array(a)) == got
+
+
+# The recursive JSON printer that cli._dumps replaced, kept as the
+# reference for the one-pass version.
+
+def _reference_dumps(obj, level: int = 0) -> str:
+    pad = "  " * level
+    inner = "  " * (level + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{json.dumps(str(k))}: {_reference_dumps(v, level + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{_reference_dumps(v, level + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            return "null"
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+_JSON_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324]),
+    st.floats())
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _JSON_FLOATS,
+    _JSON_FLOATS.map(np.float64),
+    st.sampled_from(['"', "\\", 'a "quoted" \\ path', "\x00\x1f\n\t\r", "é", " ",
+                     "\U0001f600", ""]),
+    st.text())
+_JSON_DOCS = st.recursive(_JSON_LEAVES, lambda c: st.one_of(
+    st.lists(c, max_size=4), st.lists(c, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(st.text(max_size=4), st.integers()), c, max_size=4)),
+    max_leaves=24)
+
+
+@given(doc=_JSON_DOCS)
+@example(doc={})
+@example(doc={"a": [], "b": {}, "c": (), "d": [[{}], {"e": ()}]})
+@example(doc={"x": [-0.0, math.nan, math.inf, 1e-300, np.float64(-0.0), True, 1, "\"\\\x07é"]})
+def test_dumps_is_the_recursive_printer(doc):
+    assert cli_module._dumps(doc) == _reference_dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [{1, 2}, {"a": [1, object()]}, [np.bool_(True)],
+                                 {"r": b"bytes"}])
+def test_dumps_rejects_an_unsupported_type(doc):
+    with pytest.raises(TypeError) as want:
+        _reference_dumps(doc)
+    with pytest.raises(TypeError) as got:
+        cli_module._dumps(doc)
+    assert str(got.value) == str(want.value)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PLAIN_TREES, TREE_LEAVES, scalar_evaluator, tree_operations
+from conftest import (PLAIN_TREES, TREE_LEAVES, scalar_evaluator, subtrees,
+                      tree_operations)
 
 import riccati_sl2.expr as expr_module
 from riccati_sl2 import (ONE, ZERO, Add, Call, Const, Div, EvalDomainError,
@@ -494,14 +495,6 @@ _FALLIBLE = st.recursive(TREE_LEAVES, lambda c: st.one_of(
 _SESSION_GRIDS = (np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 11))
 
 
-def _subtrees(e):
-    yield e
-    for name in e.__match_args__:
-        child = getattr(e, name)
-        if isinstance(child, expr_module.Expr):
-            yield from _subtrees(child)
-
-
 def _outcome(roots, ts):
     """The bits evaluate_grid gives, or the kind and subexpression of the
     error it raises."""
@@ -517,7 +510,7 @@ def _outcome(roots, ts):
 def test_a_session_changes_no_value_and_no_first_failure(trees, data):
     # Calls on the subtrees of a few trees share many of them, on the
     # same grid or on another.
-    pool = sorted({s for e in trees for s in _subtrees(e)}, key=str)
+    pool = sorted({s for e in trees for s in subtrees(e)}, key=str)
     calls = data.draw(st.lists(st.tuples(
         st.lists(st.sampled_from(pool), min_size=1, max_size=3),
         st.sampled_from(range(len(_SESSION_GRIDS)))), min_size=2, max_size=6))
@@ -601,6 +594,21 @@ def test_a_session_builds_each_derivative_once():
         assert differentiate(e) is first
         assert s.counts()["expr.differentiate.nodes_computed"] == built
     assert differentiate(e) is first
+
+
+def test_a_session_prints_each_node_once():
+    e = sin(T * T) * exp(T * T) - (T * T) ** 2
+    want = str(e)
+    with session() as s:
+        assert str(e) == want
+        counts = s.counts()
+        assert counts["expr.print.texts_computed"] == len(set(subtrees(e)))
+        assert str(e) == want and str(T * T) == "t*t"
+        again = s.counts()
+        assert again["expr.print.texts_computed"] == counts["expr.print.texts_computed"]
+        assert again["expr.print.texts_reused"] == counts["expr.print.texts_reused"] + 2
+    with session() as s:
+        assert s.counts()["expr.print.texts_computed"] == 0
 
 
 def test_diff_rules_work_outside_a_session():

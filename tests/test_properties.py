@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from conftest import PLAIN_TREES, PROBLEMS, TREE_LEAVES, tree_operations
+from conftest import (PLAIN_TREES, PROBLEMS, TREE_LEAVES, subtrees,
+                      tree_operations)
 
 from riccati_sl2 import (INF, CoincidentPointsError, Const, CurveSL2,
                          EvalDomainError, ExtReal, Mat2, RiccatiEquation,
@@ -21,7 +22,7 @@ from riccati_sl2 import (INF, CoincidentPointsError, Const, CurveSL2,
                          cross_ratio, cross_ratio_array, differentiate,
                          evaluate, exp, ext, gauge_transform_algebra,
                          integrate_direct, inverse, mobius_apply,
-                         mobius_apply_array, parse, theta_apply,
+                         mobius_apply_array, parse, session, theta_apply,
                          transform_coefficients)
 from riccati_sl2.cli import Problem, _points_dev, load_problem
 from riccati_sl2.criteria import (holds_on_solve_grid, max_pair_deviation,
@@ -61,6 +62,20 @@ def test_printed_expression_reparses_to_the_same_value(e, t):
     except EvalDomainError:
         assume(False)
     assert evaluate(parse(str(e)), t) == want
+
+
+@given(e=_printable(), data=st.data())
+def test_printed_text_is_the_same_in_a_session(e, data):
+    # Outside a session each print walks the whole tree; inside, a node's
+    # text is kept, and may have been kept while printing another tree.
+    first = data.draw(st.sampled_from(list(subtrees(e))))
+    want, want_first = str(e), str(first)
+    with session():
+        assert str(e) == want
+        assert str(e) == want
+    with session():
+        assert str(first) == want_first
+        assert str(e) == want
 
 
 @given(e=PLAIN_TREES, t=TIMES)

@@ -1,15 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import max_traj_dev, random_equation
 
-from riccati_sl2 import (INF, Mat2, ONE, OneDimensionalTarget,
-                         RiccatiEquation, ZERO, algebra_matrix, expm_traceless,
-                         integrate_direct,
-                         integrate_group_equation, reconstruct_solution,
-                         solve_one_dimensional_target)
+from riccati_sl2 import (INF, EvalDomainError, GroupTrajectory, Mat2, ONE,
+                         OneDimensionalTarget, RiccatiEquation, ZERO,
+                         algebra_matrix, expm_traceless, integrate_direct,
+                         integrate_group_equation, parse, reconstruct_solution,
+                         solve_one_dimensional_target, time_grid)
+from riccati_sl2.riccati import _stage_samples
 
 
 def _entry_dev(A: Mat2, B: Mat2) -> float:
@@ -115,6 +117,76 @@ def test_crossings_within_one_step():
     ia, ib = crossing_index(rec.xs), crossing_index(direct.xs)
     assert ia is not None and ib is not None
     assert abs(ia - ib) <= 1
+
+
+# The group RK4 on 4-tuples that the straight-line loop replaced, kept
+# as the reference: the same float operations in the same order.
+
+def _amul(b0, b1, b2, A):
+    m = 0.5 * b1
+    return (m * A[0] + b0 * A[2], m * A[1] + b0 * A[3],
+            -b2 * A[0] - m * A[2], -b2 * A[1] - m * A[3])
+
+
+def _axpy(A, s, K):
+    return (A[0] + s * K[0], A[1] + s * K[1], A[2] + s * K[2], A[3] + s * K[3])
+
+
+def _reference_integrate_group(eq, t_span, step):
+    grid, h = time_grid(t_span, step)
+    A = (1.0, 0.0, 0.0, 1.0)
+    rows = [A]
+    for b0, b1, b2, steps, failure in _stage_samples((eq.b0, eq.b1, eq.b2), grid, h):
+        for i in range(0, 2 * steps, 2):
+            k1 = _amul(b0[i], b1[i], b2[i], A)
+            k2 = _amul(b0[i + 1], b1[i + 1], b2[i + 1], _axpy(A, 0.5 * h, k1))
+            k3 = _amul(b0[i + 1], b1[i + 1], b2[i + 1], _axpy(A, 0.5 * h, k2))
+            k4 = _amul(b0[i + 2], b1[i + 2], b2[i + 2], _axpy(A, h, k3))
+            A = tuple(x + (h / 6.0) * (p + 2.0 * (q + r) + s)
+                      for x, p, q, r, s in zip(A, k1, k2, k3, k4))
+            d = A[0] * A[3] - A[1] * A[2]
+            if not math.isfinite(d) or d <= 0.0:
+                raise ArithmeticError(
+                    f"determinant collapsed to {d:.3g} at t={grid[len(rows)]:.6g}; "
+                    "reduce the step")
+            root = math.sqrt(d)
+            A = tuple(x / root for x in A)
+            rows.append(A)
+        if failure is not None:
+            raise failure
+    return grid, np.array(rows).T
+
+
+def _group_outcome(integrate, eq, t_span, step):
+    try:
+        return integrate(eq, t_span, step)
+    except (ArithmeticError, EvalDomainError) as exc:
+        return type(exc), str(exc)
+
+
+_GROUP_CASES = [
+    (RiccatiEquation(parse("exp(-t)*cos(3*t)"), parse("sin(2*t) - 0.5"),
+                     parse("1 + t^2/4")), (0.0, 2.0), 1e-3),
+    (RiccatiEquation(parse("integral(cos(t))"), parse("-t"), parse("exp(t)")),
+     (0.5, 1.5), 1e-2),
+    (RiccatiEquation.of(1, 0, 1), (0.0, 10.0), 0.05),
+    (RiccatiEquation.of(0, 0, 0), (0.0, 1.0), 0.1),
+    # A stage overflows: the determinant is not finite.
+    (RiccatiEquation.of(0, 1e300, 0), (0.0, 1.0), 0.1),
+    # b1 fails to evaluate from t = 0.5 on.
+    (RiccatiEquation(parse("1"), parse("log(0.5 - t)"), parse("-1")), (0.0, 1.0), 1e-3),
+] + [(random_equation(random.Random(seed)), (0.0, 1.0), 1e-3) for seed in range(4)]
+
+
+@pytest.mark.parametrize("eq, t_span, step", _GROUP_CASES)
+def test_group_rk4_is_the_tuple_loop_bit_for_bit(eq, t_span, step):
+    want = _group_outcome(_reference_integrate_group, eq, t_span, step)
+    got = _group_outcome(integrate_group_equation, eq, t_span, step)
+    if isinstance(got, GroupTrajectory):
+        assert got.ts == want[0]
+        assert got.values.tobytes() == want[1].tobytes()
+    else:
+        assert got == want
 
 
 def test_expm_traceless_branches():

@@ -16,7 +16,8 @@ A problem file is JSON:
 
 Coefficients and hint functions use the expression grammar of
 :mod:`riccati_sl2.expr`; each hint holds exactly the keys of its row in
-:data:`riccati_sl2.criteria.DETECTORS`.  Output JSON is byte-stable
+:data:`riccati_sl2.criteria.DETECTORS`.  A key not shown above, at the
+top level or in ``options``, is an input error.  Output JSON is byte-stable
 across runs: fixed key order and floats printed with 17 significant
 digits.  Exit codes: 0 success, 1 verification/runtime failure or a
 truncated trajectory, 2 input error.
@@ -27,7 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import math
 import os
 import sys
@@ -52,8 +52,6 @@ from .transform import (CurveSL2, gauge_transform_algebra, theta_apply,
 
 __all__ = ["main", "load_problem", "cmd_solve", "cmd_classify", "cmd_verify",
            "Problem", "InputError"]
-
-log = logging.getLogger("riccati_sl2")
 
 _DETECTORS = {d.name: d for d in DETECTORS}
 
@@ -90,6 +88,13 @@ def _number(v) -> bool:
             and math.isfinite(v))
 
 
+def _check_keys(block: dict, expected: tuple[str, ...], where: str) -> None:
+    unknown = [k for k in block if k not in expected]
+    if unknown:
+        raise InputError(f"{where}: unknown keys {unknown} "
+                         f"(expected some of {list(expected)})")
+
+
 def _parse_expr(text, where: str) -> Expr:
     if not isinstance(text, str):
         raise InputError(f"{where}: expected an expression string")
@@ -112,6 +117,8 @@ def load_problem(path, overrides=None) -> Problem:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: problem file must be a JSON object")
+    _check_keys(doc, ("schema", "coefficients", "t_interval", "initial_conditions",
+                      "options", "hints", "known_solutions"), str(path))
     coeff = doc.get("coefficients")
     if not isinstance(coeff, dict):
         raise InputError(f"{path}: missing 'coefficients' object")
@@ -146,6 +153,7 @@ def load_problem(path, overrides=None) -> Problem:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise InputError(f"{path}: options must be an object")
+    _check_keys(options, ("step", "grid", "tol"), f"{path}: options")
 
     def option(key, default):
         value = getattr(overrides, key, None)
@@ -312,11 +320,6 @@ def cmd_solve(problem: Problem, args) -> int:
                              f"{chosen.diagnostics.get('reason', '')}")
     else:
         chosen = next((r for r in reports if usable(r)), None)
-    if chosen is not None:
-        log.debug("solving via %s", chosen.name)
-    else:
-        log.debug("no reduction found; falling back to direct integration")
-
     ics = problem.initial_conditions
     if chosen is not None:
         trajs = solve_via_report(chosen, ics, problem.t_interval, problem.step)
@@ -441,8 +444,7 @@ def cmd_verify(problem: Problem, args) -> int:
     # besides the probe.
     def cross_ratio_dev():
         xs = _complete(base).values
-        known = [SolutionForm(k, "known-solution")
-                 for k in problem.known_solutions[:3]]
+        known = [SolutionForm(k) for k in problem.known_solutions[:3]]
         refs = list(sample_forms(known, base.ts))
         refs += [_complete(direct[xi]).values for xi in ics[1:4 - len(refs)]]
         ratios = cross_ratio_array(xs, *refs)
@@ -501,8 +503,6 @@ _COMMANDS = {"solve": cmd_solve, "classify": cmd_classify, "verify": cmd_verify}
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     debug = os.environ.get("RICCATI_LOG", "").lower() == "debug"
-    if debug:
-        logging.basicConfig(stream=sys.stderr, level=logging.DEBUG)
     # One session per command: detectors and checks share derivatives
     # and grid values.
     with session() as shared:

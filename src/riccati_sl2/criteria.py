@@ -35,12 +35,11 @@ from .expr import (Expr, ONE, ZERO, Const, Div, EvalDomainError, ParseError,
 from .projline import ext, mobius_apply_array
 from .riccati import RiccatiEquation, Trajectory, time_grid
 from .sl2 import OneDimensionalTarget, solve_one_dimensional_target
-from .solvers import (PreconditionError, sample_forms, solve_bernoulli,
-                      solve_linear)
+from .solvers import sample_forms, solve_linear
 from .transform import CurveSL2, inverse, transform_coefficients
 
 __all__ = [
-    "CriterionReport", "GridDomainError", "HintError", "constancy_fit",
+    "CriterionReport", "HintError", "constancy_fit",
     "check_rao_K", "check_rao_W0", "check_ru68", "check_allen_stein",
     "check_ko06", "check_ra61", "check_rdm05", "check_zh99_basic",
     "check_zh99_E", "check_zh99_table", "classify", "read_hints",
@@ -51,10 +50,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-6
 CURVE_MATCH_TOL = 1e-8
-
-
-class GridDomainError(ValueError):
-    """Too many grid points failed to evaluate."""
 
 
 class HintError(ValueError):
@@ -79,14 +74,9 @@ class CriterionReport:
 
 def constancy_fit(f: Expr, grid) -> tuple[float, float]:
     """Fit a constant to f on the grid: value is the sample median,
-    max_dev the worst deviation relative to 1 + |value|.  Grid points
-    where f is not evaluable are skipped; more than 20% skipped fails."""
-    (vals,), failures = next(_sample((f,), (np.asarray(grid, dtype=float),)))
-    skipped = len(failures)
-    if skipped > 0.2 * len(grid):
-        raise GridDomainError(
-            f"{skipped} of {len(grid)} grid points not evaluable for '{f}'")
-    vals = np.delete(vals, list(failures)).tolist()
+    max_dev the worst deviation relative to 1 + |value|.  A grid point
+    where f is not evaluable raises the first failure's error."""
+    vals = evaluate_grid(f, grid).tolist()
     value = statistics.median(vals)
     max_dev = max(abs(v - value) for v in vals) / (1.0 + abs(value))
     return value, max_dev
@@ -710,7 +700,7 @@ def classify(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL,
             continue
         try:
             reports.append(det.run(eq, grid, hints.get(det.name), tol))
-        except (EvalDomainError, QuadratureError, GridDomainError) as exc:
+        except (EvalDomainError, QuadratureError) as exc:
             reports.append(_unsat(det.name, f"evaluation failed: {exc}"))
     return reports
 
@@ -724,9 +714,9 @@ def solve_via_report(report: CriterionReport, x0s, t_span,
 
     The points go through each step together, as arrays: the curve at
     t_a, the target's group solution (one-dimensional target) or its
-    closed forms (affine target, sampled by :func:`sample_forms`), and
-    the inverse curve.  If that fails, the points are solved one at a
-    time, so the error is the first failing point's first."""
+    linear closed forms (affine target, sampled by :func:`sample_forms`),
+    and the inverse curve.  If that fails, the points are solved one at
+    a time, so the error is the first failing point's first."""
     if not report.satisfied or report.curve is None or report.target is None:
         raise ValueError("report is not a satisfied reduction")
     ts = time_grid(t_span, step)[0]
@@ -740,13 +730,8 @@ def solve_via_report(report: CriterionReport, x0s, t_span,
             group = solve_one_dimensional_target(target, t_span, step).values
             ys = mobius_apply_array(*group[:, None, :], y0s[:, None])
         else:
-            def form(y0):
-                try:
-                    return solve_linear(target, y0, ts)
-                except PreconditionError:
-                    return solve_bernoulli(target, y0, ts)
-
-            ys = np.array(list(sample_forms([form(y0) for y0 in y0s], ts)))
+            forms = [solve_linear(target, y0, ts) for y0 in y0s]
+            ys = np.array(list(sample_forms(forms, ts)))
         back = evaluate_grid(inverse(curve).entries(), ts)
         xs = mobius_apply_array(*back[:, None, :], ys)
     except (ValueError, ArithmeticError):

@@ -7,8 +7,8 @@ A :class:`RiccatiEquation` is its own algebra curve, the traceless-matrix curve
 and the matrix initial-value problem dA/dt = a(t) A, A(t_a) = I is
 integrated on SL(2,R).  Applying the homography of A(t) to the initial
 point then reproduces the Riccati solution, which is the basis of every
-reduction in this package.  An affine (linear or Bernoulli) target is
-a Riccati equation too; a one-dimensional one, :class:`OneDimensionalTarget`.
+reduction in this package.  An affine (linear) target is a Riccati
+equation too; a one-dimensional one, :class:`OneDimensionalTarget`.
 
 Sign convention: the curve enters with a plus sign, a(t) = +sum of
 b_alpha*M_alpha.  With the basis above and the Möbius action used here,

@@ -57,7 +57,6 @@ class SolutionForm:
     """
 
     expression: Expr | None
-    provenance: str
 
     def at(self, t: float) -> ExtReal:
         """The solution at t, as a one-point :meth:`sample`."""
@@ -122,12 +121,12 @@ def solve_linear(eq: RiccatiEquation, x0, grid) -> SolutionForm:
         raise PreconditionError("b2 is not identically zero on the grid")
     x0 = ext(x0)
     if x0.is_inf:
-        return SolutionForm(None, "linear")
+        return SolutionForm(None)
     t0 = grid[0]
     i1 = integral_from(eq.b1, t0)
     inner = eq.b0 * exp(-i1)
     x = exp(i1) * (Const(x0.value) + integral_from(inner, t0))
-    return SolutionForm(x, "linear")
+    return SolutionForm(x)
 
 
 def solve_bernoulli(eq: RiccatiEquation, x0, grid) -> SolutionForm:
@@ -137,11 +136,11 @@ def solve_bernoulli(eq: RiccatiEquation, x0, grid) -> SolutionForm:
         raise PreconditionError("b0 is not identically zero on the grid")
     x0 = ext(x0)
     if not x0.is_inf and x0.value == 0.0:
-        return SolutionForm(ZERO, "bernoulli")
+        return SolutionForm(ZERO)
     w0 = 0.0 if x0.is_inf else -1.0 / x0.value
     linear = RiccatiEquation(eq.b2, -eq.b1, ZERO)
     w = solve_linear(linear, w0, grid)
-    return SolutionForm(Const(-1.0) / w.expression, "bernoulli")
+    return SolutionForm(Const(-1.0) / w.expression)
 
 
 def reduce_with_known_solution(eq: RiccatiEquation, x1: Expr, x0, grid) -> SolutionForm:
@@ -153,12 +152,12 @@ def reduce_with_known_solution(eq: RiccatiEquation, x1: Expr, x0, grid) -> Solut
     x1_0 = evaluate(x1, t0)
     x0 = ext(x0)
     if not x0.is_inf and x0.value == x1_0:
-        return SolutionForm(x1, "known-solution")
+        return SolutionForm(x1)
     u0 = 0.0 if x0.is_inf else 1.0 / (x1_0 - x0.value)
     g = eq.b1 + 2.0 * eq.b2 * x1
     ig = integral_from(g, t0)
     u = exp(-ig) * (Const(u0) + integral_from(eq.b2 * exp(ig), t0))
-    return SolutionForm(x1 - Const(1.0) / u, "known-solution")
+    return SolutionForm(x1 - Const(1.0) / u)
 
 
 def solve_with_two_solutions(eq: RiccatiEquation, x1: Expr, x2: Expr,
@@ -177,12 +176,12 @@ def solve_with_two_solutions(eq: RiccatiEquation, x1: Expr, x2: Expr,
     if x0.is_inf:
         z0 = 1.0
     elif x0.value == x2_0:
-        return SolutionForm(x2, "two-solutions")
+        return SolutionForm(x2)
     else:
         z0 = (x0.value - x1_0) / (x0.value - x2_0)
     z = Const(z0) * exp(integral_from(eq.b2 * (x1 - x2), t0))
     x = (x1 - z * x2) / (Const(1.0) - z)
-    return SolutionForm(x, "two-solutions")
+    return SolutionForm(x)
 
 
 def superpose_three(x1: Expr, x2: Expr, x3: Expr, k: float, grid) -> Expr:
@@ -209,22 +208,22 @@ def solve_autonomous(c0: float, c1: float, c2: float, x0) -> SolutionForm:
     if c2 == 0.0:
         # Affine flow; infinity is a fixed point.
         if x0.is_inf:
-            return SolutionForm(None, "autonomous")
+            return SolutionForm(None)
         if c1 == 0.0:
-            return SolutionForm(Const(x0.value) + Const(c0) * T, "autonomous")
+            return SolutionForm(Const(x0.value) + Const(c0) * T)
         xeq = -c0 / c1
         x = Const(xeq) + Const(x0.value - xeq) * exp(Const(c1) * T)
-        return SolutionForm(x, "autonomous")
+        return SolutionForm(x)
     disc = c1 * c1 - 4.0 * c0 * c2
     scale = c1 * c1 + abs(4.0 * c0 * c2)
     if abs(disc) <= 1e-14 * scale or disc == 0.0:
         r = -c1 / (2.0 * c2)
         if x0.is_inf:
             x = Const(r) + Const(-1.0) / (Const(c2) * T)
-            return SolutionForm(x, "autonomous")
+            return SolutionForm(x)
         x = Const(r) + Const(x0.value - r) / (
             Const(1.0) - Const(c2 * (x0.value - r)) * T)
-        return SolutionForm(x, "autonomous")
+        return SolutionForm(x)
     if disc > 0.0:
         rt = math.sqrt(disc)
         r1 = (-c1 + rt) / (2.0 * c2)
@@ -232,12 +231,12 @@ def solve_autonomous(c0: float, c1: float, c2: float, x0) -> SolutionForm:
         if x0.is_inf:
             z0 = 1.0
         elif x0.value == r2:
-            return SolutionForm(Const(r2), "autonomous")
+            return SolutionForm(Const(r2))
         else:
             z0 = (x0.value - r1) / (x0.value - r2)
         z = Const(z0) * exp(Const(rt) * T)
         x = (Const(r1) - z * Const(r2)) / (Const(1.0) - z)
-        return SolutionForm(x, "autonomous")
+        return SolutionForm(x)
     # disc < 0: no real equilibria; solution sweeps the whole
     # compactified line with period pi/k.
     p = -c1 / (2.0 * c2)
@@ -246,7 +245,7 @@ def solve_autonomous(c0: float, c1: float, c2: float, x0) -> SolutionForm:
     phi0 = math.pi / 2.0 if x0.is_inf else math.atan((x0.value - p) / sigma)
     arg = Const(k) * T + Const(phi0)
     x = Const(p) + Const(sigma) * sin(arg) / cos(arg)
-    return SolutionForm(x, "autonomous")
+    return SolutionForm(x)
 
 
 def solve_separable(phi: Expr, c0: float, c1: float, c2: float, x0) -> SolutionForm:
@@ -256,6 +255,6 @@ def solve_separable(phi: Expr, c0: float, c1: float, c2: float, x0) -> SolutionF
     phi = as_expr(phi)
     base = solve_autonomous(c0, c1, c2, x0)
     if base.expression is None:
-        return SolutionForm(None, "separable")
+        return SolutionForm(None)
     tau = Integral(phi)
-    return SolutionForm(substitute(base.expression, tau), "separable")
+    return SolutionForm(substitute(base.expression, tau))

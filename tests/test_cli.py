@@ -324,6 +324,19 @@ def test_parse_errors_name_the_file(tmp_path, capsys, over, message):
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("over, message", [
+    ({"grid": 51},
+     "unknown keys ['grid'] (expected some of ['schema', 'coefficients', "
+     "'t_interval', 'initial_conditions', 'options', 'hints', 'known_solutions'])"),
+    ({"options": {"steps": 0.01}},
+     "options: unknown keys ['steps'] (expected some of ['step', 'grid', 'tol'])"),
+], ids=["top-level", "options"])
+def test_unknown_keys_are_input_errors(tmp_path, capsys, over, message):
+    path = _write_problem(tmp_path, **over)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["classify", "solve", "verify"])
 def test_debug_log_adds_the_session_counts_to_stderr(tmp_path, capsys,
                                                      monkeypatch, command):
@@ -477,6 +490,29 @@ def test_package_imports_without_scipy():
          "import sys, riccati_sl2; print('scipy' in sys.modules)"],
         capture_output=True, check=True, text=True)
     assert proc.stdout == "False\n"
+
+
+def test_debug_log_writes_only_the_counts_to_each_runs_stderr(tmp_path):
+    # Two solve runs in one interpreter, each with its own stderr.
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "from riccati_sl2.cli import main",
+        "for _ in range(2):",
+        "    out, err = io.StringIO(), io.StringIO()",
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
+        "        assert main(sys.argv[1:]) == 0",
+        "    print(json.dumps([out.getvalue(), err.getvalue()]))"])
+    path = _write_problem(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "solve", str(path), "--output", str(tmp_path)],
+        capture_output=True, check=True, text=True,
+        env={**os.environ, "RICCATI_LOG": "debug"})
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(runs) == 2 and proc.stderr == ""
+    for out, err in runs:
+        assert json.loads(out)["criterion"] == "RDM05"
+        line, = err.splitlines()
+        assert "expr.print.texts_reused" in json.loads(line)
 
 
 def test_a_log_setting_other_than_debug_is_ignored():

@@ -14,8 +14,7 @@ from riccati_sl2 import (Const, CurveSL2, EvalDomainError, ONE,
                          integrate_direct, inverse, log, parse, sqrt,
                          transform_coefficients)
 from riccati_sl2.criteria import (DETECTORS, DETECTOR_ORDER, CriterionReport,
-                                  GridDomainError, HintError,
-                                  check_allen_stein, check_ko06,
+                                  HintError, check_allen_stein, check_ko06,
                                   check_ra61, check_rao_K, check_rao_W0,
                                   check_rdm05, check_ru68, check_zh99_E,
                                   check_zh99_basic, check_zh99_table,
@@ -480,27 +479,17 @@ def test_classify_reads_hint_text_and_objects_alike():
 
 
 def _scalar_constancy_fit(f, grid_):
-    vals = []
     ref = scalar_evaluator(f)
-    for t in grid_:
-        try:
-            vals.append(ref(t))
-        except EvalDomainError:
-            pass
+    vals = [ref(t) for t in grid_]
     value = statistics.median(vals)
     return value, max(abs(v - value) for v in vals) / (1.0 + abs(value))
 
 
-def test_constancy_fit_skips_failed_points():
+def test_constancy_fit_fails_at_the_first_failed_point():
     # log(t - c) fails at the grid points t <= c: 19 of 101 for c = 0.185.
-    f = parse("log(t - 0.185)")
-    value, dev = constancy_fit(f, GRID)
-    want_value, want_dev = _scalar_constancy_fit(f, GRID)
-    assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12)
-    assert dev == pytest.approx(want_dev, rel=1e-12, abs=1e-12)
-    # 21 of 101 is more than 20%.
-    with pytest.raises(GridDomainError):
-        constancy_fit(parse("log(t - 0.205)"), GRID)
+    with pytest.raises(EvalDomainError,
+                       match=re.escape("log of non-positive value in 'log(t - 0.185)'")):
+        constancy_fit(parse("log(t - 0.185)"), GRID)
 
 
 def test_constancy_fit_matches_scalar_fit_with_integrals():
@@ -512,6 +501,14 @@ def test_constancy_fit_matches_scalar_fit_with_integrals():
     want_value, want_dev = _scalar_constancy_fit(f, grid_)
     assert abs(value - want_value) <= 1e-12 * (1.0 + abs(want_value))
     assert abs(dev - want_dev) <= 1e-12
+
+
+def test_a_point_where_a_fitted_expression_fails_fails_the_detector():
+    # sin(t)/t divides by zero at t = 0, the first grid point.
+    eq = RiccatiEquation.of(1, parse("sin(t)/t"), 1)
+    reasons = {r.name: r.diagnostics["reason"] for r in classify(eq, GRID)}
+    for name in ("AllenStein", "Ko06", "Zh99Basic", "RU68"):
+        assert reasons[name] == "evaluation failed: division by zero in 'sin(t)/t'"
 
 
 def test_detector_order_is_the_table_without_required_hints():

@@ -394,13 +394,13 @@ def test_grid_raises_the_first_failure_over_several_expressions():
 
 
 def test_sample_maps_a_pole_to_infinity_at_that_point_only():
-    form = SolutionForm(parse("1/(t - 0.5)"), "test")
+    form = SolutionForm(parse("1/(t - 0.5)"))
     ts = [0.0, 0.25, 0.5, 0.75, 1.0]
     assert form.sample(ts) == [form.at(t) for t in ts]
     assert [x.is_inf for x in form.sample(ts)] == [False, False, True, False, False]
     # Any other failure still raises, as the pointwise path does.
     with pytest.raises(EvalDomainError) as err:
-        SolutionForm(parse("log(0.8 - t)/(t - 0.5)"), "test").sample(ts)
+        SolutionForm(parse("log(0.8 - t)/(t - 0.5)")).sample(ts)
     assert err.value.kind == "log of non-positive value"
 
 

@@ -1,7 +1,7 @@
 """Property tests of the algebraic laws the reductions rest on: the
 printer and parser, the Möbius action, composition of curve actions on
-coefficients, exact differentiation, and reductions carried along the
-curve action."""
+coefficients, exact differentiation, reductions carried along the
+curve action, and the linear target of every RDM05 reduction."""
 
 import dataclasses
 import math
@@ -18,15 +18,15 @@ from conftest import (PLAIN_TREES, PROBLEMS, TREE_LEAVES, subtrees,
 
 from riccati_sl2 import (INF, CoincidentPointsError, Const, CurveSL2,
                          EvalDomainError, ExtReal, Mat2, RiccatiEquation,
-                         SingularMatrixError, T, classify, compose,
+                         SingularMatrixError, T, ZERO, classify, compose,
                          cross_ratio, cross_ratio_array, differentiate,
                          evaluate, exp, ext, gauge_transform_algebra,
                          integrate_direct, inverse, mobius_apply,
                          mobius_apply_array, parse, session, theta_apply,
                          transform_coefficients)
 from riccati_sl2.cli import Problem, _points_dev, load_problem
-from riccati_sl2.criteria import (holds_on_solve_grid, max_pair_deviation,
-                                  solve_via_report)
+from riccati_sl2.criteria import (check_rdm05, holds_on_solve_grid,
+                                  max_pair_deviation, solve_via_report)
 
 # The benchmark's problem generator, read only: its elementary curves.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -325,6 +325,21 @@ def test_array_cross_ratio_is_the_reference_loop_bit_for_bit(rows):
                 cross_ratio(*map(ext, row))
         else:
             assert float(cross_ratio(*map(ext, row))) == v
+
+
+def test_every_satisfied_rdm05_target_is_linear():
+    """RDM05's affine target has b2 the zero node, so its solutions are
+    the linear closed forms, on the bundled problems and on draws of the
+    benchmark's planted RDM05 family."""
+    problems = map(load_problem, sorted(PROBLEMS.glob("*.json")))
+    cases = [(p.equation, p.grid()) for p in problems]
+    draw = workloads.Draw("classify-catalogue", 7)
+    cases += [(workloads.FAMILIES["RDM05"](draw)[0], [i / 100 for i in range(101)])
+              for _ in range(20)]
+    reports = [check_rdm05(eq, grid_) for eq, grid_ in cases]
+    targets = [r.target for r in reports if r.satisfied]
+    assert len(targets) == 22
+    assert all(target.b2 is ZERO for target in targets)
 
 
 # One problem per planted family of the benchmark's generator, drawn as

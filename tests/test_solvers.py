@@ -274,7 +274,7 @@ def test_sample_forms_evaluates_each_form_alone_after_a_failure():
     # The pole at 0.5 fails the joint grid run; each form is then
     # evaluated alone, and the pole reaches only its own row.
     ts = [i / 10 for i in range(11)]
-    pole, line = (SolutionForm(parse(s), "test") for s in ("1/(t - 0.5)", "t"))
+    pole, line = (SolutionForm(parse(s)) for s in ("1/(t - 0.5)", "t"))
     rows = list(sample_forms([pole, line], ts))
     assert rows[0].tolist() == [math.inf if t == 0.5 else 1.0 / (t - 0.5)
                                 for t in ts]
@@ -283,7 +283,7 @@ def test_sample_forms_evaluates_each_form_alone_after_a_failure():
 
 def test_sample_forms_raises_a_failing_form_error_in_its_turn():
     ts = [0.0, 0.25, 0.5, 0.75, 0.85, 1.0]
-    forms = [SolutionForm(T, "test"), SolutionForm(parse("log(0.8 - t)"), "test")]
+    forms = [SolutionForm(T), SolutionForm(parse("log(0.8 - t)"))]
     rows = sample_forms(forms, ts)
     assert next(rows).tolist() == ts
     with pytest.raises(EvalDomainError, match="log of non-positive value"):

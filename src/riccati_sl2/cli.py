@@ -119,6 +119,9 @@ def load_problem(path, overrides=None) -> Problem:
         raise InputError(f"{path}: problem file must be a JSON object")
     _check_keys(doc, ("schema", "coefficients", "t_interval", "initial_conditions",
                       "options", "hints", "known_solutions"), str(path))
+    schema = doc.get("schema", 1)
+    if type(schema) is not int or schema != 1:
+        raise InputError(f"{path}: schema must be 1, not {json.dumps(schema)}")
     coeff = doc.get("coefficients")
     if not isinstance(coeff, dict):
         raise InputError(f"{path}: missing 'coefficients' object")

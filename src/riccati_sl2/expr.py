@@ -5,7 +5,9 @@ functions: arithmetic, integer powers, a fixed set of elementary
 functions, and a deferred definite integral ``integral(e)`` standing for
 the map t -> integral of e(s) ds from 0 to t, evaluated cumulatively
 over the cells of a grid by :func:`evaluate_grid` with Gauss-Kronrod
-quadrature (a single point is a one-point grid).  Nodes are interned:
+quadrature (a single point is a one-point grid); an integral nested in
+another's integrand is integrated on the outer cells' own 15 nodes, by
+one 15x15 matrix per cell.  Nodes are interned:
 equal trees are one object and ``==`` is ``is``.  Differentiation is
 exact on the whole grammar (an integral gives back its integrand).
 Within one :func:`session` each node is differentiated and printed
@@ -458,6 +460,26 @@ _WG = np.zeros(15)
 _WG[1::2] = list(_GK_WG) + [_GK_WG0] + list(reversed(_GK_WG))
 _WKG = np.array([_WK, _WG])
 
+
+def _partial_weights() -> np.ndarray:
+    """The 15x15 matrix whose row j integrates, from -1 to the j-th
+    Kronrod node, the polynomial of degree 14 through the values at the
+    15 nodes: entry (j, k) integrates the k-th Lagrange basis polynomial,
+    by the Kronrod rule mapped onto [-1, x_j], exact to degree 22.  Over
+    [-1, 1] the same integrals are the Kronrod weights."""
+    half = 0.5 * (_XK + 1.0)
+    at = half[:, None] * (_XK + 1.0) - 1.0  # (row j, node m of [-1, x_j])
+    gaps = at[:, :, None] - _XK
+    spans = _XK[:, None] - _XK
+    basis = np.empty((15, 15, 15))  # (j, m, k): basis polynomial k at node m
+    for k in range(15):
+        others = [i for i in range(15) if i != k]
+        basis[:, :, k] = gaps[:, :, others].prod(axis=2) / spans[k, others].prod()
+    return half[:, None] * (basis * _WK[:, None]).sum(axis=1)
+
+
+_WS = _partial_weights()
+
 # Requested accuracy of quad, absolute and relative.  Cells whose
 # Kronrod and Gauss sums differ by more than this (absolute, or relative
 # to the Kronrod sum) are integrated again by quad.
@@ -511,8 +533,9 @@ def quad(f, a: float, b: float):
     return (value if a < b else -value), error, {"neval": 15 * (2 * len(heap) - 1)}
 
 
-# Cells per batch of integrand evaluations: bounds the memory of a
-# nested integral at 15 * _BLOCK nodes per nesting level.
+# Cells per batch of a top-level integral's integrand evaluations.  The
+# integrals nested in it evaluate their integrands on the same
+# 15 * _BLOCK nodes, which bounds the memory of each nesting level.
 _BLOCK = 256
 
 _DIV0 = "division by zero"
@@ -530,7 +553,9 @@ class _Session:
     """What one :func:`session` keeps: each node's derivative and printed
     text, and the subtree values of the outermost grid runs that failed
     nowhere and held no integral, keyed by their times, up to
-    ``_SESSION_BYTES`` in all; with counts of each computed and reused."""
+    ``_SESSION_BYTES`` in all; with counts of each computed and reused,
+    of the cells integrals summed by a 15-node rule and of the calls of
+    :func:`quad`."""
 
     def __init__(self):
         self.derivatives: dict[Expr, Expr] = {}
@@ -540,6 +565,7 @@ class _Session:
         self.kept_bytes = 0
         self.depth = 0  # grid runs in progress
         self.computed = self.reused = self.derived = self.rederived = 0
+        self.cells = self.quads = 0
 
     def room(self, nbytes: int) -> bool:
         """Whether ``nbytes`` more fit, counting them in if so."""
@@ -554,7 +580,9 @@ class _Session:
                 "expr.differentiate.nodes_computed": self.derived,
                 "expr.differentiate.nodes_reused": self.rederived,
                 "expr.print.texts_computed": len(self.texts),
-                "expr.print.texts_reused": self.reprinted}
+                "expr.print.texts_reused": self.reprinted,
+                "expr.integral.cells": self.cells,
+                "expr.quad.calls": self.quads}
 
 
 _SESSION: contextvars.ContextVar[_Session | None] = contextvars.ContextVar(
@@ -602,8 +630,11 @@ class _Grid:
     QuadratureError is charged from the failed quadrature's cell on.
     Each integral node keeps its running value from one chunk to the
     next and owns the grid that evaluates its integrand at the
-    Gauss-Kronrod nodes of its cells.  Every integral starts at
-    ``origin``, the first time of the outermost grid.
+    Gauss-Kronrod nodes of its cells.  On a run given cells, whose times
+    are those nodes, the cells are the run's own (the node rule);
+    otherwise they lie between consecutive times (the gap rule), as on
+    the outermost grid, whose times are arbitrary.  Every integral
+    starts at ``origin``, the first time of the outermost grid.
 
     A run nested in no other reads the values ``session`` keeps for its
     times.  If it marked no failure and computed no integral, whose
@@ -620,10 +651,13 @@ class _Grid:
         self._carry: dict[Integral, tuple[float, float, ExprError | str | None]] = {}
         self._subs: dict[Integral, _Grid] = {}
 
-    def run(self, roots, ts: np.ndarray):
+    def run(self, roots, ts: np.ndarray, cells=None):
         """Values of each root at ts, and a dict from the index of each
-        failed time to the first error met there."""
+        failed time to the first error met there.  ``cells``, when given,
+        are the bounds (a, b) of contiguous cells whose 15 Gauss-Kronrod
+        nodes each ts is, and the integrals use the node rule."""
         self._ts = ts
+        self._bounds = cells
         self._failures: dict[int, ExprError] = {}
         self._vals: dict[Expr, np.ndarray] = {}
         self._clean = True
@@ -713,81 +747,124 @@ class _Grid:
         return _BINARY[cls][0](self._walk(e.left), self._walk(e.right))
 
     def _integral(self, e: Integral) -> np.ndarray:
-        """Running integral at every time of the chunk: the value carried
-        in from the previous chunk (at first, the quadrature from 0 to
-        the origin) plus the sum over the cells between consecutive times."""
+        """Running integral at every time of the chunk, from the value
+        carried in from the previous chunk (at first, the quadrature from
+        0 to the origin), by the node rule on a run with cells and by
+        the gap rule on any other."""
+        t_c, v_c, reason = self._carry.get(e) or self._start(e)
+        rule = self._gaps if self._bounds is None else self._nodes
+        out, first_bad, reason, carry = rule(e, t_c, v_c, reason)
+        if reason is not None:
+            if getattr(reason, "kind", None) == _OVERFLOW:
+                reason = _OVERFLOW  # charged to this grid's root
+            self._mark(np.arange(len(out)) >= first_bad, reason)
+        self._carry[e] = (*carry, reason)
+        return out
+
+    def _gaps(self, e: Integral, t_c: float, v_c: float, reason):
+        """The gap rule, for times in any non-decreasing order: the
+        carried value plus the sums over the cells between consecutive
+        times.  Returns the values, the index of the first failed time,
+        the failure (or None) and the carry (last time, value there)."""
         ts = self._ts
-        state = self._carry.get(e)
-        if state is None:
-            state = self._start(e)
-        t_c, v_c, reason = state
         lo = np.concatenate(([t_c], ts[:-1]))
         if (ts < lo).any():
             raise ValueError("grid times must be non-decreasing")
         cells = np.zeros(len(ts))
         first_bad = 0 if reason is not None else len(ts)
         if reason is None:
-            sub = self._subs.get(e)
-            if sub is None:
-                sub = self._subs[e] = _Grid(self.origin, self.session)
             live = np.flatnonzero(ts > lo)
             for s in range(0, len(live), _BLOCK):
                 idx = live[s:s + _BLOCK]
-                sums, reason = self._cells(e.integrand, sub, lo[idx], ts[idx])
+                a, b = lo[idx], ts[idx]
+                nodes = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _XK).ravel()
+                sums, _, reason = self._cell_sums(e, a, b, nodes)
                 cells[idx[:len(sums)]] = sums
                 if reason is not None:
                     first_bad = idx[len(sums)]
                     break
         cells[first_bad:] = math.nan
         out = np.cumsum(np.concatenate(([v_c], cells)))[1:]
+        return out, first_bad, reason, (float(ts[-1]), float(out[-1]))
+
+    def _nodes(self, e: Integral, t_c: float, v_c: float, reason):
+        """The node rule, for a run whose times are the 15 nodes of each
+        of its contiguous cells [a_i, b_i], the first starting at the
+        carried time: the value at node j of cell i is the value at a_i
+        plus the integral over [a_i, x_ij] of the degree-14 interpolant
+        of the integrand on the cell's nodes.  Returns what
+        :meth:`_gaps` does, with the carry at the last cell's end."""
+        a, b = self._bounds
+        out = np.full(len(self._ts), math.nan)
         if reason is not None:
-            if getattr(reason, "kind", None) == _OVERFLOW:
-                reason = _OVERFLOW  # charged to this grid's root
-            self._mark(np.arange(len(ts)) >= first_bad, reason)
-        self._carry[e] = (float(ts[-1]), float(out[-1]), reason)
-        return out
+            return out, 0, reason, (t_c, v_c)
+        sums, parts, reason = self._cell_sums(e, a, b, self._ts, partial=True)
+        n = len(sums)
+        starts = np.cumsum(np.concatenate(([v_c], sums)))
+        out[:15 * n] = (starts[:-1, None] + parts[:n]).ravel()
+        return (out, len(out) if reason is None else 15 * n, reason,
+                (float(b[-1]), float(starts[-1])))
+
+    def _cell_sums(self, e: Integral, a: np.ndarray, b: np.ndarray,
+                   nodes: np.ndarray, partial: bool = False):
+        """Integrals of e's integrand over the contiguous cells [a, b],
+        whose 15 Gauss-Kronrod nodes each are ``nodes``, up to the first
+        cell where it fails, and that failure (or None).  The integrand
+        is evaluated on the nodes in e's own grid, given the same cells.
+        With ``partial``, also the integrals from each cell's start to
+        its nodes, one row per cell (else None).  A cell whose Kronrod
+        and Gauss sums differ by more than ``_CELL_TOL`` (absolute, or
+        relative to the Kronrod sum) is integrated again by quad, and so
+        is each of its nodes' partials."""
+        f = e.integrand
+        sub = self._subs.get(e)
+        if sub is None:
+            sub = self._subs[e] = _Grid(self.origin, self.session)
+        (fv,), failures = sub.run((f,), nodes, (a, b))
+        first = min(failures, default=None)
+        n = len(a) if first is None else first // 15
+        reason = failures.get(first)
+        self.session.cells += n
+        fv = fv.reshape(-1, 15)[:n]
+        half = 0.5 * (b[:n] - a[:n])
+        sums = half * (fv * _WK).sum(axis=1)
+        gauss = half * (fv * _WG).sum(axis=1)
+        parts = half[:, None] * np.einsum("ik,jk->ij", fv, _WS) if partial else None
+        for i in np.flatnonzero(np.abs(sums - gauss)
+                                > np.maximum(_CELL_TOL, _CELL_TOL * np.abs(sums))):
+            ends = [b[i], *(nodes[15 * i:15 * i + 15] if partial else ())]
+            values = []
+            for end in ends:
+                value, failure = self._quad(f, float(a[i]), float(end))
+                if failure is not None:
+                    return sums[:i], parts, failure
+                values.append(value)
+            sums[i] = values[0]
+            if partial:
+                parts[i] = values[1:]
+        return sums, parts, reason
 
     def _start(self, e: Integral):
         t0 = self.origin
         if t0 == 0.0:
             return t0, 0.0, None
-        return (t0, *_quad_or_failure(e.integrand, 0.0, t0))
+        return (t0, *self._quad(e.integrand, 0.0, t0))
 
-    def _cells(self, f: Expr, sub: "_Grid", a: np.ndarray, b: np.ndarray):
-        """Integrals of f over the cells [a, b], up to the first cell
-        where f fails, and that failure (or None)."""
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        nodes = (mid[:, None] + half[:, None] * _XK).ravel()
-        (fv,), failures = sub.run((f,), nodes)
-        fv = fv.reshape(-1, 15)
-        kronrod = half * (fv * _WK).sum(axis=1)
-        gauss = half * (fv * _WG).sum(axis=1)
-        first = min(failures, default=None)
-        n_ok = len(a) if first is None else first // 15
-        reason = failures.get(first)
-        kronrod = kronrod[:n_ok]
-        err = np.abs(kronrod - gauss[:n_ok])
-        for i in np.flatnonzero(err > np.maximum(_CELL_TOL, _CELL_TOL * np.abs(kronrod))):
-            kronrod[i], failure = _quad_or_failure(f, float(a[i]), float(b[i]))
-            if failure is not None:
-                return kronrod[:i], failure
-        return kronrod, reason
-
-
-def _quad_or_failure(f: Expr, a: float, b: float):
-    """The integral of f from a to b by :func:`quad` on grid evaluations
-    of f, and None; or NaN and the failure: the error evaluating f
-    raised, or a QuadratureError when the error estimate is too large."""
-    try:
-        value, abserr, _ = quad(lambda ts: evaluate_grid(f, ts), a, b)
-    except (EvalDomainError, QuadratureError) as exc:
-        return math.nan, exc
-    if abserr > 1e-10 * (1.0 + abs(value)):
-        return math.nan, QuadratureError(
-            f"quadrature of '{f}' over [{a:.17g}, {b}] did not converge "
-            f"(error estimate {abserr:.3g})")
-    return value, None
+    def _quad(self, f: Expr, a: float, b: float):
+        """The integral of f from a to b by :func:`quad` on grid
+        evaluations of f, and None; or NaN and the failure: the error
+        evaluating f raised, or a QuadratureError when the error estimate
+        is too large."""
+        self.session.quads += 1
+        try:
+            value, abserr, _ = quad(lambda ts: evaluate_grid(f, ts), a, b)
+        except (EvalDomainError, QuadratureError) as exc:
+            return math.nan, exc
+        if abserr > 1e-10 * (1.0 + abs(value)):
+            return math.nan, QuadratureError(
+                f"quadrature of '{f}' over [{a:.17g}, {b}] did not converge "
+                f"(error estimate {abserr:.3g})")
+        return value, None
 
 
 # Each binary node class -> (numpy operation, folding constructor).
@@ -826,6 +903,12 @@ def evaluate_grid(e, ts, *, poles: bool = False) -> np.ndarray:
     non-decreasing) with a Gauss-Kronrod 7/15 rule per cell, falling
     back to :func:`quad` on a cell where the embedded Gauss sum
     disagrees, and start at the first time with :func:`quad` from 0.
+    An integral nested in another's integrand takes the outer cells'
+    15 nodes as its own: its value at a node is its value at the cell's
+    start plus the integral of the degree-14 interpolant of its
+    integrand on those nodes, so its integrand is evaluated once per
+    node (the node rule; a cell whose Gauss sum disagrees falls back to
+    :func:`quad` for its total and for each node).
 
     Failures raise the first error met at the first failing time:
     :class:`EvalDomainError` with its kind and subexpression, or

@@ -75,19 +75,17 @@ class Trajectory:
 
 def csv_texts(trajs: list[Trajectory]) -> list[str]:
     """The CSV text ``t,x`` of each trajectory, printed with 17 digits.
-    The times are formatted once for all the trajectories whose times
+    Each row's time is formatted once, into a template for one ``%``
+    format of its values, shared by all the trajectories whose times
     begin those of the longest, as the trajectories of one solve do (a
     truncated one runs on a prefix)."""
     longest = max(trajs, key=len).ts if trajs else []
-    shared = [format(t, ".17g") for t in longest]
+    shared = [f"{t:.17g},%.17g\n" for t in longest]
     texts = []
     for traj in trajs:
-        times = (shared if traj.ts == longest[:len(traj)]
-                 else [format(t, ".17g") for t in traj.ts])
-        lines = ["t,x"]
-        for t, x in zip(times, traj.values.tolist()):
-            lines.append(f"{t},{x:.17g}")
-        texts.append("\n".join(lines) + "\n")
+        rows = (shared[:len(traj)] if traj.ts == longest[:len(traj)]
+                else [f"{t:.17g},%.17g\n" for t in traj.ts])
+        texts.append("t,x\n" + "".join(rows) % tuple(traj.values.tolist()))
     return texts
 
 

@@ -337,6 +337,19 @@ def test_unknown_keys_are_input_errors(tmp_path, capsys, over, message):
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
+@pytest.mark.parametrize("schema, shown", [(99, "99"), ("x", '"x"'), (True, "true")],
+                         ids=["number", "string", "true"])
+def test_a_schema_other_than_1_is_an_input_error(tmp_path, capsys, schema, shown):
+    path = _write_problem(tmp_path, schema=schema)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: schema must be 1, not {shown}\n")
+    # A file without a schema is read as schema 1.
+    doc = json.loads(path.read_text())
+    del doc["schema"]
+    path.write_text(json.dumps(doc))
+    assert main(["classify", str(path)]) == 0
+
+
 @pytest.mark.parametrize("command", ["classify", "solve", "verify"])
 def test_debug_log_adds_the_session_counts_to_stderr(tmp_path, capsys,
                                                      monkeypatch, command):
@@ -355,7 +368,9 @@ def test_debug_log_adds_the_session_counts_to_stderr(tmp_path, capsys,
                            "expr.differentiate.nodes_computed",
                            "expr.differentiate.nodes_reused",
                            "expr.print.texts_computed",
-                           "expr.print.texts_reused"}
+                           "expr.print.texts_reused",
+                           "expr.integral.cells",
+                           "expr.quad.calls"}
     assert all(type(n) is int and n >= 0 for n in counts.values())
 
 

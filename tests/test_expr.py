@@ -1,13 +1,15 @@
+import collections
 import gc
 import math
 import random
 import weakref
 from dataclasses import FrozenInstanceError
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (PLAIN_TREES, TREE_LEAVES, scalar_evaluator, subtrees,
                       tree_operations)
@@ -483,6 +485,150 @@ def test_sample_carries_integrals_across_chunks():
     got = np.concatenate([vals[0] for vals, failures in
                           expr_module._sample((e,), chunks)])
     assert np.array_equal(np.delete(got, 699), whole)
+
+
+# The gap rule at every depth, as nested integrals were evaluated before
+# the node rule, kept as its reference: an integral at the
+# non-decreasing times ts is its quadrature from 0 to the origin plus,
+# over each gap between consecutive times, the Gauss-Kronrod 7/15 sum of
+# its integrand at the gap's nodes, evaluated by this same rule; a gap
+# whose Gauss and Kronrod sums disagree is integrated by quad on the
+# reference's own values, from a grid whose origin is its first node.
+
+def _gap_rule(e, ts):
+    ts = np.asarray(ts, dtype=float)
+    return _gap_walk(e, ts, float(ts[0]))
+
+
+def _gap_quad(f, a, b):
+    return expr_module.quad(lambda xs: _gap_rule(f, xs), a, b)[0]
+
+
+def _gap_walk(e, ts, origin):
+    cls = type(e)
+    if cls is Const:
+        return np.full(len(ts), e.value)
+    if cls is Var:
+        return ts
+    if cls is Neg:
+        return -_gap_walk(e.arg, ts, origin)
+    if cls is Call:
+        return expr_module._FUNCTIONS[e.name][0](_gap_walk(e.arg, ts, origin))
+    if cls is Pow:
+        return np.power(_gap_walk(e.base, ts, origin), float(e.exponent))
+    if cls is Integral:
+        lo = np.concatenate(([origin], ts[:-1]))
+        mid, half = 0.5 * (lo + ts), 0.5 * (ts - lo)
+        nodes = (mid[:, None] + half[:, None] * expr_module._XK).ravel()
+        fv = _gap_walk(e.integrand, nodes, origin).reshape(-1, 15)
+        sums, gauss = half * (fv @ expr_module._WK), half * (fv @ expr_module._WG)
+        tol = expr_module._CELL_TOL
+        for i in np.flatnonzero(np.abs(sums - gauss) > np.maximum(tol, tol * np.abs(sums))):
+            sums[i] = _gap_quad(e.integrand, lo[i], ts[i])
+        return _gap_quad(e.integrand, 0.0, origin) + np.cumsum(sums)
+    ops = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+    return ops[cls](_gap_walk(e.left, ts, origin), _gap_walk(e.right, ts, origin))
+
+
+def _integrals_around(inner):
+    """Integrals whose integrand joins a plain tree to one of ``inner``."""
+    joins = st.sampled_from((lambda a, b: a + b, lambda a, b: a * b,
+                             lambda a, b: a * exp(-b)))
+    return st.tuples(PLAIN_TREES, inner, joins).map(lambda p: integral(p[2](p[0], p[1])))
+
+
+_NESTED = _integrals_around(PLAIN_TREES.map(integral))
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=st.one_of(_NESTED, _integrals_around(_NESTED)),
+       ta=st.sampled_from((0.0, 0.3, -0.4)),
+       steps=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 0.4)),
+                      min_size=2, max_size=10))
+def test_nested_integrals_match_the_gap_rule(e, ta, steps):
+    # Two and three levels, on grids with repeated times.
+    ts = ta + np.cumsum([0.0, *steps])
+    live = ts[1:] > ts[:-1]
+    assume(live.sum() >= 2)
+
+    def close(got, want):
+        return np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+    want = _gap_rule(e, ts)
+    # A small block makes the nested integrals carry their values from
+    # batch to batch.
+    for block in (expr_module._BLOCK, 2):
+        with mock.patch.object(expr_module, "_BLOCK", block):
+            assert close(evaluate_grid(e, ts), want), (str(e), block)
+    # A cell whose nested values are off may fall back to quad, which
+    # hides them; so compare the integrand at the nodes of the cells
+    # between distinct times, where its integrals take the node rule,
+    # in two runs of one grid, the second carrying on from the first.
+    a, b = ts[:-1][live], ts[1:][live]
+    nodes = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * expr_module._XK).ravel()
+    k = len(a) // 2
+    with session() as s:
+        sub = expr_module._Grid(ta, s)
+        got = [sub.run((e.integrand,), nodes[15 * i:15 * j], (a[i:j], b[i:j]))[0][0]
+               for i, j in ((0, k), (k, len(a)))]
+    assert close(np.concatenate(got), _gap_walk(e.integrand, nodes, ta)), str(e)
+
+
+def test_the_node_rule_where_a_cell_falls_back_or_fails():
+    # An integral in a run on the nodes of cells [a, b], as nested ones.
+    a = np.linspace(0.0, 0.9, 10)
+    b = a + 0.1
+    nodes = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * expr_module._XK).ravel()
+    with session() as s, np.errstate(all="ignore"):
+        # sqrt is not smooth at 0: the first cell's total and each of its
+        # nodes' partials are integrated by quad.
+        (got,), failures = expr_module._Grid(0.0, s).run((integral(sqrt(T)),), nodes, (a, b))
+        assert not failures
+        assert np.max(np.abs(got - nodes ** 1.5 / 1.5)) <= 1e-14
+        # log(0.55 - t) fails at the later nodes of the cell [0.5, 0.6]:
+        # the integral fails from that cell's first node on, with that
+        # error, and keeps its values before.
+        (got,), failures = expr_module._Grid(0.0, s).run(
+            (integral(log(0.55 - T)),), nodes, (a, b))
+    assert sorted(failures) == list(range(75, 150))
+    assert {(err.kind, err.subexpr) for err in failures.values()} == {
+        ("log of non-positive value", log(0.55 - T))}
+    c, x = 0.55, nodes[:75]
+    want = (c - x) * (1.0 - np.log(c - x)) + c * math.log(c) - c
+    assert np.max(np.abs(got[:75] - want)) <= 1e-14
+
+
+def test_partial_weights_integrate_the_interpolant():
+    # Row j integrates every polynomial of degree at most 14 from -1 to
+    # the j-th node; over [-1, 1] the Kronrod weights do, so a cell's
+    # total is the integral of the same interpolant.
+    x = expr_module._XK
+    for d in range(15):
+        assert np.max(np.abs(expr_module._WS @ x ** d
+                             - (x ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1))) <= 1e-15
+        assert abs(expr_module._WK @ x ** d - (1.0 - (-1.0) ** (d + 1)) / (d + 1)) <= 1e-15
+
+
+def test_a_nested_integrand_is_evaluated_once_at_each_outer_node(monkeypatch):
+    inner = parse("2*t - 0.3")
+    outer = (1.0 + T) * exp(-integral(inner))
+    seen = collections.Counter()
+    run = expr_module._Grid.run
+
+    def counting(self, roots, ts, cells=None):
+        seen[roots] += len(ts)
+        return run(self, roots, ts, cells)
+
+    monkeypatch.setattr(expr_module._Grid, "run", counting)
+    with session() as s:
+        evaluate_grid(integral(outer), np.linspace(0.0, 1.5, 151))
+        counts = s.counts()
+        assert seen[(inner,)] == seen[(outer,)] == 15 * 150
+        assert (counts["expr.integral.cells"], counts["expr.quad.calls"]) == (300, 0)
+        # One cell of sqrt falls back to quad (see above).
+        evaluate_grid(parse("integral(sqrt(t))"), np.linspace(0.0, 1.0, 5))
+        counts = s.counts()
+        assert (counts["expr.integral.cells"], counts["expr.quad.calls"]) == (304, 1)
 
 
 # Trees that may leave their domain on [0, 1]: every operation of the

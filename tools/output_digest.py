@@ -1,5 +1,8 @@
-"""Print one sha256 line per CLI run, over its command, problem, exit
-code, stdout, stderr and every CSV it writes.
+"""Print two sha256 hashes per CLI run, of what it printed and of its CSVs.
+
+The first is over the command, problem, exit code, stdout and stderr,
+the second over every CSV the run writes (name and bytes), so a change
+that moves CSV bits shows whether stdout held.
 
 The runs are classify, solve and verify on each bundled problem, then,
 for each seed given, classify on every generated classify-catalogue
@@ -41,7 +44,8 @@ GENERATED = {"classify-catalogue": ("classify",),
 
 def digest(command: str, problem: str) -> str:
     """Run ``command`` on the problem file (relative to the working
-    directory) and hash what it printed, returned and wrote."""
+    directory) and hash what it printed and returned, then what it
+    wrote."""
     out = Path(f"out-{command}-{problem.replace('/', '-')}")
     out.mkdir()
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -50,12 +54,12 @@ def digest(command: str, problem: str) -> str:
             rc = riccati_sl2.cli.main([command, problem, "--output", str(out)])
         except Exception as exc:
             rc = f"raised {type(exc).__name__}: {exc}"
-    h = hashlib.sha256()
+    run, csvs = hashlib.sha256(), hashlib.sha256()
     for part in (command, problem, str(rc), stdout.getvalue(), stderr.getvalue()):
-        h.update(part.encode() + b"\0")
+        run.update(part.encode() + b"\0")
     for csv in sorted(out.iterdir()):
-        h.update(csv.name.encode() + b"\0" + csv.read_bytes() + b"\0")
-    return f"{h.hexdigest()}  {command} {problem}"
+        csvs.update(csv.name.encode() + b"\0" + csv.read_bytes() + b"\0")
+    return f"{run.hexdigest()}  {csvs.hexdigest()}  {command} {problem}"
 
 
 def main(argv=None) -> int:

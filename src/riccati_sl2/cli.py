@@ -47,8 +47,7 @@ from .sl2 import (OneDimensionalTarget, integrate_group_equation,
                   reconstruct_solution)
 from .solvers import (ResidualError, SolutionForm, sample_forms,
                       verify_particular_solution)
-from .transform import (CurveSL2, gauge_transform_algebra, theta_apply,
-                        transform_coefficients)
+from .transform import CurveSL2, gauge_transform_algebra, transform_coefficients
 
 __all__ = ["main", "load_problem", "cmd_solve", "cmd_classify", "cmd_verify",
            "Problem", "InputError"]
@@ -418,12 +417,11 @@ def cmd_verify(problem: Problem, args) -> int:
     base = direct[ics[0]]
     for r in satisfied:
         def equivariance(r=r):
-            c = r.curve
-            image = integrate_direct(r.transformed, theta_apply(c, span[0], ics[0]),
-                                     span, step)
-            return _points_dev(mobius_apply_array(
-                *evaluate_grid(c.entries(), base.ts), _complete(base).values),
-                _complete(image).values)
+            curve = evaluate_grid(r.curve.entries(), base.ts)
+            x0 = mobius_apply_array(*curve[:, 0], float(ics[0]))
+            image = integrate_direct(r.transformed, float(x0), span, step)
+            return _points_dev(mobius_apply_array(*curve, _complete(base).values),
+                               _complete(image).values)
         check(f"equivariance[{r.name}]", 1e-6, equivariance)
 
     # Gauge law versus coefficient law, on each reducing curve (or on an
@@ -512,12 +510,9 @@ def main(argv=None) -> int:
         try:
             problem = load_problem(args.problem, args)
             rc = _COMMANDS[args.command](problem, args)
-        except InputError as exc:
+        except (InputError, ArithmeticError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            rc = 2
-        except (ArithmeticError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            rc = 1
+            rc = 2 if isinstance(exc, InputError) else 1
     if debug:
         print(json.dumps(shared.counts()), file=sys.stderr)
     return rc

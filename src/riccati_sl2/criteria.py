@@ -30,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .expr import (Expr, ONE, ZERO, Const, Div, EvalDomainError, ParseError,
-                   QuadratureError, _sample, differentiate, evaluate,
-                   evaluate_grid, exp, integral_from, parse, sqrt)
+                   QuadratureError, _sample, differentiate, evaluate_grid,
+                   exp, integral_from, parse, sqrt)
 from .projline import ext, mobius_apply_array
 from .riccati import RiccatiEquation, Trajectory, time_grid
 from .sl2 import OneDimensionalTarget, solve_one_dimensional_target
@@ -334,7 +334,7 @@ def check_allen_stein(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Cr
     bad = _positivity(name, "b0*b2", prod, grid)
     if bad:
         return bad
-    s = 1.0 if evaluate(b0, grid[0]) > 0.0 else -1.0
+    s = 1.0 if evaluate_grid(b0, grid)[0] > 0.0 else -1.0
     db0, db2 = differentiate(b0), differentiate(b2)
     C_expr = (b1 + 0.5 * (db2 / b2 - db0 / b0)) / sqrt(prod)
     C, dev = constancy_fit(C_expr, grid)
@@ -402,13 +402,16 @@ def check_ra61(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criterion
 
 def check_rdm05(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Constant-solution pattern b0 + b1 y + b2 y^2 with y = r constant:
-    solves the pointwise quadratic at the grid median, verifies each root
-    globally, and reduces by the constant homography with k = -1/r to an
-    inhomogeneous linear equation (two-dimensional solvable target)."""
+    solves the quadratic at the middle time of one grid sampling, checks
+    each root on the whole grid, and reduces by the constant homography
+    with k = -1/r to an inhomogeneous linear (two-dimensional) target."""
     name = "RDM05"
     b0, b1, b2 = eq.b0, eq.b1, eq.b2
-    tm = grid[len(grid) // 2]
-    A0, A1, A2 = eq.coefficients_at(tm)
+    vals, failures = next(_sample((b0, b1, b2), (np.asarray(grid, dtype=float),)))
+    m = len(grid) // 2
+    if m in failures:
+        raise failures[m]
+    A0, A1, A2 = vals[:, m].tolist()
     scale = abs(A0) + abs(A1) + abs(A2) + 1.0
     candidates: list[float] = []
     if abs(A2) > 1e-12 * scale:
@@ -419,8 +422,9 @@ def check_rdm05(eq: RiccatiEquation, grid, tol: float = DEFAULT_TOL) -> Criterio
     elif abs(A1) > 1e-12 * scale:
         candidates = [-A0 / A1]
     verified: list[tuple[float, float]] = []
-    if candidates:
-        c0, c1, c2 = evaluate_grid((b0, b1, b2), grid)
+    if candidates and failures:
+        raise failures[min(failures)]
+    c0, c1, c2 = vals
     for r in sorted(set(candidates), reverse=True):
         res = c0 + c1 * r + c2 * r * r
         worst = float((abs(res) / (
@@ -465,7 +469,7 @@ def check_zh99_basic(eq: RiccatiEquation, grid, hint: dict | None = None,
         c = _sign(evaluate_grid(b0 * b2, grid))
         if c is None:
             return _unsat(name, "b0*b2 changes sign or vanishes on the grid")
-        s2 = 1.0 if evaluate(b2, grid[0]) > 0.0 else -1.0
+        s2 = 1.0 if evaluate_grid(b2, grid)[0] > 0.0 else -1.0
         a = 1.0
         D = Const(s2) * sqrt(Const(c) * (b0 * b2))
         dD = differentiate(D)
@@ -713,8 +717,8 @@ def solve_via_report(report: CriterionReport, x0s, t_span,
     curve.  One trajectory per point.
 
     The points go through each step together, as arrays: the curve at
-    t_a, the target's group solution (one-dimensional target) or its
-    linear closed forms (affine target, sampled by :func:`sample_forms`),
+    t_a (read off the inverse curve, sampled first), the target's group
+    solution or linear closed forms (sampled by :func:`sample_forms`),
     and the inverse curve.  If that fails, the points are solved one at
     a time, so the error is the first failing point's first."""
     if not report.satisfied or report.curve is None or report.target is None:
@@ -724,15 +728,15 @@ def solve_via_report(report: CriterionReport, x0s, t_span,
         return []
     curve, target = report.curve, report.target
     try:
-        start = evaluate_grid(curve.entries(), ts[:1])
-        y0s = mobius_apply_array(*start, [float(ext(x0)) for x0 in x0s])
+        back = evaluate_grid(inverse(curve).entries(), ts)
+        de, mbe, mga, al = back[:, :1]  # (delta, -beta, -gamma, alpha) at t_a
+        y0s = mobius_apply_array(al, -mbe, -mga, de, [float(ext(x0)) for x0 in x0s])
         if isinstance(target, OneDimensionalTarget):
             group = solve_one_dimensional_target(target, t_span, step).values
             ys = mobius_apply_array(*group[:, None, :], y0s[:, None])
         else:
             forms = [solve_linear(target, y0, ts) for y0 in y0s]
             ys = np.array(list(sample_forms(forms, ts)))
-        back = evaluate_grid(inverse(curve).entries(), ts)
         xs = mobius_apply_array(*back[:, None, :], ys)
     except (ValueError, ArithmeticError):
         if len(x0s) < 2:

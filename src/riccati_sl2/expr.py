@@ -554,8 +554,8 @@ class _Session:
     text, and the subtree values of the outermost grid runs that failed
     nowhere and held no integral, keyed by their times, up to
     ``_SESSION_BYTES`` in all; with counts of each computed and reused,
-    of the cells integrals summed by a 15-node rule and of the calls of
-    :func:`quad`."""
+    of the cells integrals summed by a 15-node rule, of the calls of
+    :func:`quad` and of the outermost grid runs."""
 
     def __init__(self):
         self.derivatives: dict[Expr, Expr] = {}
@@ -565,7 +565,7 @@ class _Session:
         self.kept_bytes = 0
         self.depth = 0  # grid runs in progress
         self.computed = self.reused = self.derived = self.rederived = 0
-        self.cells = self.quads = 0
+        self.cells = self.quads = self.runs = 0
 
     def room(self, nbytes: int) -> bool:
         """Whether ``nbytes`` more fit, counting them in if so."""
@@ -582,7 +582,8 @@ class _Session:
                 "expr.print.texts_computed": len(self.texts),
                 "expr.print.texts_reused": self.reprinted,
                 "expr.integral.cells": self.cells,
-                "expr.quad.calls": self.quads}
+                "expr.quad.calls": self.quads,
+                "expr.evaluate_grid.runs": self.runs}
 
 
 _SESSION: contextvars.ContextVar[_Session | None] = contextvars.ContextVar(
@@ -663,6 +664,7 @@ class _Grid:
         self._clean = True
         s = self.session
         key = ts.tobytes() if s.depth == 0 else None  # None when nested
+        s.runs += key is not None
         self._kept = s.grids.get(key, {})
         s.depth += 1
         try:
@@ -680,8 +682,6 @@ class _Grid:
                    if e is not T and e not in self._kept}
             if new and s.room(sum(v.nbytes for v in new.values())
                               + (0 if key in s.grids else len(key))):
-                for v in new.values():
-                    v.flags.writeable = False
                 s.grids.setdefault(key, self._kept).update(new)
         self._vals = self._kept = None
         return outs, self._failures
@@ -890,7 +890,7 @@ def _sample(roots, chunks):
         finally:
             if token is not None:
                 _SESSION.reset(token)
-        yield np.array(outs), failures
+        yield np.array(outs), failures  # a copy: kept arrays stay in the session
 
 
 def evaluate_grid(e, ts, *, poles: bool = False) -> np.ndarray:

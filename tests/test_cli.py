@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import riccati_sl2.cli as cli_module
+import riccati_sl2.expr as expr_module
 from riccati_sl2 import csv_texts, integrate_direct, points
 from riccati_sl2.cli import load_problem, main
 from riccati_sl2.criteria import DETECTORS, classify
@@ -363,15 +364,36 @@ def test_debug_log_adds_the_session_counts_to_stderr(tmp_path, capsys,
     debug = capsys.readouterr()
     assert debug.out == plain.out
     counts = json.loads(debug.err.splitlines()[-1])
-    assert set(counts) == {"expr.evaluate_grid.subtrees_computed",
-                           "expr.evaluate_grid.subtrees_reused",
-                           "expr.differentiate.nodes_computed",
-                           "expr.differentiate.nodes_reused",
-                           "expr.print.texts_computed",
-                           "expr.print.texts_reused",
-                           "expr.integral.cells",
-                           "expr.quad.calls"}
+    assert list(counts) == ["expr.evaluate_grid.subtrees_computed",
+                            "expr.evaluate_grid.subtrees_reused",
+                            "expr.differentiate.nodes_computed",
+                            "expr.differentiate.nodes_reused",
+                            "expr.print.texts_computed",
+                            "expr.print.texts_reused",
+                            "expr.integral.cells",
+                            "expr.quad.calls",
+                            "expr.evaluate_grid.runs"]
     assert all(type(n) is int and n >= 0 for n in counts.values())
+    assert counts["expr.evaluate_grid.runs"] > 0
+
+
+def test_no_command_runs_an_outermost_grid_on_one_time(tmp_path, capsys, monkeypatch):
+    # A time's values are read from the grid run that holds them, not
+    # from a walk of the tree at that time alone.
+    one_time = []
+    run = expr_module._Grid.run
+
+    def recording(self, roots, ts, cells=None):
+        if self.session.depth == 0 and len(ts) == 1:
+            one_time.append(", ".join(map(str, roots)))
+        return run(self, roots, ts, cells)
+
+    monkeypatch.setattr(expr_module._Grid, "run", recording)
+    for path in sorted(PROBLEMS.glob("*.json")):
+        for command in ("classify", "solve", "verify"):
+            main([command, str(path), "--output", str(tmp_path)])
+    capsys.readouterr()
+    assert one_time == []
 
 
 def test_bad_known_solution_is_input_error(tmp_path, capsys):

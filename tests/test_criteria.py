@@ -243,6 +243,28 @@ def test_rdm05_no_real_solution():
     assert "no real constant solution" in rep.diagnostics["reason"]
 
 
+def test_rdm05_with_integral_coefficients():
+    # b0 + b1 r + b2 r^2 = (r - 2)(r + 2 + integral(cos(t))): r = 2 is a
+    # constant solution, the other root moves.  The middle time's values
+    # come from the grid, where the integral is a sum of cells.
+    eq = RiccatiEquation(parse("-2*integral(cos(t)) - 4"),
+                         parse("integral(cos(t))"), ONE)
+    rep = check_rdm05(eq, GRID)
+    assert rep.satisfied
+    assert abs(rep.constants["r"] - 2.0) <= 1e-12
+
+
+def test_rdm05_a_failure_away_from_the_middle_time_needs_a_root_to_raise():
+    # b2 = 1/t fails at t = 0 only; at the middle time 1 + 2 y^2 has no
+    # real root, so there is nothing to verify on the grid.
+    rep = check_rdm05(RiccatiEquation.of(1, 0, parse("1/t")), GRID)
+    assert not rep.satisfied
+    assert rep.diagnostics["reason"] == "no real constant solution"
+    # A failure at the middle time raises, root or not.
+    with pytest.raises(EvalDomainError, match="division by zero in '1/\\(t - 0.5\\)'"):
+        check_rdm05(RiccatiEquation.of(1, 0, parse("1/(t - 0.5)")), GRID)
+
+
 def test_holds_on_solve_grid_leaves_an_unsatisfied_report_as_it_is():
     eq = RiccatiEquation.of(1, T, -1)
     rep = check_rdm05(eq, GRID)

@@ -666,6 +666,64 @@ def test_a_session_changes_no_value_and_no_first_failure(trees, data):
     assert shared == alone
 
 
+# Trees without integrals that may leave their domain: every operation of
+# the plain trees, and unguarded quotients, logarithms, square roots,
+# integer powers, exponentials, cosines and tangents.
+_FALLIBLE_PLAIN = st.recursive(TREE_LEAVES, lambda c: st.one_of(
+    tree_operations(c), st.tuples(c, c).map(lambda p: p[0] / p[1]),
+    c.map(log), c.map(sqrt), c.map(lambda a: a ** -2), c.map(lambda a: a ** 3),
+    c.map(exp), c.map(cos), c.map(tan)), max_leaves=6)
+_COLUMN_TIMES = st.one_of(
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=300).map(sorted),
+    st.integers(1, 2250).map(lambda n: np.linspace(-3.0, 3.0, n).tolist()))
+
+
+@settings(max_examples=300)
+@given(e=_FALLIBLE_PLAIN, ts=_COLUMN_TIMES, data=st.data())
+def test_a_grid_column_is_the_one_point_evaluation(e, ts, data):
+    # numpy's ufuncs give each element the same bits whatever the length
+    # of the array, so a caller may read a time's value, or its first
+    # failure, from a grid holding that time.
+    i = data.draw(st.integers(0, len(ts) - 1))
+    (vals,), failures = next(expr_module._sample((e,), (np.array(ts),)))
+    try:
+        want = evaluate(e, ts[i])
+    except EvalDomainError as exc:
+        assert str(failures[i]) == str(exc)
+        return
+    assert i not in failures
+    assert float(vals[i]).hex() == want.hex()
+    if not failures:
+        assert float(evaluate_grid(e, ts)[i]).hex() == want.hex()
+
+
+def test_kept_values_never_leave_a_session():
+    # What a caller gets is its own: changing it changes nothing kept.
+    e = sin(T) * T + 1.0
+    ts = np.linspace(0.0, 1.0, 11)
+    with session() as s:
+        got = evaluate_grid(e, ts)
+        want = got.copy()
+        got[:] = 99.0
+        rows = evaluate_grid((e, sin(T)), ts)
+        rows[:] = -1.0
+        (sampled,), _ = next(expr_module._sample((e,), (ts,)))
+        sampled[:] = 7.0
+        again = evaluate_grid(e, ts)
+        assert s.counts()["expr.evaluate_grid.subtrees_reused"] > 0
+    assert again.tobytes() == want.tobytes()
+
+
+def test_the_run_count_counts_outermost_runs_only():
+    # The integral's integrand and quadrature grids are nested runs.
+    with session() as s:
+        evaluate_grid(parse("integral(sqrt(t)) + sin(t)"), np.linspace(0.5, 1.0, 5))
+        evaluate(sin(T), 0.25)
+        counts = s.counts()
+    assert counts["expr.evaluate_grid.runs"] == 2
+    assert counts["expr.quad.calls"] > 0
+
+
 def test_a_child_that_failed_under_an_earlier_root_is_computed_again():
     # log(t - 0.5) fails under the first root; the second root reads it
     # from that walk without marking anything itself, and must not be kept

@@ -555,7 +555,8 @@ class _Session:
     nowhere and held no integral, keyed by their times, up to
     ``_SESSION_BYTES`` in all; with counts of each computed and reused,
     of the cells integrals summed by a 15-node rule, of the calls of
-    :func:`quad` and of the outermost grid runs."""
+    :func:`quad`, of the outermost grid runs, and of the steps and chart
+    switches of the direct RK4."""
 
     def __init__(self):
         self.derivatives: dict[Expr, Expr] = {}
@@ -566,6 +567,7 @@ class _Session:
         self.depth = 0  # grid runs in progress
         self.computed = self.reused = self.derived = self.rederived = 0
         self.cells = self.quads = self.runs = 0
+        self.rk4_steps = self.chart_switches = 0  # of integrate_direct
 
     def room(self, nbytes: int) -> bool:
         """Whether ``nbytes`` more fit, counting them in if so."""
@@ -583,7 +585,9 @@ class _Session:
                 "expr.print.texts_reused": self.reprinted,
                 "expr.integral.cells": self.cells,
                 "expr.quad.calls": self.quads,
-                "expr.evaluate_grid.runs": self.runs}
+                "expr.evaluate_grid.runs": self.runs,
+                "riccati.integrate_direct.steps": self.rk4_steps,
+                "riccati.integrate_direct.chart_switches": self.chart_switches}
 
 
 _SESSION: contextvars.ContextVar[_Session | None] = contextvars.ContextVar(

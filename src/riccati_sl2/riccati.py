@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Expr, _sample, as_expr, evaluate_grid
+from .expr import _SESSION, Expr, _sample, as_expr, evaluate_grid
 from .projline import ExtReal, ext, points
 
 __all__ = ["RiccatiEquation", "Trajectory", "rhs", "time_grid",
@@ -121,10 +121,14 @@ def _stage_samples(coeffs, grid: list[float], h: float):
     coefficient of its values at grid[k], grid[k] + h/2, grid[k+1], ...,
     grid[k+m]; the number of steps whose stages all evaluate; and the
     error that stops the next step, or None."""
-    blocks = (np.array(grid[k:k + _BLOCK_STEPS + 1])
-              for k in range(0, len(grid) - 1, _BLOCK_STEPS))
-    times = (np.insert(t, np.arange(1, len(t)), t[:-1] + 0.5 * h) for t in blocks)
-    for vals, failures in _sample(coeffs, times):
+    def times():
+        for k in range(0, len(grid) - 1, _BLOCK_STEPS):
+            t = np.array(grid[k:k + _BLOCK_STEPS + 1])
+            out = np.empty(2 * len(t) - 1)
+            out[0::2], out[1::2] = t, t[:-1] + 0.5 * h
+            yield out
+
+    for vals, failures in _sample(coeffs, times()):
         # Step j reads samples 2j, 2j + 1 and 2j + 2.
         first = min(failures, default=vals.shape[1] + 1)
         yield (*vals.tolist(), max(0, (first - 1) // 2), failures.get(first))
@@ -145,35 +149,49 @@ def integrate_direct(eq: RiccatiEquation, x0, t_span, step: float = 1e-3) -> Tra
     else:
         chart, u = "x", x0.value
 
-    ts = [grid[0]]
     xs = [_emit(chart, u)]
     switches: list[tuple[float, str, str]] = []
     error = None
+    h2, h6 = 0.5 * h, h / 6.0
     for b0, b1, b2, steps, failure in _stage_samples((eq.b0, eq.b1, eq.b2), grid, h):
         # The w chart's equation has coefficients (b2, -b1, b0).
         charts = {"x": (b0, b1, b2), "w": (b2, [-v for v in b1], b0)}
-        p, q, r = charts[chart]
-        for i in range(0, 2 * steps, 2):
-            k1 = p[i] + u * (q[i] + u * r[i])
-            v = u + 0.5 * h * k1
-            k2 = p[i + 1] + v * (q[i + 1] + v * r[i + 1])
-            v = u + 0.5 * h * k2
-            k3 = p[i + 1] + v * (q[i + 1] + v * r[i + 1])
-            v = u + h * k3
-            k4 = p[i + 2] + v * (q[i + 2] + v * r[i + 2])
-            u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            t_next = grid[len(ts)]
+        first, end = len(xs), 2 * steps
+        # Each pass runs the block's steps in one chart, up to a step
+        # that leaves |u| <= 1 (beyond 1, NaN or inf).
+        while (i := 2 * (len(xs) - first)) < end:
+            p, q, r = charts[chart]
+            in_x = chart == "x"
+            for p0, p1, p2, q0, q1, q2, r0, r1, r2 in zip(
+                    p[i:end:2], p[i + 1:end:2], p[i + 2:end + 1:2],
+                    q[i:end:2], q[i + 1:end:2], q[i + 2:end + 1:2],
+                    r[i:end:2], r[i + 1:end:2], r[i + 2:end + 1:2]):
+                k1 = p0 + u * (q0 + u * r0)
+                v = u + h2 * k1
+                k2 = p1 + v * (q1 + v * r1)
+                v = u + h2 * k2
+                k3 = p1 + v * (q1 + v * r1)
+                v = u + h * k3
+                k4 = p2 + v * (q2 + v * r2)
+                u = u + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+                if not abs(u) <= 1.0:
+                    break
+                xs.append(u if in_x else -1.0 / u if abs(u) > _BLOWUP_TOL else math.inf)
+            else:
+                break
+            t_next = grid[len(xs)]
             if not math.isfinite(u):
                 error = f"state became non-finite at t={t_next:.6g}"
                 break
-            if abs(u) > 1.0:
-                new_chart = "w" if chart == "x" else "x"
-                switches.append((t_next, chart, new_chart))
-                u = -1.0 / u
-                chart, (p, q, r) = new_chart, charts[new_chart]
-            ts.append(t_next)
+            new_chart = "w" if in_x else "x"
+            switches.append((t_next, chart, new_chart))
+            chart, u = new_chart, -1.0 / u
             xs.append(_emit(chart, u))
         if error is not None or failure is not None:
             error = error or str(failure)
             break
-    return Trajectory(ts, np.array(xs), chart_switches=switches, error=error)
+    s = _SESSION.get()
+    if s is not None:
+        s.rk4_steps += len(xs) - 1
+        s.chart_switches += len(switches)
+    return Trajectory(grid[:len(xs)], np.array(xs), chart_switches=switches, error=error)

@@ -99,29 +99,40 @@ def integrate_group_equation(eq: RiccatiEquation, t_span, step: float = 1e-3) ->
     a0, a1, a2, a3 = 1.0, 0.0, 0.0, 1.0  # A, row-major
     rows = [(a0, a1, a2, a3)]
     for b0, b1, b2, steps, failure in _stage_samples((eq.b0, eq.b1, eq.b2), grid, h):
-        for i in range(0, 2 * steps, 2):
-            # Stages k1..k4 (p, q, r, s) of a(t) X, a = [[m, b], [-c, -m]], m = b1/2.
-            m, b, c = 0.5 * b1[i], b0[i], b2[i]
-            p0, p1, p2, p3 = m * a0 + b * a2, m * a1 + b * a3, -c * a0 - m * a2, -c * a1 - m * a3
-            m, b, c = 0.5 * b1[i + 1], b0[i + 1], b2[i + 1]
-            x0, x1, x2, x3 = a0 + h2 * p0, a1 + h2 * p1, a2 + h2 * p2, a3 + h2 * p3
-            q0, q1, q2, q3 = m * x0 + b * x2, m * x1 + b * x3, -c * x0 - m * x2, -c * x1 - m * x3
-            x0, x1, x2, x3 = a0 + h2 * q0, a1 + h2 * q1, a2 + h2 * q2, a3 + h2 * q3
-            r0, r1, r2, r3 = m * x0 + b * x2, m * x1 + b * x3, -c * x0 - m * x2, -c * x1 - m * x3
-            m, b, c = 0.5 * b1[i + 2], b0[i + 2], b2[i + 2]
-            x0, x1, x2, x3 = a0 + h * r0, a1 + h * r1, a2 + h * r2, a3 + h * r3
-            s0, s1, s2, s3 = m * x0 + b * x2, m * x1 + b * x3, -c * x0 - m * x2, -c * x1 - m * x3
+        # Stages k1..k4 (p, q, r, s) of a(t) X, a = [[m, b0], [n, -m]] with
+        # m = b1/2 and n = -b2, one column of X, (x0, x2) or (x1, x3), a line.
+        # Step j reads the samples 2j, 2j + 1 and 2j + 2 (suffixes 0, 1, 2).
+        end, m, n = 2 * steps, [0.5 * v for v in b1], [-v for v in b2]
+        for m0, m1, m2, c0, c1, c2, n0, n1, n2 in zip(
+                m[0:end:2], m[1:end:2], m[2:end + 1:2],
+                b0[0:end:2], b0[1:end:2], b0[2:end + 1:2],
+                n[0:end:2], n[1:end:2], n[2:end + 1:2]):
+            p0, p2 = m0 * a0 + c0 * a2, n0 * a0 - m0 * a2
+            p1, p3 = m0 * a1 + c0 * a3, n0 * a1 - m0 * a3
+            x0, x2 = a0 + h2 * p0, a2 + h2 * p2
+            x1, x3 = a1 + h2 * p1, a3 + h2 * p3
+            q0, q2 = m1 * x0 + c1 * x2, n1 * x0 - m1 * x2
+            q1, q3 = m1 * x1 + c1 * x3, n1 * x1 - m1 * x3
+            x0, x2 = a0 + h2 * q0, a2 + h2 * q2
+            x1, x3 = a1 + h2 * q1, a3 + h2 * q3
+            r0, r2 = m1 * x0 + c1 * x2, n1 * x0 - m1 * x2
+            r1, r3 = m1 * x1 + c1 * x3, n1 * x1 - m1 * x3
+            x0, x2 = a0 + h * r0, a2 + h * r2
+            x1, x3 = a1 + h * r1, a3 + h * r3
+            s0, s2 = m2 * x0 + c2 * x2, n2 * x0 - m2 * x2
+            s1, s3 = m2 * x1 + c2 * x3, n2 * x1 - m2 * x3
             a0 += h6 * (p0 + 2.0 * (q0 + r0) + s0)
             a1 += h6 * (p1 + 2.0 * (q1 + r1) + s1)
             a2 += h6 * (p2 + 2.0 * (q2 + r2) + s2)
             a3 += h6 * (p3 + 2.0 * (q3 + r3) + s3)
             d = a0 * a3 - a1 * a2
-            if not math.isfinite(d) or d <= 0.0:
+            if not 0.0 < d < math.inf:
                 raise ArithmeticError(
                     f"determinant collapsed to {d:.3g} at t={grid[len(rows)]:.6g}; "
                     "reduce the step")
             root = math.sqrt(d)
-            a0, a1, a2, a3 = a0 / root, a1 / root, a2 / root, a3 / root
+            a0, a2 = a0 / root, a2 / root
+            a1, a3 = a1 / root, a3 / root
             rows.append((a0, a1, a2, a3))
         if failure is not None:
             raise failure
@@ -142,7 +153,11 @@ def expm_traceless(N: Mat2, tau: float = 1.0) -> Mat2:
     exponential is f(u)*I + g(u)*tau*N where f, g are the even/odd series
     (cosh/cos and sinh/sin branches depending on the sign of u).
     """
-    d = N.det()
+    return Mat2(*_expm_entries(N.det(), N.a11, N.a12, N.a21, N.a22, tau))
+
+
+def _expm_entries(d, n11, n12, n21, n22, tau):
+    """The four entries of :func:`expm_traceless` for N of determinant d."""
     u = -d * tau * tau
     if abs(u) < 1e-8:
         # Series keeps full accuracy through the branch point u = 0.
@@ -157,7 +172,7 @@ def expm_traceless(N: Mat2, tau: float = 1.0) -> Mat2:
         f = math.cos(om)
         g = math.sin(om) / om
     gt = g * tau
-    return Mat2(f + gt * N.a11, gt * N.a12, gt * N.a21, f + gt * N.a22)
+    return f + gt * n11, gt * n12, gt * n21, f + gt * n22
 
 
 def solve_one_dimensional_target(target: OneDimensionalTarget, t_span,
@@ -169,7 +184,8 @@ def solve_one_dimensional_target(target: OneDimensionalTarget, t_span,
         raise TypeError("expected a one-dimensional target")
     ts = time_grid(t_span, step)[0]
     N = target.direction()
+    d = N.det()
     tau = evaluate_grid(Integral(target.rate), ts)
-    mats = (expm_traceless(N, v) for v in (tau - tau[0]).tolist())
-    return GroupTrajectory(
-        ts, np.array([(A.a11, A.a12, A.a21, A.a22) for A in mats]).T)
+    return GroupTrajectory(ts, np.array(
+        [_expm_entries(d, N.a11, N.a12, N.a21, N.a22, v)
+         for v in (tau - tau[0]).tolist()]).T)

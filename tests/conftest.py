@@ -6,13 +6,15 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
 from hypothesis import settings, strategies as st
 
 import riccati_sl2.expr as expr_module
+import riccati_sl2.riccati as riccati_module
 from riccati_sl2 import (Add, Call, Const, CurveSL2, EvalDomainError, Integral,
                          Mul, Neg, Pow, QuadratureError, RiccatiEquation, Sub,
-                         T, Var, arctan, as_expr, compose, exp, log, sin, sqrt,
-                         tanh)
+                         T, Var, arctan, as_expr, compose, exp, log, parse, sin,
+                         sqrt, tanh)
 from riccati_sl2.cli import load_problem
 
 # The CLI tests start `python -m riccati_sl2` in child interpreters; they
@@ -225,3 +227,47 @@ def tree_operations(children):
 
 
 PLAIN_TREES = st.recursive(TREE_LEAVES, tree_operations, max_leaves=5)
+
+
+# The RK4 stage sampling with the stage times interleaved by np.insert,
+# kept as the reference that the integrators' reference loops read.
+
+def reference_stage_samples(coeffs, grid, h):
+    block = riccati_module._BLOCK_STEPS
+    blocks = (np.array(grid[k:k + block + 1]) for k in range(0, len(grid) - 1, block))
+    times = (np.insert(t, np.arange(1, len(t)), t[:-1] + 0.5 * h) for t in blocks)
+    for vals, failures in expr_module._sample(coeffs, times):
+        first = min(failures, default=vals.shape[1] + 1)
+        yield (*vals.tolist(), max(0, (first - 1) // 2), failures.get(first))
+
+
+@st.composite
+def rk4_cases(draw):
+    """(equation, t_span, step) for the RK4 integrators: plain trees, b2
+    scaled up to 1e300 (fast blow-up, an overflowing state), b1 failing
+    from a time inside the span or not at all, and spans of 1 to 1,100
+    steps, so that some cross a 512-step block boundary."""
+    b0, b1, b2 = (draw(PLAIN_TREES) for _ in range(3))
+    b2 = Const(draw(st.sampled_from([8.0, 1.0, 1e300]))) * b2
+    ta = draw(st.floats(-1.0, 1.0))
+    steps = draw(st.sampled_from([513, 1100, 300, 511, 512, 7, 1]))
+    step = draw(st.sampled_from([1e-3, 4e-3]))
+    if draw(st.booleans()):
+        b1 = b1 + log(Const(ta + draw(st.floats(0.0, 1.0)) * steps * step) - T)
+    return RiccatiEquation(b0, b1, b2), (ta, ta + steps * step), step
+
+
+# RK4 cases that each property run meets: a state held at exactly 1,
+# an inf sample (x' = x^2 from 1 reaches infinity at t = 1, a grid
+# time), a state that overflows, a coefficient that fails in the second
+# block, and chart switches over four blocks.
+RK4_EXAMPLES = [
+    (RiccatiEquation.of(0, 0, 0), (0.0, 0.01), 1e-3),
+    (RiccatiEquation.of(0, 0, 1), (0.0, 2.0), 1e-3),
+    (RiccatiEquation(parse("0.5 + t"), parse("t"), parse("1e300*(1 - t)")),
+     (0.0, 1.0), 1e-3),
+    (RiccatiEquation(parse("1"), parse("log(0.8 - t)"), parse("-1")),
+     (0.0, 1.1), 1e-3),
+    (RiccatiEquation(parse("1 + t"), parse("sin(3*t)"), parse("2 - t^2")),
+     (0.0, 2.0), 1e-3),
+]

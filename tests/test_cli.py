@@ -12,7 +12,8 @@ from hypothesis import example, given, strategies as st
 
 import riccati_sl2.cli as cli_module
 import riccati_sl2.expr as expr_module
-from riccati_sl2 import csv_texts, integrate_direct, points
+from riccati_sl2 import (RiccatiEquation, csv_texts, integrate_direct,
+                         integrate_group_equation, points, reconstruct_solution)
 from riccati_sl2.cli import load_problem, main
 from riccati_sl2.criteria import DETECTORS, classify
 
@@ -372,9 +373,18 @@ def test_debug_log_adds_the_session_counts_to_stderr(tmp_path, capsys,
                             "expr.print.texts_reused",
                             "expr.integral.cells",
                             "expr.quad.calls",
-                            "expr.evaluate_grid.runs"]
+                            "expr.evaluate_grid.runs",
+                            "riccati.integrate_direct.steps",
+                            "riccati.integrate_direct.chart_switches"]
     assert all(type(n) is int and n >= 0 for n in counts.values())
     assert counts["expr.evaluate_grid.runs"] > 0
+    # Only verify runs the direct RK4 here: 100 steps for each initial
+    # condition and for each satisfied curve's image equation.
+    runs = 0
+    if command == "verify":
+        checks = json.loads(debug.out)["checks"]
+        runs = 4 + sum(c["name"].startswith("equivariance[") for c in checks)
+    assert counts["riccati.integrate_direct.steps"] == 100 * runs
 
 
 def test_no_command_runs_an_outermost_grid_on_one_time(tmp_path, capsys, monkeypatch):
@@ -572,9 +582,17 @@ def test_console_entrypoint_runs():
     assert doc["command"] == "classify"
 
 
-def test_verify_reports_domain_failures_as_checks(tmp_path, capsys):
+def test_verify_reports_domain_failures_as_checks(tmp_path, capsys, monkeypatch):
     # The detection grid misses the window |t - pi/20| < 7e-4 where b1
     # leaves its domain, so classify passes; every trajectory stops there.
+    # The group RK4 fails there too, once for all four reconstructions.
+    group_runs = []
+
+    def counting(*args):
+        group_runs.append(args)
+        return integrate_group_equation(*args)
+
+    monkeypatch.setattr(cli_module, "integrate_group_equation", counting)
     path = _write_problem(
         tmp_path,
         coefficients={"b0": "1", "b1": "sqrt(cos(20*t) + 0.9999)", "b2": "-1"},
@@ -594,6 +612,24 @@ def test_verify_reports_domain_failures_as_checks(tmp_path, capsys):
         assert checks[name]["passed"] is False
         assert checks[name]["max_deviation"] is None
         assert checks[name]["reason"] == reason
+    assert len(group_runs) == 1
+
+
+def test_verify_reconstructs_point_by_point_when_the_batch_fails(tmp_path, capsys):
+    # x(t) = exp(2t)*x0: the image of 1e308 overflows, so the one Möbius
+    # call for every initial point raises, and each point gets its own.
+    path = _write_problem(tmp_path, coefficients={"b0": "0", "b1": "2", "b2": "0"},
+                          initial_conditions=[0, 1e308, 0.5])
+    rc = main(["verify", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert [(c["name"], c["passed"]) for c in doc["checks"]] == [
+        ("gauge_consistency[translation]", True), ("reconstruction[0]", True),
+        ("reconstruction[1]", False), ("reconstruction[2]", True)]
+    group = integrate_group_equation(RiccatiEquation.of(0, 2, 0), (0.0, 1.0), 0.01)
+    with pytest.raises(OverflowError) as err:
+        reconstruct_solution(group, 1e308)
+    assert doc["checks"][2]["reason"] == str(err.value)
 
 
 def test_verify_integrates_each_initial_condition_once(tmp_path, capsys,

@@ -2,7 +2,8 @@
 library's ``ast``: no unused imports, no module-level private name that
 nothing refers to, no exported name that nothing reads, no function
 parameter that is never read, and no two dataclasses that declare the
-same fields; and the package exports each module's public names."""
+same fields; the package exports each module's public names, and the
+README names every count of the debug line."""
 
 import ast
 import importlib
@@ -205,3 +206,10 @@ def test_the_package_exports_each_module_name():
         for name in module.__all__:
             assert getattr(package, name) is getattr(module, name), f"{stem}.{name}"
     assert sorted(package.__all__) == sorted(names)
+
+
+def test_the_readme_names_every_debug_count():
+    from riccati_sl2.expr import _Session
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    paragraph = next(p for p in readme.split("\n\n") if "RICCATI_LOG=debug" in p)
+    assert [k for k in _Session().counts() if f"`{k}`" not in paragraph] == []

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import bundled_problems, scalar_function, traj_vs_fn
+from conftest import (RK4_EXAMPLES, bundled_problems, reference_stage_samples,
+                      rk4_cases, scalar_function, traj_vs_fn)
 
 import riccati_sl2.riccati as riccati_module
 from riccati_sl2 import (EvalDomainError, ExtReal, INF, QuadratureError,
@@ -299,3 +301,70 @@ def test_truncation_in_a_later_block(monkeypatch):
     with pytest.raises(EvalDomainError) as err:
         integrate_group_equation(eq, (0.0, 1.0), 1e-3)
     assert str(err.value) == want.error
+
+
+# The direct RK4 as an index loop over the stage samples, kept as the
+# reference for the zipped loop that replaced it: the same float
+# operations in the same order.
+
+def _index_integrate_direct(eq, x0, t_span, step):
+    grid, h = time_grid(t_span, step)
+    x0 = ext(x0)
+    if x0.is_inf:
+        chart, u = "w", 0.0
+    elif abs(x0.value) > 1.0:
+        chart, u = "w", -1.0 / x0.value
+    else:
+        chart, u = "x", x0.value
+    ts = [grid[0]]
+    xs = [_emit(chart, u)]
+    switches = []
+    error = None
+    for b0, b1, b2, steps, failure in reference_stage_samples(
+            (eq.b0, eq.b1, eq.b2), grid, h):
+        charts = {"x": (b0, b1, b2), "w": (b2, [-v for v in b1], b0)}
+        p, q, r = charts[chart]
+        for i in range(0, 2 * steps, 2):
+            k1 = p[i] + u * (q[i] + u * r[i])
+            v = u + 0.5 * h * k1
+            k2 = p[i + 1] + v * (q[i + 1] + v * r[i + 1])
+            v = u + 0.5 * h * k2
+            k3 = p[i + 1] + v * (q[i + 1] + v * r[i + 1])
+            v = u + h * k3
+            k4 = p[i + 2] + v * (q[i + 2] + v * r[i + 2])
+            u = u + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            t_next = grid[len(ts)]
+            if not math.isfinite(u):
+                error = f"state became non-finite at t={t_next:.6g}"
+                break
+            if abs(u) > 1.0:
+                new_chart = "w" if chart == "x" else "x"
+                switches.append((t_next, chart, new_chart))
+                u = -1.0 / u
+                chart, (p, q, r) = new_chart, charts[new_chart]
+            ts.append(t_next)
+            xs.append(_emit(chart, u))
+        if error is not None or failure is not None:
+            error = error or str(failure)
+            break
+    return Trajectory(ts, np.array(xs), chart_switches=switches, error=error)
+
+
+_X0S = st.sampled_from([0.0, 1.0, -1.0, 1e6, -1e6, INF, 0.5, -3.0])
+
+
+@settings(max_examples=60)
+@given(case=rk4_cases(), x0=_X0S)
+@example(case=RK4_EXAMPLES[0], x0=-1.0)
+@example(case=RK4_EXAMPLES[1], x0=1.0)
+@example(case=RK4_EXAMPLES[2], x0=0.5)
+@example(case=RK4_EXAMPLES[3], x0=-1e6)
+@example(case=RK4_EXAMPLES[4], x0=INF)
+def test_direct_rk4_is_the_index_loop_bit_for_bit(case, x0):
+    eq, t_span, step = case
+    got = integrate_direct(eq, x0, t_span, step)
+    want = _index_integrate_direct(eq, x0, t_span, step)
+    assert got.ts == want.ts
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.chart_switches == want.chart_switches
+    assert got.error == want.error

@@ -3,15 +3,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import max_traj_dev, random_equation
+from conftest import (PLAIN_TREES, RK4_EXAMPLES, max_traj_dev, random_equation,
+                      reference_stage_samples, rk4_cases)
 
-from riccati_sl2 import (INF, EvalDomainError, GroupTrajectory, Mat2, ONE,
-                         OneDimensionalTarget, RiccatiEquation, ZERO,
-                         algebra_matrix, expm_traceless, integrate_direct,
+from riccati_sl2 import (INF, EvalDomainError, GroupTrajectory, Integral, Mat2,
+                         ONE, OneDimensionalTarget, RiccatiEquation, ZERO,
+                         algebra_matrix, evaluate_grid, expm_traceless,
+                         integrate_direct,
                          integrate_group_equation, parse, reconstruct_solution,
                          solve_one_dimensional_target, time_grid)
-from riccati_sl2.riccati import _stage_samples
 
 
 def _entry_dev(A: Mat2, B: Mat2) -> float:
@@ -119,8 +121,9 @@ def test_crossings_within_one_step():
     assert abs(ia - ib) <= 1
 
 
-# The group RK4 on 4-tuples that the straight-line loop replaced, kept
-# as the reference: the same float operations in the same order.
+# The group RK4 as an index loop on 4-tuples, kept as the reference for
+# the zipped straight-line loop: the same float operations in the same
+# order.
 
 def _amul(b0, b1, b2, A):
     m = 0.5 * b1
@@ -136,7 +139,8 @@ def _reference_integrate_group(eq, t_span, step):
     grid, h = time_grid(t_span, step)
     A = (1.0, 0.0, 0.0, 1.0)
     rows = [A]
-    for b0, b1, b2, steps, failure in _stage_samples((eq.b0, eq.b1, eq.b2), grid, h):
+    for b0, b1, b2, steps, failure in reference_stage_samples(
+            (eq.b0, eq.b1, eq.b2), grid, h):
         for i in range(0, 2 * steps, 2):
             k1 = _amul(b0[i], b1[i], b2[i], A)
             k2 = _amul(b0[i + 1], b1[i + 1], b2[i + 1], _axpy(A, 0.5 * h, k1))
@@ -180,6 +184,21 @@ _GROUP_CASES = [
 
 @pytest.mark.parametrize("eq, t_span, step", _GROUP_CASES)
 def test_group_rk4_is_the_tuple_loop_bit_for_bit(eq, t_span, step):
+    _assert_group_is_the_reference(eq, t_span, step)
+
+
+@settings(max_examples=60)
+@given(case=rk4_cases())
+@example(case=RK4_EXAMPLES[0])
+@example(case=RK4_EXAMPLES[1])
+@example(case=RK4_EXAMPLES[2])
+@example(case=RK4_EXAMPLES[3])
+@example(case=RK4_EXAMPLES[4])
+def test_group_rk4_is_the_tuple_loop_on_generated_equations(case):
+    _assert_group_is_the_reference(*case)
+
+
+def _assert_group_is_the_reference(eq, t_span, step):
     want = _group_outcome(_reference_integrate_group, eq, t_span, step)
     got = _group_outcome(integrate_group_equation, eq, t_span, step)
     if isinstance(got, GroupTrajectory):
@@ -199,6 +218,61 @@ def test_expm_traceless_branches():
     # trigonometric: M0 + M2 (det = 1)
     m = expm_traceless(Mat2(0.0, 1.0, -1.0, 0.0), math.pi / 2.0)
     assert _entry_dev(m, Mat2(0.0, 1.0, -1.0, 0.0)) <= 1e-12
+
+
+# The one-dimensional group solution as one Mat2 exponential per sample,
+# kept as the reference for the straight-line floats: the same branches
+# and float operations in the same order.
+
+def _reference_expm(N, tau):
+    d = N.det()
+    u = -d * tau * tau
+    if abs(u) < 1e-8:
+        f = 1.0 + u / 2.0 + u * u / 24.0
+        g = 1.0 + u / 6.0 + u * u / 120.0
+    elif u > 0.0:
+        mu = math.sqrt(u)
+        f = math.cosh(mu)
+        g = math.sinh(mu) / mu
+    else:
+        om = math.sqrt(-u)
+        f = math.cos(om)
+        g = math.sin(om) / om
+    gt = g * tau
+    return Mat2(f + gt * N.a11, gt * N.a12, gt * N.a21, f + gt * N.a22)
+
+
+def _reference_one_dimensional(target, t_span, step):
+    ts = time_grid(t_span, step)[0]
+    N = target.direction()
+    tau = evaluate_grid(Integral(target.rate), ts)
+    mats = [_reference_expm(N, v) for v in (tau - tau[0]).tolist()]
+    return ts, np.array([(A.a11, A.a12, A.a21, A.a22) for A in mats]).T
+
+
+# Directions for each branch: nilpotent and near-nilpotent (the series),
+# det < 0 (cosh) and det > 0 (cos); then any nonzero direction.
+_DIRECTIONS = st.sampled_from([(1.0, 0.0, 0.0), (1e-5, 0.0, 1e-5), (0.0, 1.0, 0.0),
+                               (1.0, 3.0, 1.0), (1.0, -0.5, 1.0), (2.0, 0.0, 5.0)]
+                              ) | st.tuples(*[st.floats(-3.0, 3.0)] * 3).filter(any)
+
+
+@settings(max_examples=40)
+@given(direction=_DIRECTIONS, rate=PLAIN_TREES, ta=st.floats(-1.0, 1.0),
+       steps=st.sampled_from([1, 50, 700]))
+def test_one_dimensional_target_is_the_mat2_loop_bit_for_bit(direction, rate, ta, steps):
+    target = OneDimensionalTarget(*direction, rate)
+    t_span = (ta, ta + steps * 1e-3)
+    ts, want = _reference_one_dimensional(target, t_span, 1e-3)
+    got = solve_one_dimensional_target(target, t_span, 1e-3)
+    assert got.ts == ts
+    assert got.values.tobytes() == want.tobytes()
+
+
+@given(direction=_DIRECTIONS, tau=st.floats(-50.0, 50.0) | st.floats(-1e-4, 1e-4))
+def test_expm_traceless_is_the_mat2_reference_bit_for_bit(direction, tau):
+    N = algebra_matrix(*direction)
+    assert expm_traceless(N, tau) == _reference_expm(N, tau)
 
 
 def test_one_dimensional_target_nilpotent():

@@ -551,23 +551,26 @@ _SESSION_BYTES = 2 << 20
 
 class _Session:
     """What one :func:`session` keeps: each node's derivative and printed
-    text, and the subtree values of the outermost grid runs that failed
-    nowhere and held no integral, keyed by their times, up to
+    text, the subtree values of the outermost grid runs that failed
+    nowhere and held no integral, keyed by their times (each key also by
+    its even-indexed times), and RK4 stage samplings, up to
     ``_SESSION_BYTES`` in all; with counts of each computed and reused,
     of the cells integrals summed by a 15-node rule, of the calls of
-    :func:`quad`, of the outermost grid runs, and of the steps and chart
-    switches of the direct RK4."""
+    :func:`quad`, of the outermost grid runs, and of the RK4 steps."""
 
     def __init__(self):
         self.derivatives: dict[Expr, Expr] = {}
         self.texts: dict[Expr, str] = {}
         self.reprinted = 0
         self.grids: dict[bytes, dict[Expr, np.ndarray]] = {}
+        self.halves: dict[bytes, bytes] = {}
+        self.samplings: dict[tuple, tuple] = {}  # see riccati._stage_samples
         self.kept_bytes = 0
         self.depth = 0  # grid runs in progress
         self.computed = self.reused = self.derived = self.rederived = 0
         self.cells = self.quads = self.runs = 0
         self.rk4_steps = self.chart_switches = 0  # of integrate_direct
+        self.group_steps = self.samplings_reused = 0
 
     def room(self, nbytes: int) -> bool:
         """Whether ``nbytes`` more fit, counting them in if so."""
@@ -587,7 +590,9 @@ class _Session:
                 "expr.quad.calls": self.quads,
                 "expr.evaluate_grid.runs": self.runs,
                 "riccati.integrate_direct.steps": self.rk4_steps,
-                "riccati.integrate_direct.chart_switches": self.chart_switches}
+                "riccati.integrate_direct.chart_switches": self.chart_switches,
+                "sl2.integrate_group_equation.steps": self.group_steps,
+                "riccati.stage_samples.reused": self.samplings_reused}
 
 
 _SESSION: contextvars.ContextVar[_Session | None] = contextvars.ContextVar(
@@ -642,13 +647,16 @@ class _Grid:
     starts at ``origin``, the first time of the outermost grid.
 
     A run nested in no other reads the values ``session`` keeps for its
-    times.  If it marked no failure and computed no integral, whose
-    value runs on from chunk to chunk, it keeps there, room permitting,
-    every value it computed; otherwise nothing.  A kept subtree marks
-    nothing when read back, as it marked nothing when computed on the
-    same times, so the first failure at each point stays the same.
-    Nested runs, on integrand and quadrature grids that seldom repeat,
-    read and keep nothing."""
+    times, or else every other value kept for times whose even-indexed
+    ones are its times (as a solve grid is of the RK4 stage times).  If
+    it marked no failure and computed no integral, whose value runs on
+    from chunk to chunk, it keeps there, room permitting, every value it
+    computed; otherwise nothing.  A kept subtree marks nothing when read
+    back, as it marked nothing when computed on the same times, and
+    numpy gives each element the same bits in any array, so the first
+    failure at each point and every value stay the same.  Nested runs,
+    on integrand and quadrature grids that seldom repeat, read and keep
+    nothing."""
 
     def __init__(self, origin: float, session: _Session):
         self.origin = origin
@@ -670,6 +678,7 @@ class _Grid:
         key = ts.tobytes() if s.depth == 0 else None  # None when nested
         s.runs += key is not None
         self._kept = s.grids.get(key, {})
+        self._halved = s.grids.get(s.halves.get(key), {})
         s.depth += 1
         try:
             outs = []
@@ -684,10 +693,14 @@ class _Grid:
             # t's values are the caller's own times.
             new = {e: v for e, v in self._vals.items()
                    if e is not T and e not in self._kept}
-            if new and s.room(sum(v.nbytes for v in new.values())
-                              + (0 if key in s.grids else len(key))):
-                s.grids.setdefault(key, self._kept).update(new)
-        self._vals = self._kept = None
+            if new:
+                half = ts[::2].tobytes()
+                keys = (0 if key in s.grids
+                        else len(key) + (half not in s.halves) * len(half))
+                if s.room(sum(v.nbytes for v in new.values()) + keys):
+                    s.grids.setdefault(key, self._kept).update(new)
+                    s.halves.setdefault(half, key)
+        self._vals = self._kept = self._halved = None
         return outs, self._failures
 
     def _mark(self, mask, error, subexpr=None) -> None:
@@ -707,6 +720,8 @@ class _Grid:
         v = self._vals.get(e)
         if v is None:
             v = self._kept.get(e)
+            if v is None and (v := self._halved.get(e)) is not None:
+                v = v[::2].copy()  # contiguous, as computed
             if v is not None:
                 self.session.reused += 1
             else:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import _SESSION, Expr, _sample, as_expr, evaluate_grid
+from .expr import _SESSION, Expr, _sample, _Session, as_expr, evaluate_grid
 from .projline import ExtReal, ext, points
 
 __all__ = ["RiccatiEquation", "Trajectory", "rhs", "time_grid",
@@ -116,11 +116,25 @@ def time_grid(t_span, step: float) -> tuple[list[float], float]:
 _BLOCK_STEPS = 512
 
 
-def _stage_samples(coeffs, grid: list[float], h: float):
-    """Yields, for each block of m steps from grid[k], one list per
-    coefficient of its values at grid[k], grid[k] + h/2, grid[k+1], ...,
-    grid[k+m]; the number of steps whose stages all evaluate; and the
-    error that stops the next step, or None."""
+def _stage_samples(coeffs, t_span, step: float):
+    """The time grid and step h of :func:`time_grid`, and for each block
+    of m steps from grid[k], a list of: one list per coefficient of its
+    values at grid[k], grid[k] + h/2, grid[k+1], ..., grid[k+m]; the
+    number of steps whose stages all evaluate; and the error that stops
+    the next step, or None.  A session keeps, room permitting, the grid
+    of each span and step, and each sampling in which nothing failed,
+    which later calls on the same coefficients, span and step read back.
+    A float counts 32 bytes, with its list slot."""
+    s = _SESSION.get() or _Session()  # outside a session, keeps nothing
+    span = (float(t_span[0]), float(t_span[1]), step)
+    key = (tuple(coeffs), *span)
+    if (kept := s.samplings.get(key)) is not None:
+        s.samplings_reused += 1
+        return kept
+    grid, h = s.samplings.get(span) or time_grid(t_span, step)
+    if span not in s.samplings and s.room(32 * len(grid)):
+        s.samplings[span] = grid, h
+
     def times():
         for k in range(0, len(grid) - 1, _BLOCK_STEPS):
             t = np.array(grid[k:k + _BLOCK_STEPS + 1])
@@ -128,10 +142,19 @@ def _stage_samples(coeffs, grid: list[float], h: float):
             out[0::2], out[1::2] = t, t[:-1] + 0.5 * h
             yield out
 
-    for vals, failures in _sample(coeffs, times()):
-        # Step j reads samples 2j, 2j + 1 and 2j + 2.
-        first = min(failures, default=vals.shape[1] + 1)
-        yield (*vals.tolist(), max(0, (first - 1) // 2), failures.get(first))
+    def blocks():
+        made = []
+        for vals, failures in _sample(coeffs, times()):
+            # Step j reads samples 2j, 2j + 1 and 2j + 2.
+            first = min(failures, default=vals.shape[1] + 1)
+            made.append([*vals.tolist(), max(0, (first - 1) // 2), failures.get(first)])
+            yield made[-1]
+        # Four lists a block, with the w chart's -b1 (integrate_direct).
+        if (all(b[4] is None for b in made)
+                and s.room(4 * 32 * sum(len(b[0]) for b in made))):
+            s.samplings[key] = grid, h, made
+
+    return grid, h, blocks()
 
 
 def integrate_direct(eq: RiccatiEquation, x0, t_span, step: float = 1e-3) -> Trajectory:
@@ -139,7 +162,7 @@ def integrate_direct(eq: RiccatiEquation, x0, t_span, step: float = 1e-3) -> Tra
     with classical fixed-step RK4, continuing through blow-up via the
     w = -1/x chart.  A coefficient that fails to evaluate at a stage
     time truncates the trajectory before that step."""
-    grid, h = time_grid(t_span, step)
+    grid, h, blocks = _stage_samples((eq.b0, eq.b1, eq.b2), t_span, step)
 
     x0 = ext(x0)
     if x0.is_inf:
@@ -153,15 +176,17 @@ def integrate_direct(eq: RiccatiEquation, x0, t_span, step: float = 1e-3) -> Tra
     switches: list[tuple[float, str, str]] = []
     error = None
     h2, h6 = 0.5 * h, h / 6.0
-    for b0, b1, b2, steps, failure in _stage_samples((eq.b0, eq.b1, eq.b2), grid, h):
-        # The w chart's equation has coefficients (b2, -b1, b0).
-        charts = {"x": (b0, b1, b2), "w": (b2, [-v for v in b1], b0)}
+    for block in blocks:
+        b0, b1, b2, steps, failure = block[:5]
         first, end = len(xs), 2 * steps
         # Each pass runs the block's steps in one chart, up to a step
         # that leaves |u| <= 1 (beyond 1, NaN or inf).
         while (i := 2 * (len(xs) - first)) < end:
-            p, q, r = charts[chart]
             in_x = chart == "x"
+            if not in_x and len(block) == 5:
+                block.append([-v for v in b1])  # kept with the block
+            # The w chart's equation has coefficients (b2, -b1, b0).
+            p, q, r = (b0, b1, b2) if in_x else (b2, block[5], b0)
             for p0, p1, p2, q0, q1, q2, r0, r1, r2 in zip(
                     p[i:end:2], p[i + 1:end:2], p[i + 2:end + 1:2],
                     q[i:end:2], q[i + 1:end:2], q[i + 2:end + 1:2],

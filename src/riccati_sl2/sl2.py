@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Expr, Integral, as_expr, evaluate_grid
+from .expr import _SESSION, Expr, Integral, as_expr, evaluate_grid
 from .projline import Mat2, ext, mobius_apply_array
 from .riccati import RiccatiEquation, Trajectory, _stage_samples, time_grid
 
@@ -94,11 +94,11 @@ def integrate_group_equation(eq: RiccatiEquation, t_span, step: float = 1e-3) ->
     root stays positive and the projection keeps |det A - 1| at roundoff.
     A coefficient that fails to evaluate at a stage time raises its error.
     """
-    grid, h = time_grid(t_span, step)
+    grid, h, blocks = _stage_samples((eq.b0, eq.b1, eq.b2), t_span, step)
     h2, h6 = 0.5 * h, h / 6.0
     a0, a1, a2, a3 = 1.0, 0.0, 0.0, 1.0  # A, row-major
     rows = [(a0, a1, a2, a3)]
-    for b0, b1, b2, steps, failure in _stage_samples((eq.b0, eq.b1, eq.b2), grid, h):
+    for b0, b1, b2, steps, failure, *_ in blocks:
         # Stages k1..k4 (p, q, r, s) of a(t) X, a = [[m, b0], [n, -m]] with
         # m = b1/2 and n = -b2, one column of X, (x0, x2) or (x1, x3), a line.
         # Step j reads the samples 2j, 2j + 1 and 2j + 2 (suffixes 0, 1, 2).
@@ -136,7 +136,10 @@ def integrate_group_equation(eq: RiccatiEquation, t_span, step: float = 1e-3) ->
             rows.append((a0, a1, a2, a3))
         if failure is not None:
             raise failure
-    return GroupTrajectory(grid, np.array(rows).T)
+    s = _SESSION.get()
+    if s is not None:
+        s.group_steps += len(rows) - 1
+    return GroupTrajectory(grid[:], np.array(rows).T)
 
 
 def reconstruct_solution(G: GroupTrajectory, x0) -> Trajectory:

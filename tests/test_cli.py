@@ -12,6 +12,7 @@ from hypothesis import example, given, strategies as st
 
 import riccati_sl2.cli as cli_module
 import riccati_sl2.expr as expr_module
+import riccati_sl2.riccati as riccati_module
 from riccati_sl2 import (RiccatiEquation, csv_texts, integrate_direct,
                          integrate_group_equation, points, reconstruct_solution)
 from riccati_sl2.cli import load_problem, main
@@ -375,16 +376,23 @@ def test_debug_log_adds_the_session_counts_to_stderr(tmp_path, capsys,
                             "expr.quad.calls",
                             "expr.evaluate_grid.runs",
                             "riccati.integrate_direct.steps",
-                            "riccati.integrate_direct.chart_switches"]
+                            "riccati.integrate_direct.chart_switches",
+                            "sl2.integrate_group_equation.steps",
+                            "riccati.stage_samples.reused"]
     assert all(type(n) is int and n >= 0 for n in counts.values())
     assert counts["expr.evaluate_grid.runs"] > 0
     # Only verify runs the direct RK4 here: 100 steps for each initial
-    # condition and for each satisfied curve's image equation.
-    runs = 0
+    # condition and for each satisfied curve's image equation, and the
+    # group RK4 once.  Its group run and the last three direct runs read
+    # back the first direct run's stage samples.
+    runs = group = reused = 0
     if command == "verify":
         checks = json.loads(debug.out)["checks"]
         runs = 4 + sum(c["name"].startswith("equivariance[") for c in checks)
+        group, reused = 1, 4
     assert counts["riccati.integrate_direct.steps"] == 100 * runs
+    assert counts["sl2.integrate_group_equation.steps"] == 100 * group
+    assert counts["riccati.stage_samples.reused"] == reused
 
 
 def test_no_command_runs_an_outermost_grid_on_one_time(tmp_path, capsys, monkeypatch):
@@ -652,6 +660,45 @@ def test_verify_integrates_each_initial_condition_once(tmp_path, capsys,
     assert sorted(k[3] for k in original) == ["-0.5", "0", "0.5"]
     # Each satisfied curve's image equation is integrated once as well.
     assert len(calls) - len(original) == satisfied
+
+
+def test_verify_samples_the_equation_once_for_its_rk4_runs(capsys, monkeypatch):
+    # tanh.json has four initial conditions: four direct runs and the
+    # group run read one stage sampling of the problem's coefficients.
+    sampled = collections.Counter()
+    sample = riccati_module._sample
+
+    def counting(roots, chunks):
+        sampled[tuple(map(str, roots))] += 1
+        return sample(roots, chunks)
+
+    monkeypatch.setattr(riccati_module, "_sample", counting)
+    monkeypatch.setenv("RICCATI_LOG", "debug")
+    path = PROBLEMS / "tanh.json"
+    problem = load_problem(path)
+    eq = problem.equation
+    assert len(problem.initial_conditions) == 4
+    main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    assert sampled[(str(eq.b0), str(eq.b1), str(eq.b2))] == 1
+    assert json.loads(err.splitlines()[-1])["riccati.stage_samples.reused"] == 4
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert sum(n.startswith("reconstruction[") for n in names) == 4
+
+
+def test_verify_lists_its_checks_in_the_same_order(tmp_path, capsys):
+    # Equivariance is computed before the solve-grid residuals but listed
+    # after them, as before.
+    path = _write_problem(tmp_path, **_ALIASED)
+    assert main(["verify", str(path)]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    satisfied = ["RDM05", "Ra61", "Zh99Basic", "RU68"]
+    assert [c["name"] for c in checks] == (
+        [f"solve_grid[{n}]" for n in satisfied]
+        + [f"equivariance[{n}]" for n in satisfied]
+        + [f"gauge_consistency[{n}]" for n in satisfied]
+        + ["reconstruction[0]", "reconstruction[1]"])
+    assert [c["passed"] for c in checks] == [False] * 4 + [True, True, False, False] + [True] * 6
 
 
 def _zh99e_with_hint(tmp_path, **change):

@@ -820,14 +820,65 @@ def test_diff_rules_work_outside_a_session():
     assert Call("sin", T * T).diff() is differentiate(sin(T * T))
 
 
+def _failure_map(failures):
+    return {i: (type(err), str(err)) for i, err in failures.items()}
+
+
+@st.composite
+def _stage_times(draw):
+    """Odd-length RK4 stage times t_0, t_0 + h/2, t_1, ..., t_m."""
+    m = draw(st.integers(1, 40))
+    h = draw(st.sampled_from([1e-3, 0.05, 0.3]))
+    t = draw(st.floats(-1.0, 1.0)) + np.arange(m + 1) * h
+    out = np.empty(2 * m + 1)
+    out[0::2], out[1::2] = t, t[:-1] + 0.5 * h
+    return out
+
+
+@given(PLAIN_TREES, PLAIN_TREES, PLAIN_TREES, _stage_times(),
+       st.sampled_from([None, "odd time", "from a time"]), st.booleans(),
+       st.integers(0, 80))
+def test_every_other_time_reads_are_a_fresh_walk(a, b, c, ts, fail, integrate, k):
+    # After a run on stage times, a run on every other one of them reads
+    # the kept subtrees halved: the same bits and the same failures as a
+    # walk in a fresh session.  A run that fails (here at one odd time,
+    # where the halved run does not, or from some time on) or holds an
+    # integral keeps nothing.
+    k = k % len(ts)
+    if fail == "odd time":
+        b = b + Const(1.0) / (T - Const(float(ts[min(k | 1, len(ts) - 2)])))
+    elif fail == "from a time":
+        b = b + log(Const(float(ts[k])) - T)
+    if integrate:
+        a = integral(a)
+    first, second = (a, b), (c + a, b, c * b)
+    with session() as s:
+        next(expr_module._sample(first, (ts,)))
+        before = s.reused
+        vals, failures = next(expr_module._sample(second, (ts[::2],)))
+        halved = s.reused - before
+    with session():
+        want, want_failures = next(expr_module._sample(second, (ts[::2],)))
+    assert vals.tobytes() == want.tobytes()
+    assert _failure_map(failures) == _failure_map(want_failures)
+    if fail is not None or integrate:
+        assert halved == 0
+    elif b is not T:
+        assert halved > 0
+
+
 def test_a_long_solve_keeps_at_most_the_session_budget():
     # 20,000 RK4 steps are sampled in 40 blocks of stage times; keeping
     # every block's subtrees would take several times the budget.
     eq = RiccatiEquation.of(sin(T) * T + 1.0, cos(T) / (T + 2.0), exp(-T) * 0.1)
     with session() as s:
         traj = integrate_direct(eq, 0.1, (0.0, 20.0), 1e-3)
-    kept = sum(len(key) + sum(v.nbytes for v in vals.values())
-               for key, vals in s.grids.items())
+    # The sampling, too long to keep, is not kept; its time grid is, at
+    # 32 bytes a float.
+    (grid, _), = s.samplings.values()
+    kept = (sum(len(key) + sum(v.nbytes for v in vals.values())
+                for key, vals in s.grids.items())
+            + sum(map(len, s.halves)) + 32 * len(grid))
     assert kept == s.kept_bytes <= expr_module._SESSION_BYTES
     assert len(s.grids) < 40
     assert np.array_equal(

@@ -12,11 +12,41 @@ import riccati_sl2.riccati as riccati_module
 from riccati_sl2 import (EvalDomainError, ExtReal, INF, QuadratureError,
                          RiccatiEquation, Trajectory, classify, ext, integrate_direct,
                          integrate_group_equation, parse, points,
-                         reconstruct_solution, rhs, solve_via_report,
+                         reconstruct_solution, rhs, session, solve_via_report,
                          time_grid, transform_coefficients)
 from riccati_sl2.cli import load_problem
 from riccati_sl2.criteria import holds_on_solve_grid
 from riccati_sl2.riccati import _emit, csv_texts
+
+
+def test_a_sampling_that_fails_is_not_kept():
+    # Each direct run samples again and truncates with the same error;
+    # the group run raises it.
+    eq = RiccatiEquation(parse("1"), parse("log(0.5 - t)"), parse("0"))
+    with session() as s:
+        trajs = [integrate_direct(eq, x0, (0.0, 1.0), 0.01) for x0 in (0.0, 0.5, -0.5)]
+        with pytest.raises(EvalDomainError, match="log of non-positive value"):
+            integrate_group_equation(eq, (0.0, 1.0), 0.01)
+    assert list(s.samplings) == [(0.0, 1.0, 0.01)]  # the time grid alone
+    assert s.counts()["riccati.stage_samples.reused"] == 0
+    for traj in trajs:
+        assert traj.error == "log of non-positive value in 'log(0.5 - t)'"
+        assert len(traj) == 50 and traj.ts[-1] == pytest.approx(0.49)
+
+
+def test_a_kept_sampling_gives_the_same_trajectories():
+    eq = RiccatiEquation(parse("1 + t"), parse("sin(3*t)"), parse("2 - t^2"))
+    fresh = [integrate_direct(eq, x0, (0.0, 2.0), 1e-3) for x0 in (0.0, 2.0, -3.0)]
+    with session() as s:
+        kept = [integrate_direct(eq, x0, (0.0, 2.0), 1e-3) for x0 in (0.0, 2.0, -3.0)]
+        group = integrate_group_equation(eq, (0.0, 2.0), 1e-3)
+    assert s.counts()["riccati.stage_samples.reused"] == 3
+    assert all(len(a.chart_switches) > 0 for a in fresh)
+    for a, b in zip(fresh, kept):
+        assert (a.ts, a.values.tobytes(), a.chart_switches, a.error) == (
+            b.ts, b.values.tobytes(), b.chart_switches, b.error)
+    assert group.values.tobytes() == integrate_group_equation(
+        eq, (0.0, 2.0), 1e-3).values.tobytes()
 
 
 def test_rhs_values():

@@ -76,10 +76,9 @@ def constancy_fit(f: Expr, grid) -> tuple[float, float]:
     """Fit a constant to f on the grid: value is the sample median,
     max_dev the worst deviation relative to 1 + |value|.  A grid point
     where f is not evaluable raises the first failure's error."""
-    vals = evaluate_grid(f, grid).tolist()
-    value = statistics.median(vals)
-    max_dev = max(abs(v - value) for v in vals) / (1.0 + abs(value))
-    return value, max_dev
+    a = evaluate_grid(f, grid)
+    value = statistics.median(a.tolist())
+    return value, float(np.max(abs(a - value))) / (1.0 + abs(value))
 
 
 def max_pair_deviation(pairs, grid) -> float:

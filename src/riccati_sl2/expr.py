@@ -1021,108 +1021,94 @@ def _tokenize(text: str):
     return tokens
 
 
+# Each infix operator -> its node class, whose precedence the printer reads.
+_INFIX = {cls.symbol.strip(): cls for cls in _BINARY}
+
+
 class _Parser:
+    """Precedence climbing over the tokens: every infix operator is
+    left-associative and takes its right operand one level tighter.  No
+    number or identifier has an operator's text, so the text alone tells
+    an operator token."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, pos = self.peek()
+    def expect(self, op: str):
+        kind, text, pos = self.tokens[self.i]
         if kind != "op" or text != op:
             raise ParseError(f"expected {op!r}", pos)
-        self.advance()
+        self.i += 1
 
-    def parse(self) -> Expr:
-        e = self.expression()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {text!r}", pos)
-        return e
-
-    def expression(self) -> Expr:
-        return self.chain(self.term, {"+": Add, "-": Sub})
-
-    def term(self) -> Expr:
-        return self.chain(self.unary, {"*": Mul, "/": Div})
-
-    def chain(self, operand, ops) -> Expr:
-        """Operands joined left-associatively by the operators of ``ops``."""
-        e = operand()
+    def infix(self, floor: int) -> Expr:
+        """Operands joined by the infix operators of precedence at least
+        ``floor``."""
+        e = self.operand()
         while True:
-            kind, text, pos = self.peek()
-            if kind != "op" or text not in ops:
+            cls = _INFIX.get(self.tokens[self.i][1])
+            if cls is None or cls.precedence < floor:
                 return e
-            self.advance()
-            e = ops[text](e, operand())
+            self.i += 1
+            e = cls(e, self.infix(cls.precedence + 1))
 
-    def unary(self) -> Expr:
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.unary())
-        if kind == "op" and text == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, text, pos = self.peek()
-        if kind == "op" and text in ("^", "**"):
-            self.advance()
-            return Pow(base, self.exponent())
-        return base
-
-    def exponent(self) -> int:
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "(":
-            self.advance()
-            n = self.exponent()
-            self.expect_op(")")
-            return n
-        sign = 1
-        if kind == "op" and text == "-":
-            self.advance()
-            sign = -1
-            kind, text, pos = self.peek()
-        if kind != "num" or not text.isdigit():
-            raise ParseError("exponent must be an integer literal", pos)
-        self.advance()
-        return sign * int(text)
-
-    def atom(self) -> Expr:
-        kind, text, pos = self.advance()
+    def operand(self) -> Expr:
+        """A signed atom and its power: ``-t^2`` is ``-(t^2)``."""
+        kind, text, pos = self.tokens[self.i]
+        self.i += 1
+        if text == "-":
+            return Neg(self.operand())
+        if text == "+":
+            return self.operand()
         if kind == "num":
             value = float(text)
             if not math.isfinite(value):
                 raise ParseError(f"numeric literal {text!r} overflows", pos)
-            return Const(value)
-        if kind == "ident":
-            if text == "t":
-                return T
+            e = Const(value)
+        elif text == "t":
+            e = T
+        elif kind == "ident":
             if text != "integral" and text not in _FUNCTIONS:
                 raise ParseError(f"unknown function or identifier {text!r}", pos)
-            self.expect_op("(")
-            inner = self.expression()
-            self.expect_op(")")
-            return Integral(inner) if text == "integral" else Call(text, inner)
-        if kind == "op" and text == "(":
-            inner = self.expression()
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
+            self.expect("(")
+            inner = self.infix(1)
+            self.expect(")")
+            e = Integral(inner) if text == "integral" else Call(text, inner)
+        elif text == "(":
+            e = self.infix(1)
+            self.expect(")")
+        else:
+            raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
+        if self.tokens[self.i][1] in ("^", "**"):
+            self.i += 1
+            return Pow(e, self.exponent())
+        return e
+
+    def exponent(self) -> int:
+        kind, text, pos = self.tokens[self.i]
+        self.i += 1
+        if text == "(":
+            n = self.exponent()
+            self.expect(")")
+            return n
+        sign = 1
+        if text == "-":
+            sign = -1
+            kind, text, pos = self.tokens[self.i]
+            self.i += 1
+        if kind != "num" or not text.isdigit():
+            raise ParseError("exponent must be an integer literal", pos)
+        if not math.isfinite(float(text)):
+            raise ParseError(f"exponent {text!r} overflows", pos)
+        return sign * int(text)
 
 
 def parse(text: str) -> Expr:
     """Parse expression text into a tree.  Raises :class:`ParseError`
     with the byte offset of the first problem."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    e = parser.infix(1)
+    kind, token, pos = parser.tokens[parser.i]
+    if kind != "end":
+        raise ParseError(f"unexpected {token!r}", pos)
+    return e

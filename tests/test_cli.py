@@ -319,8 +319,10 @@ def test_verify_zero_equation(tmp_path, capsys):
      "coefficients.b0: numeric literal '1e400' overflows (at offset 0)"),
     ({"hints": {"Zh99Basic": {"D": "1", "a": 1e400, "b": 1, "c": 1}}},
      "hints.Zh99Basic.a must be finite"),
+    ({"coefficients": {"b0": "0", "b1": "t^" + "9" * 5000, "b2": "-1"}},
+     f"coefficients.b1: exponent '{'9' * 5000}' overflows (at offset 2)"),
 ], ids=["coefficient", "known-solution", "overflowing-literal",
-        "infinite-hint-constant"])
+        "infinite-hint-constant", "overflowing-exponent"])
 def test_parse_errors_name_the_file(tmp_path, capsys, over, message):
     path = _write_problem(tmp_path, **over)
     assert main(["classify", str(path)]) == 2

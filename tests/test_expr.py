@@ -75,6 +75,36 @@ def test_overflowing_literal_is_a_parse_error():
     assert parse("1e-400") is ZERO
 
 
+def test_overflowing_exponent_is_a_parse_error():
+    # The first is past the largest float; the second also has more
+    # digits than int() converts.
+    for digits in ("1" + "0" * 400, "9" * 5000):
+        with pytest.raises(ParseError) as err:
+            parse(f"t^{digits}")
+        assert err.value.offset == 2
+        assert str(err.value) == f"exponent {digits!r} overflows (at offset 2)"
+    assert parse("t^(-1" + "0" * 300 + ")") is Pow(T, -10 ** 300)
+
+
+def test_deeply_nested_parentheses_parse():
+    # Each level costs two frames (operand and infix), so 300 levels stay
+    # under Python's default recursion limit.
+    assert parse("(" * 300 + "t" + ")" * 300 + "^2") is Pow(T, 2)
+
+
+def test_parsing_leaves_no_cyclic_garbage():
+    # Parsing functions that refer to each other in a cycle would keep each
+    # parse's tokens alive until the next collection.
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            parse("-t^2 + 3*(t - 1)/(t + 2) - integral(exp(-t))")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("name", list(expr_module._FUNCTIONS))
 def test_function_builders_match_the_table(name):
     build = getattr(expr_module, name)

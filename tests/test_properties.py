@@ -11,14 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (PLAIN_TREES, PROBLEMS, TREE_LEAVES, subtrees,
                       tree_operations)
 
-from riccati_sl2 import (INF, CoincidentPointsError, Const, CurveSL2,
-                         EvalDomainError, ExtReal, Mat2, RiccatiEquation,
-                         SingularMatrixError, T, ZERO, classify, compose,
+import riccati_sl2.expr as expr_module
+from riccati_sl2 import (INF, Add, Call, CoincidentPointsError, Const,
+                         CurveSL2, Div, EvalDomainError, ExtReal, Integral,
+                         Mat2, Mul, Neg, ParseError, Pow, RiccatiEquation,
+                         SingularMatrixError, Sub, T, ZERO, classify, compose,
                          cross_ratio, cross_ratio_array, differentiate,
                          evaluate, exp, ext, gauge_transform_algebra,
                          integrate_direct, inverse, mobius_apply,
@@ -76,6 +78,134 @@ def test_printed_text_is_the_same_in_a_session(e, data):
     with session():
         assert str(first) == want_first
         assert str(e) == want
+
+
+class _DescentParser:
+    """The recursive-descent parser that the precedence loop replaced,
+    kept as the reference for its nodes and errors."""
+
+    def __init__(self, text):
+        self.tokens = expr_module._tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, text, pos = self.peek()
+        if kind != "op" or text != op:
+            raise ParseError(f"expected {op!r}", pos)
+        self.advance()
+
+    def parse(self):
+        e = self.expression()
+        kind, text, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", pos)
+        return e
+
+    def expression(self):
+        return self.chain(self.term, {"+": Add, "-": Sub})
+
+    def term(self):
+        return self.chain(self.unary, {"*": Mul, "/": Div})
+
+    def chain(self, operand, ops):
+        e = operand()
+        while True:
+            kind, text, pos = self.peek()
+            if kind != "op" or text not in ops:
+                return e
+            self.advance()
+            e = ops[text](e, operand())
+
+    def unary(self):
+        kind, text, pos = self.peek()
+        if kind == "op" and text == "-":
+            self.advance()
+            return Neg(self.unary())
+        if kind == "op" and text == "+":
+            self.advance()
+            return self.unary()
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        kind, text, pos = self.peek()
+        if kind == "op" and text in ("^", "**"):
+            self.advance()
+            return Pow(base, self.exponent())
+        return base
+
+    def exponent(self):
+        kind, text, pos = self.peek()
+        if kind == "op" and text == "(":
+            self.advance()
+            n = self.exponent()
+            self.expect_op(")")
+            return n
+        sign = 1
+        if kind == "op" and text == "-":
+            self.advance()
+            sign = -1
+            kind, text, pos = self.peek()
+        if kind != "num" or not text.isdigit():
+            raise ParseError("exponent must be an integer literal", pos)
+        self.advance()
+        return sign * int(text)
+
+    def atom(self):
+        kind, text, pos = self.advance()
+        if kind == "num":
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"numeric literal {text!r} overflows", pos)
+            return Const(value)
+        if kind == "ident":
+            if text == "t":
+                return T
+            if text != "integral" and text not in expr_module._FUNCTIONS:
+                raise ParseError(f"unknown function or identifier {text!r}", pos)
+            self.expect_op("(")
+            inner = self.expression()
+            self.expect_op(")")
+            return Integral(inner) if text == "integral" else Call(text, inner)
+        if kind == "op" and text == "(":
+            inner = self.expression()
+            self.expect_op(")")
+            return inner
+        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
+
+
+def _parsed(parser, text):
+    """The node ``parser`` builds from ``text``, or its error's message
+    and offset."""
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+@settings(max_examples=400)
+@given(e=_printable(), data=st.data())
+def test_the_parser_agrees_with_the_recursive_descent(e, data):
+    # Printed trees (with ^ or **), the same texts with one character
+    # inserted, replaced or deleted, and their prefixes give the same node
+    # or the same error.
+    text = data.draw(st.sampled_from((str(e), str(e).replace("^", "**"))))
+    i = data.draw(st.integers(0, len(text)))
+    c = data.draw(st.sampled_from(" t+-*/^().019e_x"))
+    text = data.draw(st.sampled_from(
+        (text, text[:i] + c + text[i:], text[:i] + c + text[i + 1:],
+         text[:i] + text[i + 1:], text[:i])))
+    want = _parsed(lambda s: _DescentParser(s).parse(), text)
+    got = _parsed(parse, text)
+    assert got is want if isinstance(want, expr_module.Expr) else got == want
 
 
 @given(e=PLAIN_TREES, t=TIMES)

@@ -10,10 +10,15 @@ its side, workload, seed, seconds and trace flag, is added to the JSON
 list in the output file (created if missing) after each pair, so an
 interrupted series keeps the pairs it finished.
 
-At the end it prints, for each end-to-end metric named in the change's
-``BENCHMARK.json``, each side's median, the parent's interquartile range
-and the number of pairs the change won (ties count for neither side).
-It imports nothing from the checkouts and changes no setting of the host.
+At the end it prints each side's failed and attempted operations, and,
+for each end-to-end metric named in the change's ``BENCHMARK.json``,
+each side's median, the parent's interquartile range, the number of
+pairs the change won (ties count for neither side) and a verdict against
+the metric's relative bound: ``worse`` when the change's median is worse
+than the parent's by more than the bound, else ``unresolved`` when the
+parent's IQR is wider than the bound times its median and not every
+change run beats every parent run, else ``within``.  It imports nothing
+from the checkouts and changes no setting of the host.
 """
 
 from __future__ import annotations
@@ -44,13 +49,31 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def verdict(par: list[float], chg: list[float], sign: float, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``within``: see the module text.
+    ``sign`` is 1 when higher is better, -1 when lower is."""
+    mp = statistics.median(par)
+    if sign * (statistics.median(chg) - mp) < -bound * abs(mp):
+        return "worse"
+    q1, q3 = quartiles(par)
+    if q3 - q1 > bound * abs(mp) and not all(
+            sign * (c - p) > 0 for c in chg for p in par):
+        return "unresolved"
+    return "within"
+
+
 def summary(runs: list[dict], metrics: list[dict]) -> list[str]:
-    """One line per end-to-end metric: medians, parent IQR, pairs won."""
+    """Each side's failed and attempted totals, then one line per
+    end-to-end metric: medians, parent IQR, pairs won and verdict."""
     pairs: dict[int, dict[str, dict]] = {}
     for run in runs:
         pairs.setdefault(run["seed"], {})[run["side"]] = run["metrics"]
     pairs = {seed: p for seed, p in pairs.items() if len(p) == 2}
     lines = [f"{len(pairs)} pairs"]
+    for side in ("parent", "change"):
+        mine = [run for run in runs if run["side"] == side]
+        lines.append(f"{side}: failed {sum(run['failed'] for run in mine)} of "
+                     f"{sum(run['attempted'] for run in mine)} attempted")
     for m in metrics:
         name, sign = m["name"], 1.0 if m["better"] == "higher" else -1.0
         par = [p["parent"][name]["value"] for p in pairs.values()]
@@ -62,7 +85,8 @@ def summary(runs: list[dict], metrics: list[dict]) -> list[str]:
         q1, q3 = quartiles(par)
         lines.append(f"{name}: parent {mp:.6g}, change {mc:.6g} "
                      f"({(mc - mp) / mp:+.1%}), parent IQR {q3 - q1:.4g}, "
-                     f"change won {won} of {len(par)}")
+                     f"change won {won} of {len(par)}, "
+                     f"{verdict(par, chg, sign, m['bound'])}")
     return lines
 
 

@@ -82,10 +82,11 @@ class Problem:
 
 
 def _number(v) -> bool:
-    """A finite JSON number; booleans, which Python reads as integers,
-    are not numbers here."""
+    """A JSON number that is a finite float; booleans, which Python reads
+    as integers, are not numbers here, and an integer past the largest
+    float is not finite."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and -sys.float_info.max <= v <= sys.float_info.max)
 
 
 def _check_keys(block: dict, expected: tuple[str, ...], where: str) -> None:
@@ -413,27 +414,27 @@ def cmd_verify(problem: Problem, args) -> int:
     # the image RK4's stage samples of the transformed equation halved.
     at = len(checks)
     base = direct[ics[0]]
-    for r in satisfied:
-        def equivariance(r=r):
-            curve = evaluate_grid(r.curve.entries(), base.ts)
+    pairs = [(r.name, r.curve, transform_coefficients(eq, r.curve)) for r in satisfied]
+    for name, c, tr in pairs:
+        def equivariance(c=c, tr=tr):
+            curve = evaluate_grid(c.entries(), base.ts)
             x0 = mobius_apply_array(*curve[:, 0], float(ics[0]))
-            image = integrate_direct(r.transformed, float(x0), span, step)
+            image = integrate_direct(tr, float(x0), span, step)
             return _points_dev(mobius_apply_array(*curve, _complete(base).values),
                                _complete(image).values)
-        check(f"equivariance[{r.name}]", 1e-6, equivariance)
+        check(f"equivariance[{name}]", 1e-6, equivariance)
     equivariances = checks[at:]
     del checks[at:]
 
     # Each satisfied reduction on the solve grid, where solve uses it.
     solve_grid = time_grid(span, step)[0]
-    for r in satisfied:
+    for r, (_, _, tr) in zip(satisfied, pairs):
         check(f"solve_grid[{r.name}]", CURVE_MATCH_TOL,
-              lambda r=r: curve_residual(r, solve_grid))
+              lambda r=r, tr=tr: curve_residual(r, eq, solve_grid, tr))
     checks += equivariances
 
-    # Gauge law versus coefficient law, on each reducing curve (or on an
-    # elementary curve when nothing is satisfied).
-    pairs = [(r.name, r.curve, r.transformed) for r in satisfied]
+    # Gauge law versus coefficient law, on each reducing curve and the tree
+    # built above (or on an elementary curve when nothing is satisfied).
     if not pairs:
         c = CurveSL2.translation(T)
         pairs = [("translation", c, transform_coefficients(eq, c))]

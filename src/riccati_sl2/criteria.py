@@ -7,9 +7,10 @@ curve produces.  Failures are reports, not exceptions: an equation that
 misses a condition yields an unsatisfied report whose diagnostics say
 what failed and by how much.
 
-Every satisfied report is self-checked: the reported curve is pushed
-through the coefficient transformation law and compared against the
-reported target on the grid (within 1e-8 relative), so a wrong curve
+Every satisfied report is self-checked: the coefficient law runs on the
+grid values of the curve's entries, their derivatives and the
+coefficients, building a transformed tree only where a value fails, and
+must give the target's values (within 1e-8 relative), so a wrong curve
 flags itself instead of silently producing a bad reduction.
 
 Detectors whose conditions quantify over a free function (the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -36,7 +38,7 @@ from .projline import ext, mobius_apply_array
 from .riccati import RiccatiEquation, Trajectory, time_grid
 from .sl2 import OneDimensionalTarget, solve_one_dimensional_target
 from .solvers import sample_forms, solve_linear
-from .transform import CurveSL2, inverse, transform_coefficients
+from .transform import CurveSL2, affine_action, inverse, transform_coefficients
 
 __all__ = [
     "CriterionReport", "HintError", "constancy_fit",
@@ -58,8 +60,7 @@ class HintError(ValueError):
 
 @dataclass
 class CriterionReport:
-    """Outcome of one detector run.  ``transformed`` is the equation the
-    curve carries the detected one to, kept from the self-check."""
+    """Outcome of one detector run."""
 
     name: str
     satisfied: bool
@@ -69,7 +70,6 @@ class CriterionReport:
     target: OneDimensionalTarget | RiccatiEquation | None = None
     diagnostics: dict = field(default_factory=dict)
     alternates: list = field(default_factory=list)
-    transformed: RiccatiEquation | None = None
 
 
 def constancy_fit(f: Expr, grid) -> tuple[float, float]:
@@ -99,9 +99,7 @@ def _finish(report: CriterionReport, eq: RiccatiEquation, grid) -> CriterionRepo
     through the coefficient transformation law."""
     if not report.satisfied or report.curve is None or report.target is None:
         return report
-    if report.transformed is None:
-        report.transformed = transform_coefficients(eq, report.curve)
-    worst = curve_residual(report, grid)
+    worst = curve_residual(report, eq, grid)
     report.diagnostics["curve_residual"] = worst
     if worst > CURVE_MATCH_TOL:
         report.satisfied = False
@@ -111,14 +109,25 @@ def _finish(report: CriterionReport, eq: RiccatiEquation, grid) -> CriterionRepo
     return report
 
 
-def curve_residual(report: CriterionReport, grid) -> float:
-    """Worst relative deviation on the grid between the report's
-    transformed equation and its target."""
+@np.errstate(all="ignore")  # the law's values at failed times are meaningless
+def curve_residual(report: CriterionReport, eq: RiccatiEquation, grid,
+                   tr: RiccatiEquation | None = None) -> float:
+    """Worst relative deviation on the grid between the target and the
+    affine law on the values of the curve's entries, their derivatives
+    and eq's coefficients, or on ``tr``, the law's trees, where the caller
+    holds them or the values fail (see README, Numerical conventions)."""
     target = report.target
     teq = target.equation() if isinstance(target, OneDimensionalTarget) else target
-    tr = report.transformed
-    return max_pair_deviation(
-        ((tr.b0, teq.b0), (tr.b1, teq.b1), (tr.b2, teq.b2)), grid)
+    if tr is None:
+        entries = report.curve.entries()
+        vals, failures = next(_sample(
+            (*entries, *map(differentiate, entries), eq.b0, eq.b1, eq.b2,
+             teq.b0, teq.b1, teq.b2), (np.asarray(grid, dtype=float),)))
+        lv, rv = np.array(affine_action(*vals[:11])), vals[11:]
+        if not failures and np.isfinite(lv).all():
+            return float((abs(lv - rv) / (1.0 + abs(lv) + abs(rv))).max())
+        tr = transform_coefficients(eq, report.curve)
+    return max_pair_deviation(((tr.b0, teq.b0), (tr.b1, teq.b1), (tr.b2, teq.b2)), grid)
 
 
 def holds_on_solve_grid(report: CriterionReport, eq: RiccatiEquation,
@@ -171,7 +180,7 @@ def _sign_choice(name: str, eq: RiccatiEquation, grid, build, abc,
     for s in (1.0, -1.0):
         curve = build(s)
         try:
-            evaluate_grid(curve.entries(), grid)
+            al, be, ga, de = evaluate_grid(curve.entries(), grid)
             break
         except (EvalDomainError, QuadratureError):
             pass
@@ -179,7 +188,7 @@ def _sign_choice(name: str, eq: RiccatiEquation, grid, build, abc,
         return _unsat(name, "square-root domain failure under both sign choices")
     det_dev = 0.0
     if check_det:
-        det_dev = curve.max_det_deviation(grid)
+        det_dev = float(abs(al * de - be * ga - 1.0).max())
         diagnostics = {"max_dev": diagnostics["max_dev"],
                        "determinant_dev": det_dev, **diagnostics}
     if s < 0:
@@ -675,9 +684,9 @@ def read_hints(hints) -> dict[str, dict]:
             if key in det.constant_keys:
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise HintError(f"{where} must be a number")
-                value = float(value)
-                if not math.isfinite(value):
+                if not -sys.float_info.max <= value <= sys.float_info.max:
                     raise HintError(f"{where} must be finite")
+                value = float(value)
             elif isinstance(value, str):
                 try:
                     value = parse(value)

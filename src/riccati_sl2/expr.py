@@ -1024,12 +1024,28 @@ def _tokenize(text: str):
 # Each infix operator -> its node class, whose precedence the printer reads.
 _INFIX = {cls.symbol.strip(): cls for cls in _BINARY}
 
+# The most levels a parsed tree may have: the printer, the grid walk and
+# differentiation recurse on each level, and the second derivative of a
+# chain of quotients is about six times as high as the chain.  And the
+# most parentheses, signs and calls an operand may sit in: each costs
+# the parser one or two frames, and parentheses add no level.
+_MAX_DEPTH = 50
+_MAX_NESTING = 300
+
+
+def _level(below: int, pos: int) -> int:
+    """The levels of a node over ``below`` levels, built at ``pos``."""
+    if below >= _MAX_DEPTH:
+        raise ParseError(f"expression is more than {_MAX_DEPTH} levels deep", pos)
+    return below + 1
+
 
 class _Parser:
     """Precedence climbing over the tokens: every infix operator is
     left-associative and takes its right operand one level tighter.  No
     number or identifier has an operator's text, so the text alone tells
-    an operator token."""
+    an operator token.  Each parse returns its tree and the tree's
+    levels as written, which _level bounds at the token of each node."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -1041,25 +1057,32 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         self.i += 1
 
-    def infix(self, floor: int) -> Expr:
+    def infix(self, floor: int, nesting: int) -> tuple[Expr, int]:
         """Operands joined by the infix operators of precedence at least
-        ``floor``."""
-        e = self.operand()
+        ``floor``, inside ``nesting`` parentheses, signs and calls."""
+        e, levels = self.operand(nesting)
         while True:
-            cls = _INFIX.get(self.tokens[self.i][1])
+            _, text, pos = self.tokens[self.i]
+            cls = _INFIX.get(text)
             if cls is None or cls.precedence < floor:
-                return e
+                return e, levels
             self.i += 1
-            e = cls(e, self.infix(cls.precedence + 1))
+            right, below = self.infix(cls.precedence + 1, nesting)
+            e, levels = cls(e, right), _level(max(levels, below), pos)
 
-    def operand(self) -> Expr:
+    def operand(self, nesting: int) -> tuple[Expr, int]:
         """A signed atom and its power: ``-t^2`` is ``-(t^2)``."""
+        if nesting > _MAX_NESTING:  # at the sign or parenthesis that opened it
+            raise ParseError(f"parentheses, signs and calls nest more than "
+                             f"{_MAX_NESTING} deep", self.tokens[self.i - 1][2])
         kind, text, pos = self.tokens[self.i]
         self.i += 1
         if text == "-":
-            return Neg(self.operand())
+            e, below = self.operand(nesting + 1)
+            return Neg(e), _level(below, pos)
         if text == "+":
-            return self.operand()
+            return self.operand(nesting + 1)
+        levels = 1
         if kind == "num":
             value = float(text)
             if not math.isfinite(value):
@@ -1071,26 +1094,30 @@ class _Parser:
             if text != "integral" and text not in _FUNCTIONS:
                 raise ParseError(f"unknown function or identifier {text!r}", pos)
             self.expect("(")
-            inner = self.infix(1)
+            inner, below = self.infix(1, nesting + 1)
             self.expect(")")
             e = Integral(inner) if text == "integral" else Call(text, inner)
+            levels = _level(below, pos)
         elif text == "(":
-            e = self.infix(1)
+            e, levels = self.infix(1, nesting + 1)
             self.expect(")")
         else:
             raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
-        if self.tokens[self.i][1] in ("^", "**"):
+        _, text, pos = self.tokens[self.i]
+        if text in ("^", "**"):
             self.i += 1
-            return Pow(e, self.exponent())
-        return e
+            return Pow(e, self.exponent()), _level(levels, pos)
+        return e, levels
 
     def exponent(self) -> int:
+        """An integer literal, with a minus sign or not, in any number of
+        parentheses."""
+        opened = 0
+        while self.tokens[self.i][1] == "(":
+            opened += 1
+            self.i += 1
         kind, text, pos = self.tokens[self.i]
         self.i += 1
-        if text == "(":
-            n = self.exponent()
-            self.expect(")")
-            return n
         sign = 1
         if text == "-":
             sign = -1
@@ -1100,6 +1127,8 @@ class _Parser:
             raise ParseError("exponent must be an integer literal", pos)
         if not math.isfinite(float(text)):
             raise ParseError(f"exponent {text!r} overflows", pos)
+        for _ in range(opened):
+            self.expect(")")
         return sign * int(text)
 
 
@@ -1107,7 +1136,7 @@ def parse(text: str) -> Expr:
     """Parse expression text into a tree.  Raises :class:`ParseError`
     with the byte offset of the first problem."""
     parser = _Parser(text)
-    e = parser.infix(1)
+    e, _ = parser.infix(1, 0)
     kind, token, pos = parser.tokens[parser.i]
     if kind != "end":
         raise ParseError(f"unexpected {token!r}", pos)

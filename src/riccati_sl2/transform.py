@@ -13,8 +13,8 @@ and on Riccati equations by the affine action
     b0' = beta^2*b2 - alpha*beta*b1 + alpha^2*b0
           + alpha*beta' - beta*alpha'
 
-(primes on curve entries are t-derivatives, produced symbolically).  The
-same action on the matrix side is the gauge law
+(primes on curve entries are t-derivatives; :func:`affine_action` takes
+expressions or their values).  On the matrix side it is the gauge law
 a'(t) = A(t) a(t) A(t)^-1 + dA/dt(t) A(t)^-1, and under the sign
 convention of :mod:`riccati_sl2.sl2` the two are identical.
 
@@ -34,7 +34,7 @@ from .riccati import RiccatiEquation
 from .sl2 import algebra_matrix
 
 __all__ = [
-    "CurveSL2", "theta_apply", "transform_coefficients",
+    "CurveSL2", "theta_apply", "affine_action", "transform_coefficients",
     "gauge_transform_algebra", "compose", "inverse",
     "normalize_negative_determinant", "NormalizationError",
 ]
@@ -84,14 +84,6 @@ class CurveSL2:
         """The curve as a matrix of expressions."""
         return Mat2(*self.entries())
 
-    def det_expr(self) -> Expr:
-        return self.matrix().det()
-
-    def max_det_deviation(self, grid) -> float:
-        """max |det - 1| over the grid."""
-        d = evaluate_grid(self.det_expr(), grid)
-        return float(abs(d - 1.0).max())
-
     def entries(self) -> tuple[Expr, Expr, Expr, Expr]:
         return (self.alpha, self.beta, self.gamma, self.delta)
 
@@ -102,19 +94,20 @@ def theta_apply(c: CurveSL2, t: float, x) -> ExtReal:
     return mobius_apply(c.matrix_at(t), ext(x))
 
 
+def affine_action(al, be, ga, de, dal, dbe, dga, dde, b0, b1, b2):
+    """The new (b0, b1, b2) of the module's affine action, by ``+``, ``-``
+    and ``*`` alone: on expressions, or on arrays of their values."""
+    return (be * be * b2 - al * be * b1 + al * al * b0 + al * dbe - be * dal,
+            -2.0 * be * de * b2 + (al * de + be * ga) * b1 - 2.0 * al * ga * b0
+            + de * dal - al * dde + be * dga - ga * dbe,
+            de * de * b2 - de * ga * b1 + ga * ga * b0 + ga * dde - de * dga)
+
+
 def transform_coefficients(eq: RiccatiEquation, c: CurveSL2) -> RiccatiEquation:
     """The affine action of the curve on the coefficient triple, with
     all derivative terms taken symbolically."""
-    al, be, ga, de = c.entries()
-    dal, dbe, dga, dde = (differentiate(al), differentiate(be),
-                          differentiate(ga), differentiate(de))
-    b0, b1, b2 = eq.b0, eq.b1, eq.b2
-    nb2 = de * de * b2 - de * ga * b1 + ga * ga * b0 + ga * dde - de * dga
-    nb1 = (-2.0 * be * de * b2 + (al * de + be * ga) * b1
-           - 2.0 * al * ga * b0
-           + de * dal - al * dde + be * dga - ga * dbe)
-    nb0 = be * be * b2 - al * be * b1 + al * al * b0 + al * dbe - be * dal
-    return RiccatiEquation(nb0, nb1, nb2)
+    return RiccatiEquation(*affine_action(
+        *c.entries(), *map(differentiate, c.entries()), eq.b0, eq.b1, eq.b2))
 
 
 def gauge_transform_algebra(eq: RiccatiEquation, c: CurveSL2) -> RiccatiEquation:

@@ -26,7 +26,7 @@ def _runs(parent, change, failed=(0, 0)):
 
 
 def _verdicts(runs):
-    return [line.rsplit(", ", 1)[1] for line in bench_pairs.summary(runs, METRICS)[3:]]
+    return [line.rsplit(", ", 1)[1] for line in bench_pairs.summary(runs, METRICS)[4:]]
 
 
 def test_a_change_inside_its_bound_is_within():
@@ -53,3 +53,12 @@ def test_each_side_prints_its_failed_and_attempted_totals():
                                       failed=(1, 2)), METRICS)
     assert lines[:3] == ["3 pairs", "parent: failed 3 of 300 attempted",
                          "change: failed 6 of 300 attempted"]
+
+
+def test_a_larger_failed_share_is_worse():
+    def share_line(failed):
+        return bench_pairs.summary(_runs([100] * 3, [100] * 3, failed), METRICS)[3]
+
+    assert share_line((1, 2)) == "failed share: parent 1.000%, change 2.000%, worse"
+    assert share_line((2, 1)).endswith(", within")
+    assert share_line((0, 0)) == "failed share: parent 0.000%, change 0.000%, within"

@@ -13,6 +13,7 @@ from hypothesis import example, given, strategies as st
 import riccati_sl2.cli as cli_module
 import riccati_sl2.expr as expr_module
 import riccati_sl2.riccati as riccati_module
+import riccati_sl2.transform as transform_module
 from riccati_sl2 import (RiccatiEquation, csv_texts, integrate_direct,
                          integrate_group_equation, points, reconstruct_solution)
 from riccati_sl2.cli import load_problem, main
@@ -329,6 +330,40 @@ def test_parse_errors_name_the_file(tmp_path, capsys, over, message):
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+_HUGE = 10 ** 400  # a JSON integer past the largest float
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"t_interval": [0, _HUGE]}, "t_interval must be [t_a, t_b] of finite numbers"),
+    ({"initial_conditions": [0.5, -_HUGE]},
+     'initial_conditions[1] must be a finite number or "inf"'),
+    ({"options": {"step": _HUGE}}, "step must be a positive finite number"),
+    ({"options": {"tol": _HUGE}}, "tol must be a positive finite number"),
+    ({"hints": {"Zh99Basic": {"D": "1", "a": 1, "b": _HUGE, "c": 1}}},
+     "hints.Zh99Basic.b must be finite"),
+], ids=["t_interval", "initial_condition", "step", "tol", "hint-constant"])
+def test_an_integer_past_the_largest_float_is_an_input_error(tmp_path, capsys,
+                                                             over, message):
+    path = _write_problem(tmp_path, **over)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+def test_every_command_finishes_on_a_coefficient_50_levels_deep(tmp_path, capsys):
+    # A chain of quotients, whose second derivative (RaoK's dW) is about
+    # six times as high; one level more is an input error.
+    deepest = "(1+t)" + "/(2+t)" * 48
+    path = _write_problem(tmp_path, coefficients={"b0": "1", "b1": deepest, "b2": "1"})
+    for command in ("classify", "solve", "verify"):
+        assert main([command, str(path), "--output", str(tmp_path)]) in (0, 1)
+        assert capsys.readouterr().err == ""
+    path = _write_problem(tmp_path, coefficients={
+        "b0": "1", "b1": deepest + "/(2+t)", "b2": "1"})
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: coefficients.b1: expression "
+                                   "is more than 50 levels deep (at offset 293)\n")
+
+
 @pytest.mark.parametrize("over, message", [
     ({"grid": 51},
      "unknown keys ['grid'] (expected some of ['schema', 'coefficients', "
@@ -414,6 +449,33 @@ def test_no_command_runs_an_outermost_grid_on_one_time(tmp_path, capsys, monkeyp
             main([command, str(path), "--output", str(tmp_path)])
     capsys.readouterr()
     assert one_time == []
+
+
+def test_only_verify_builds_transformed_trees(tmp_path, capsys, monkeypatch):
+    # classify and solve self-check each reduction on grid values;
+    # verify builds one tree per satisfied report for its equivariance
+    # RK4, solve-grid and gauge checks, or one for the translation fallback.
+    built = []
+    transform_coefficients = transform_module.transform_coefficients
+
+    def counting(eq, c):
+        built.append(c)
+        return transform_coefficients(eq, c)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "transform_coefficients", None) is transform_coefficients:
+            monkeypatch.setattr(module, "transform_coefficients", counting)
+    for path in sorted(PROBLEMS.glob("*.json")):
+        counts = {}
+        for command in ("classify", "solve", "verify"):
+            built.clear()
+            main([command, str(path), "--output", str(tmp_path)])
+            out = capsys.readouterr().out
+            if command == "classify":
+                satisfied = sum(r["satisfied"] for r in json.loads(out)["reports"])
+            counts[command] = len(built)
+        assert counts == {
+            "classify": 0, "solve": 0, "verify": max(satisfied, 1)}, path.name
 
 
 def test_bad_known_solution_is_input_error(tmp_path, capsys):

@@ -10,9 +10,9 @@ from conftest import (PROBLEMS, bundled_problems, grid, max_traj_dev,
 
 from riccati_sl2 import (Const, CurveSL2, EvalDomainError, ONE,
                          OneDimensionalTarget, RiccatiEquation, T, ZERO,
-                         differentiate, evaluate, exp, integral_from,
-                         integrate_direct, inverse, log, parse, sqrt,
-                         transform_coefficients)
+                         compose, curve_residual, differentiate, evaluate,
+                         exp, integral_from, integrate_direct, inverse, log,
+                         parse, sqrt, transform_coefficients)
 from riccati_sl2.criteria import (DETECTORS, DETECTOR_ORDER, CriterionReport,
                                   HintError, check_allen_stein, check_ko06,
                                   check_ra61, check_rao_K, check_rao_W0,
@@ -272,6 +272,31 @@ def test_holds_on_solve_grid_leaves_an_unsatisfied_report_as_it_is():
     assert "no real constant solution" in before["reason"]
     assert holds_on_solve_grid(rep, eq, (0.0, 1.0), 0.01) is False
     assert not rep.satisfied and rep.diagnostics == before
+
+
+def test_a_failing_self_check_raises_the_tree_laws_error():
+    # Where the law's values fail, the error is the one the transformed
+    # trees raise, not the first failed value's: at t = 0.5 both the
+    # coefficient and the curve's derivative fail, and the tree meets the
+    # log first; an overflowing entry is charged to the tree that holds
+    # it; and at t = 0, where the tree of b0 overflows, the derivative's
+    # division by zero (in the tree of b1) comes second.
+    grid5 = grid(0.0, 1.0, 5)
+    cases = [
+        (RiccatiEquation(ONE, T, 1.0 + log(0.5 - T)),
+         CurveSL2.translation(sqrt((T - 0.5) ** 2)),
+         "log of non-positive value in 'log(0.5 - t)'"),
+        (RiccatiEquation.of(1, 0, 1), CurveSL2.scaling(exp(1600 * T)),
+         "overflow in 'sqrt(exp(1600*t))*sqrt(exp(1600*t))'"),
+        (RiccatiEquation.of(1e300, 0, 1),
+         compose(CurveSL2.scaling(Const(1e10)), CurveSL2(ONE, ZERO, sqrt(T ** 2), ONE)),
+         "overflow in 'sqrt(10000000000)*sqrt(10000000000)*1.0000000000000001e+300'"),
+    ]
+    for eq, curve, message in cases:
+        report = CriterionReport("law", True, curve=curve, target=eq)
+        with pytest.raises(EvalDomainError) as err:
+            curve_residual(report, eq, grid5)
+        assert str(err.value) == message
 
 
 def test_rdm05_zero_solution_is_bernoulli():

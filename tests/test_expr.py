@@ -92,6 +92,31 @@ def test_deeply_nested_parentheses_parse():
     assert parse("(" * 300 + "t" + ")" * 300 + "^2") is Pow(T, 2)
 
 
+@pytest.mark.parametrize("deepest, past, offset", [
+    ("t" + "+t" * 49, "t" + "+t" * 50, 99),
+    ("-" * 49 + "t", "-" * 50 + "t", 0),
+    ("sin(" * 49 + "t" + ")" * 49, "sin(" * 50 + "t" + ")" * 50, 0),
+    ("(1+t)" + "/(2+t)" * 48, "(1+t)" + "/(2+t)" * 49, 293),
+], ids=["sum", "signs", "calls", "quotients"])
+def test_a_tree_past_50_levels_is_a_parse_error(deepest, past, offset):
+    # The error is at the operator, sign or call that makes the 51st level.
+    parse(deepest)
+    with pytest.raises(ParseError) as err:
+        parse(past)
+    assert str(err.value) == f"expression is more than 50 levels deep (at offset {offset})"
+
+
+def test_parentheses_past_300_deep_are_a_parse_error():
+    for text in ("(" * 301 + "t" + ")" * 301, "-(" * 200 + "t" + ")" * 200,
+                 "(" * 5000):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == (
+            "parentheses, signs and calls nest more than 300 deep (at offset 300)")
+    # An exponent's parentheses are read in a loop.
+    assert parse("t^" + "(" * 5000 + "2" + ")" * 5000) is Pow(T, 2)
+
+
 def test_parsing_leaves_no_cyclic_garbage():
     # Parsing functions that refer to each other in a cycle would keep each
     # parse's tokens alive until the next collection.

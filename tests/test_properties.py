@@ -6,6 +6,7 @@ curve action, and the linear target of every RDM05 reduction."""
 import dataclasses
 import math
 import operator
+import random
 import sys
 from pathlib import Path
 
@@ -13,19 +14,21 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import (PLAIN_TREES, PROBLEMS, TREE_LEAVES, subtrees,
-                      tree_operations)
+from conftest import (PLAIN_TREES, PROBLEMS, TREE_LEAVES, random_coefficient,
+                      random_curve, random_equation, subtrees, tree_operations)
 
 import riccati_sl2.expr as expr_module
 from riccati_sl2 import (INF, Add, Call, CoincidentPointsError, Const,
-                         CurveSL2, Div, EvalDomainError, ExtReal, Integral,
-                         Mat2, Mul, Neg, ParseError, Pow, RiccatiEquation,
+                         CriterionReport, CurveSL2, Div, EvalDomainError,
+                         ExtReal, Integral, Mat2, Mul, Neg,
+                         OneDimensionalTarget, ParseError, Pow,
+                         QuadratureError, RiccatiEquation,
                          SingularMatrixError, Sub, T, ZERO, classify, compose,
-                         cross_ratio, cross_ratio_array, differentiate,
-                         evaluate, exp, ext, gauge_transform_algebra,
-                         integrate_direct, inverse, mobius_apply,
-                         mobius_apply_array, parse, session, theta_apply,
-                         transform_coefficients)
+                         cross_ratio, cross_ratio_array, curve_residual,
+                         differentiate, evaluate, exp, ext,
+                         gauge_transform_algebra, integrate_direct, inverse,
+                         log, mobius_apply, mobius_apply_array, parse,
+                         session, sqrt, theta_apply, transform_coefficients)
 from riccati_sl2.cli import Problem, _points_dev, load_problem
 from riccati_sl2.criteria import (check_rdm05, holds_on_solve_grid,
                                   max_pair_deviation, solve_via_report)
@@ -293,6 +296,98 @@ def test_gauge_law_is_the_coefficient_law(b, c):
     assert dev <= 1e-9
 
 
+# The self-check as three trees computed it, kept as the reference: the
+# coefficient law written out on expressions, whose nodes fold constants
+# (0*x is the zero node), evaluated next to the target's coefficients.
+
+def _tree_law(eq, c):
+    al, be, ga, de = c.entries()
+    dal, dbe, dga, dde = (differentiate(al), differentiate(be),
+                          differentiate(ga), differentiate(de))
+    b0, b1, b2 = eq.b0, eq.b1, eq.b2
+    nb2 = de * de * b2 - de * ga * b1 + ga * ga * b0 + ga * dde - de * dga
+    nb1 = (-2.0 * be * de * b2 + (al * de + be * ga) * b1
+           - 2.0 * al * ga * b0
+           + de * dal - al * dde + be * dga - ga * dbe)
+    nb0 = be * be * b2 - al * be * b1 + al * al * b0 + al * dbe - be * dal
+    return RiccatiEquation(nb0, nb1, nb2)
+
+
+def _tree_residual(report, eq, grid):
+    target = report.target
+    teq = target.equation() if isinstance(target, OneDimensionalTarget) else target
+    tr = _tree_law(eq, report.curve)
+    return max_pair_deviation(
+        ((tr.b0, teq.b0), (tr.b1, teq.b1), (tr.b2, teq.b2)), grid)
+
+
+def _outcome(residual, report, eq, grid):
+    """The residual, or the type and message of the error it raised,
+    computed in a session of its own, where the reference's sums near
+    the largest float warn of no overflow."""
+    with session(), np.errstate(over="ignore"):
+        try:
+            return residual(report, eq, grid)
+        except (EvalDomainError, QuadratureError) as exc:
+            return type(exc), str(exc)
+
+
+@st.composite
+def _self_check_cases(draw):
+    """A report whose curve and target come from random_curve and
+    random_equation, and the equation it is checked on, with at most one
+    of these hazards: a derivative that fails at one grid time only
+    (sqrt((t - t0)^2) at t0, where the entry is 0), a coefficient that
+    fails from t = 0.6 on (log(0.6 - t)), both (at t0 = 0.6 they first
+    fail together), or a law whose result overflows where its terms do
+    not.  Composing with the inversion
+    gives structurally zero entries, which the trees fold (0*x is the
+    zero node) where the law on values multiplies by 0."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    eq, c = random_equation(rng), random_curve(rng, 1, 3)
+    hazard = draw(st.sampled_from(("", "", "sqrt", "log", "sqrt log", "overflow")))
+    if "sqrt" in hazard:
+        t0 = draw(st.sampled_from((0.0, 0.35, 0.6, 1.0)))
+        c = compose(CurveSL2.translation(sqrt((T - t0) ** 2)), c)
+    if "log" in hazard:
+        key = draw(st.sampled_from(("b0", "b1", "b2")))
+        eq = dataclasses.replace(eq, **{key: getattr(eq, key) + log(0.6 - T)})
+    if hazard == "overflow":
+        eq = dataclasses.replace(eq, b0=1e300 * eq.b0)
+        c = compose(CurveSL2.scaling(Const(1e10)), c)
+    if draw(st.booleans()):
+        c = compose(CurveSL2.inversion(), c)
+    target = draw(st.sampled_from(("transformed", "one_dimensional", "equation")))
+    goal = {"transformed": lambda: _tree_law(eq, c),
+            "one_dimensional": lambda: OneDimensionalTarget(
+                rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), 1.0,
+                random_coefficient(rng)),
+            "equation": lambda: random_equation(rng)}[target]()
+    return CriterionReport("law", True, curve=c, target=goal), eq, target
+
+
+@settings(max_examples=300)
+@given(case=_self_check_cases())
+def test_the_self_check_is_the_tree_law_bit_for_bit(case):
+    """curve_residual, the affine law on grid values, gives the tree
+    law's residual bit for bit (0 against the tree law's own
+    coefficients), or the error it raises at the first time it fails,
+    and the same residual on the times before."""
+    report, eq, target = case
+    grid = [i / 20 for i in range(21)]
+    want = _outcome(_tree_residual, report, eq, grid)
+    assert _outcome(curve_residual, report, eq, grid) == want
+    if isinstance(want, float):
+        assert target != "transformed" or want == 0.0
+        return
+    first = next(i for i in range(1, 22)
+                 if not isinstance(_outcome(_tree_residual, report, eq, grid[:i]), float))
+    assert _outcome(curve_residual, report, eq, grid[:first]) == want
+    if first > 1:
+        before = _outcome(_tree_residual, report, eq, grid[:first - 1])
+        assert _outcome(curve_residual, report, eq, grid[:first - 1]) == before
+
+
 # Floats at the edges Hypothesis favours, and ones with inexact quotients.
 _MOBIUS_FLOATS = st.one_of(st.floats(-1e3, 1e3),
                            st.integers(-10**6, 10**6).map(lambda n: n / 977.0))
@@ -509,8 +604,7 @@ def test_a_reduction_stays_a_reduction_under_the_curve_action(case):
         x0s = [theta_apply(g, span[0], x0) for x0 in problem.initial_conditions]
         for report in reports:
             moved = dataclasses.replace(
-                report, curve=compose(report.curve, inverse(g)),
-                transformed=None, diagnostics={})
+                report, curve=compose(report.curve, inverse(g)), diagnostics={})
             assert holds_on_solve_grid(moved, pushed, span, step), (
                 kind, report.name, moved.diagnostics)
             for x0, traj in zip(x0s, solve_via_report(moved, x0s, span, step)):

@@ -8,10 +8,10 @@ from conftest import (bundled_problems, grid, max_traj_dev, random_curve,
 
 from riccati_sl2 import (Const, CurveSL2, ExtReal, INF, Mat2,
                          NormalizationError, ONE, RiccatiEquation, T, ZERO,
-                         compose, evaluate, exp, gauge_transform_algebra,
-                         integrate_direct, inverse, mobius_apply,
-                         normalize_negative_determinant, parse, theta_apply,
-                         transform_coefficients)
+                         compose, evaluate, evaluate_grid, exp,
+                         gauge_transform_algebra, integrate_direct, inverse,
+                         mobius_apply, normalize_negative_determinant, parse,
+                         theta_apply, transform_coefficients)
 
 GRID = grid(0.0, 1.0, 101)
 
@@ -100,7 +100,7 @@ def test_matrix_products_print_unchanged():
     c = compose(CurveSL2.scaling(exp(T)), CurveSL2.translation(T ** 2))
     assert [str(e) for e in c.entries()] == [
         "sqrt(exp(t))", "sqrt(exp(t))*t^2", "0", "1/sqrt(exp(t))"]
-    assert str(c.det_expr()) == "sqrt(exp(t))*(1/sqrt(exp(t)))"
+    assert str(c.matrix().det()) == "sqrt(exp(t))*(1/sqrt(exp(t)))"
     g = gauge_transform_algebra(
         RiccatiEquation(parse("sin(t)"), parse("t"), parse("1 + t^2")), c)
     assert str(g.b0) == (
@@ -164,7 +164,7 @@ def test_unit_determinant_invariant():
     rng = random.Random(4242)
     for _ in range(5):
         c = random_curve(rng)
-        assert c.max_det_deviation(GRID) <= 1e-9
+        assert abs(evaluate_grid(c.matrix().det(), GRID) - 1.0).max() <= 1e-9
 
 
 def test_normalize_negative_determinant_flip_only():

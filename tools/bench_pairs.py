@@ -10,8 +10,10 @@ its side, workload, seed, seconds and trace flag, is added to the JSON
 list in the output file (created if missing) after each pair, so an
 interrupted series keeps the pairs it finished.
 
-At the end it prints each side's failed and attempted operations, and,
-for each end-to-end metric named in the change's ``BENCHMARK.json``,
+At the end it prints each side's failed and attempted operations, the
+failed shares with ``worse`` when the change's exceeds the parent's (else
+``within``), and, for each end-to-end metric named in the change's
+``BENCHMARK.json``,
 each side's median, the parent's interquartile range, the number of
 pairs the change won (ties count for neither side) and a verdict against
 the metric's relative bound: ``worse`` when the change's median is worse
@@ -63,17 +65,22 @@ def verdict(par: list[float], chg: list[float], sign: float, bound: float) -> st
 
 
 def summary(runs: list[dict], metrics: list[dict]) -> list[str]:
-    """Each side's failed and attempted totals, then one line per
-    end-to-end metric: medians, parent IQR, pairs won and verdict."""
+    """Each side's failed and attempted totals, the failed shares and
+    their verdict, then one line per end-to-end metric: medians, parent
+    IQR, pairs won and verdict."""
     pairs: dict[int, dict[str, dict]] = {}
     for run in runs:
         pairs.setdefault(run["seed"], {})[run["side"]] = run["metrics"]
     pairs = {seed: p for seed, p in pairs.items() if len(p) == 2}
     lines = [f"{len(pairs)} pairs"]
+    shares = []
     for side in ("parent", "change"):
         mine = [run for run in runs if run["side"] == side]
-        lines.append(f"{side}: failed {sum(run['failed'] for run in mine)} of "
-                     f"{sum(run['attempted'] for run in mine)} attempted")
+        failed, attempted = (sum(run[k] for run in mine) for k in ("failed", "attempted"))
+        shares.append(failed / attempted if attempted else 0.0)
+        lines.append(f"{side}: failed {failed} of {attempted} attempted")
+    lines.append(f"failed share: parent {shares[0]:.3%}, change {shares[1]:.3%}, "
+                 f"{'worse' if shares[1] > shares[0] else 'within'}")
     for m in metrics:
         name, sign = m["name"], 1.0 if m["better"] == "higher" else -1.0
         par = [p["parent"][name]["value"] for p in pairs.values()]

@@ -428,9 +428,9 @@ def cmd_verify(problem: Problem, args) -> int:
 
     # Each satisfied reduction on the solve grid, where solve uses it.
     solve_grid = time_grid(span, step)[0]
-    for r, (_, _, tr) in zip(satisfied, pairs):
+    for r in satisfied:
         check(f"solve_grid[{r.name}]", CURVE_MATCH_TOL,
-              lambda r=r, tr=tr: curve_residual(r, eq, solve_grid, tr))
+              lambda r=r: curve_residual(r, eq, solve_grid))
     checks += equivariances
 
     # Gauge law versus coefficient law, on each reducing curve and the tree

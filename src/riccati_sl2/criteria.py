@@ -81,12 +81,15 @@ def constancy_fit(f: Expr, grid) -> tuple[float, float]:
     return value, float(np.max(abs(a - value))) / (1.0 + abs(value))
 
 
-def max_pair_deviation(pairs, grid) -> float:
-    """Worst of |l - r| / (1 + |l| + |r|) over the grid and the
-    (l, r) expression pairs, evaluated together in one grid walk."""
-    vals = evaluate_grid([e for pair in pairs for e in pair], grid)
-    lv, rv = vals[0::2], vals[1::2]
+def _max_rel_dev(lv, rv) -> float:
+    """The worst relative deviation of max_pair_deviation, on value arrays."""
     return float((abs(lv - rv) / (1.0 + abs(lv) + abs(rv))).max())
+
+
+def max_pair_deviation(pairs, grid) -> float:
+    """Worst |l - r| / (1 + |l| + |r|) of the (l, r) expression pairs, in one grid walk."""
+    vals = evaluate_grid([e for pair in pairs for e in pair], grid)
+    return _max_rel_dev(vals[0::2], vals[1::2])
 
 
 def _unsat(name: str, reason: str, **diag) -> CriterionReport:
@@ -99,8 +102,7 @@ def _finish(report: CriterionReport, eq: RiccatiEquation, grid) -> CriterionRepo
     through the coefficient transformation law."""
     if not report.satisfied or report.curve is None or report.target is None:
         return report
-    worst = curve_residual(report, eq, grid)
-    report.diagnostics["curve_residual"] = worst
+    worst = report.diagnostics["curve_residual"] = curve_residual(report, eq, grid)
     if worst > CURVE_MATCH_TOL:
         report.satisfied = False
         report.diagnostics["reason"] = (
@@ -110,23 +112,21 @@ def _finish(report: CriterionReport, eq: RiccatiEquation, grid) -> CriterionRepo
 
 
 @np.errstate(all="ignore")  # the law's values at failed times are meaningless
-def curve_residual(report: CriterionReport, eq: RiccatiEquation, grid,
-                   tr: RiccatiEquation | None = None) -> float:
+def curve_residual(report: CriterionReport, eq: RiccatiEquation, grid) -> float:
     """Worst relative deviation on the grid between the target and the
     affine law on the values of the curve's entries, their derivatives
-    and eq's coefficients, or on ``tr``, the law's trees, where the caller
-    holds them or the values fail (see README, Numerical conventions)."""
+    and eq's coefficients, or on the law's trees where a value fails
+    (see README, Numerical conventions)."""
     target = report.target
     teq = target.equation() if isinstance(target, OneDimensionalTarget) else target
-    if tr is None:
-        entries = report.curve.entries()
-        vals, failures = next(_sample(
-            (*entries, *map(differentiate, entries), eq.b0, eq.b1, eq.b2,
-             teq.b0, teq.b1, teq.b2), (np.asarray(grid, dtype=float),)))
-        lv, rv = np.array(affine_action(*vals[:11])), vals[11:]
-        if not failures and np.isfinite(lv).all():
-            return float((abs(lv - rv) / (1.0 + abs(lv) + abs(rv))).max())
-        tr = transform_coefficients(eq, report.curve)
+    entries = report.curve.entries()
+    vals, failures = next(_sample(
+        (*entries, *map(differentiate, entries), eq.b0, eq.b1, eq.b2,
+         teq.b0, teq.b1, teq.b2), (np.asarray(grid, dtype=float),)))
+    lv, rv = np.array(affine_action(*vals[:11])), vals[11:]
+    if not failures and np.isfinite(lv).all():
+        return _max_rel_dev(lv, rv)
+    tr = transform_coefficients(eq, report.curve)
     return max_pair_deviation(((tr.b0, teq.b0), (tr.b1, teq.b1), (tr.b2, teq.b2)), grid)
 
 

@@ -411,7 +411,7 @@ def cmd_verify(problem: Problem, args) -> int:
 
     # Solution equivariance of each satisfied criterion's curve, listed
     # after the solve-grid checks but computed first, so that these read
-    # the image RK4's stage samples of the transformed equation halved.
+    # the image RK4's stage samples of the subtrees they share, halved.
     at = len(checks)
     base = direct[ics[0]]
     pairs = [(r.name, r.curve, transform_coefficients(eq, r.curve)) for r in satisfied]

@@ -454,7 +454,7 @@ def test_no_command_runs_an_outermost_grid_on_one_time(tmp_path, capsys, monkeyp
 def test_only_verify_builds_transformed_trees(tmp_path, capsys, monkeypatch):
     # classify and solve self-check each reduction on grid values;
     # verify builds one tree per satisfied report for its equivariance
-    # RK4, solve-grid and gauge checks, or one for the translation fallback.
+    # RK4 and gauge checks, or one for the translation fallback.
     built = []
     transform_coefficients = transform_module.transform_coefficients
 

@@ -55,6 +55,10 @@ __all__ = ["main", "load_problem", "cmd_solve", "cmd_classify", "cmd_verify",
 
 _DETECTORS = {d.name: d for d in DETECTORS}
 
+# The most times a problem may ask for: points of the detection grid,
+# and RK4 steps over t_interval.
+_MAX_TIMES = 10 ** 6
+
 # Trajectory comparison: pairs of points with |x| at most this compare
 # in the x chart, pairs with |x| at least 1 in the chart w = -1/x.
 _COMPARE_CAP = 10.0
@@ -166,10 +170,22 @@ def load_problem(path, overrides=None) -> Problem:
     step, grid_n, tol = option("step", 1e-3), option("grid", 101), option("tol", 1e-6)
     if not (_number(step) and step > 0):
         raise InputError(f"{path}: step must be a positive finite number")
-    if not (isinstance(grid_n, int) and grid_n >= 2):
-        raise InputError(f"{path}: grid must be an integer >= 2")
+    if not (isinstance(grid_n, int) and 2 <= grid_n <= _MAX_TIMES):
+        raise InputError(f"{path}: grid must be an integer from 2 to {_MAX_TIMES}")
     if not (_number(tol) and tol > 0):
         raise InputError(f"{path}: tol must be a positive finite number")
+    # The last time of each grid, as Problem.grid and time_grid compute
+    # it, must be finite; the times before it lie between t_a and it.
+    too_wide = InputError(f"{path}: t_interval must give finite grid times")
+    if not math.isfinite(ta + (grid_n - 1) * (tb - ta) / (grid_n - 1)):
+        raise too_wide
+    steps = (tb - ta) / step
+    if not steps <= _MAX_TIMES:
+        raise InputError(f"{path}: step must divide t_interval into at most "
+                         f"{_MAX_TIMES} steps")
+    n = max(1, round(steps))
+    if not math.isfinite(ta + n * ((tb - ta) / n)):
+        raise too_wide
 
     try:
         hints = read_hints(doc.get("hints", {}))
@@ -330,13 +346,18 @@ def cmd_solve(problem: Problem, args) -> int:
     else:
         trajs = [integrate_direct(problem.equation, x0, problem.t_interval,
                                   problem.step) for x0 in ics]
-    outdir = Path(getattr(args, "output", ".") or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = target = Path(getattr(args, "output", ".") or ".")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for i, text in enumerate(csv_texts(trajs)):
+            target = outdir / f"trajectory_{i}.csv"
+            target.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {target}: {exc}") from exc
     entries = []
     truncated = False
-    for i, (x0, traj, text) in enumerate(zip(ics, trajs, csv_texts(trajs))):
+    for i, (x0, traj) in enumerate(zip(ics, trajs)):
         fname = f"trajectory_{i}.csv"
-        (outdir / fname).write_text(text)
         truncated = truncated or traj.error is not None
         entries.append({
             "initial_condition": str(x0), "file": fname,
@@ -409,10 +430,13 @@ def cmd_verify(problem: Problem, args) -> int:
     # The direct oracle, integrated once per initial condition.
     direct = {x: integrate_direct(eq, x, span, step) for x in dict.fromkeys(ics)}
 
-    # Solution equivariance of each satisfied criterion's curve, listed
-    # after the solve-grid checks but computed first, so that these read
-    # the image RK4's stage samples of the subtrees they share, halved.
-    at = len(checks)
+    # Each satisfied reduction on the solve grid, where solve uses it.
+    solve_grid = time_grid(span, step)[0]
+    for r in satisfied:
+        check(f"solve_grid[{r.name}]", CURVE_MATCH_TOL,
+              lambda r=r: curve_residual(r, eq, solve_grid))
+
+    # Solution equivariance of each satisfied criterion's curve.
     base = direct[ics[0]]
     pairs = [(r.name, r.curve, transform_coefficients(eq, r.curve)) for r in satisfied]
     for name, c, tr in pairs:
@@ -423,15 +447,6 @@ def cmd_verify(problem: Problem, args) -> int:
             return _points_dev(mobius_apply_array(*curve, _complete(base).values),
                                _complete(image).values)
         check(f"equivariance[{name}]", 1e-6, equivariance)
-    equivariances = checks[at:]
-    del checks[at:]
-
-    # Each satisfied reduction on the solve grid, where solve uses it.
-    solve_grid = time_grid(span, step)[0]
-    for r in satisfied:
-        check(f"solve_grid[{r.name}]", CURVE_MATCH_TOL,
-              lambda r=r: curve_residual(r, eq, solve_grid))
-    checks += equivariances
 
     # Gauge law versus coefficient law, on each reducing curve and the tree
     # built above (or on an elementary curve when nothing is satisfied).

@@ -552,18 +552,17 @@ _SESSION_BYTES = 2 << 20
 class _Session:
     """What one :func:`session` keeps: each node's derivative and printed
     text, the subtree values of the outermost grid runs that failed
-    nowhere and held no integral, keyed by their times (each key also by
-    its even-indexed times), and RK4 stage samplings, up to
-    ``_SESSION_BYTES`` in all; with counts of each computed and reused,
-    of the cells integrals summed by a 15-node rule, of the calls of
-    :func:`quad`, of the outermost grid runs, and of the RK4 steps."""
+    nowhere and held no integral, keyed by their times, and RK4 stage
+    samplings, up to ``_SESSION_BYTES`` in all; with counts of each
+    computed and reused, of the cells integrals summed by a 15-node rule,
+    of the calls of :func:`quad`, of the outermost grid runs, and of the
+    RK4 steps."""
 
     def __init__(self):
         self.derivatives: dict[Expr, Expr] = {}
         self.texts: dict[Expr, str] = {}
         self.reprinted = 0
         self.grids: dict[bytes, dict[Expr, np.ndarray]] = {}
-        self.halves: dict[bytes, bytes] = {}
         self.samplings: dict[tuple, tuple] = {}  # see riccati._stage_samples
         self.kept_bytes = 0
         self.depth = 0  # grid runs in progress
@@ -647,13 +646,11 @@ class _Grid:
     starts at ``origin``, the first time of the outermost grid.
 
     A run nested in no other reads the values ``session`` keeps for its
-    times, or else every other value kept for times whose even-indexed
-    ones are its times (as a solve grid is of the RK4 stage times).  If
-    it marked no failure and computed no integral, whose value runs on
-    from chunk to chunk, it keeps there, room permitting, every value it
-    computed; otherwise nothing.  A kept subtree marks nothing when read
-    back, as it marked nothing when computed on the same times, and
-    numpy gives each element the same bits in any array, so the first
+    times.  If it marked no failure and computed no integral, whose value
+    runs on from chunk to chunk, it keeps there, room permitting, every
+    value it computed; otherwise nothing.  A kept subtree marks nothing
+    when read back, as it marked nothing when computed on the same times,
+    and numpy gives each element the same bits in any array, so the first
     failure at each point and every value stay the same.  Nested runs,
     on integrand and quadrature grids that seldom repeat, read and keep
     nothing."""
@@ -678,7 +675,6 @@ class _Grid:
         key = ts.tobytes() if s.depth == 0 else None  # None when nested
         s.runs += key is not None
         self._kept = s.grids.get(key, {})
-        self._halved = s.grids.get(s.halves.get(key), {})
         s.depth += 1
         try:
             outs = []
@@ -693,14 +689,10 @@ class _Grid:
             # t's values are the caller's own times.
             new = {e: v for e, v in self._vals.items()
                    if e is not T and e not in self._kept}
-            if new:
-                half = ts[::2].tobytes()
-                keys = (0 if key in s.grids
-                        else len(key) + (half not in s.halves) * len(half))
-                if s.room(sum(v.nbytes for v in new.values()) + keys):
-                    s.grids.setdefault(key, self._kept).update(new)
-                    s.halves.setdefault(half, key)
-        self._vals = self._kept = self._halved = None
+            if new and s.room(sum(v.nbytes for v in new.values())
+                              + (0 if key in s.grids else len(key))):
+                s.grids.setdefault(key, self._kept).update(new)
+        self._vals = self._kept = None
         return outs, self._failures
 
     def _mark(self, mask, error, subexpr=None) -> None:
@@ -720,8 +712,6 @@ class _Grid:
         v = self._vals.get(e)
         if v is None:
             v = self._kept.get(e)
-            if v is None and (v := self._halved.get(e)) is not None:
-                v = v[::2].copy()  # contiguous, as computed
             if v is not None:
                 self.session.reused += 1
             else:

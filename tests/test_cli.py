@@ -1,3 +1,4 @@
+import argparse
 import collections
 import json
 import math
@@ -15,8 +16,9 @@ import riccati_sl2.expr as expr_module
 import riccati_sl2.riccati as riccati_module
 import riccati_sl2.transform as transform_module
 from riccati_sl2 import (RiccatiEquation, csv_texts, integrate_direct,
-                         integrate_group_equation, points, reconstruct_solution)
-from riccati_sl2.cli import load_problem, main
+                         integrate_group_equation, points, reconstruct_solution,
+                         time_grid)
+from riccati_sl2.cli import InputError, load_problem, main
 from riccati_sl2.criteria import DETECTORS, classify
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -341,7 +343,8 @@ _HUGE = 10 ** 400  # a JSON integer past the largest float
     ({"options": {"tol": _HUGE}}, "tol must be a positive finite number"),
     ({"hints": {"Zh99Basic": {"D": "1", "a": 1, "b": _HUGE, "c": 1}}},
      "hints.Zh99Basic.b must be finite"),
-], ids=["t_interval", "initial_condition", "step", "tol", "hint-constant"])
+    ({"options": {"grid": _HUGE}}, "grid must be an integer from 2 to 1000000"),
+], ids=["t_interval", "initial_condition", "step", "tol", "hint-constant", "grid"])
 def test_an_integer_past_the_largest_float_is_an_input_error(tmp_path, capsys,
                                                              over, message):
     path = _write_problem(tmp_path, **over)
@@ -751,8 +754,8 @@ def test_verify_samples_the_equation_once_for_its_rk4_runs(capsys, monkeypatch):
 
 
 def test_verify_lists_its_checks_in_the_same_order(tmp_path, capsys):
-    # Equivariance is computed before the solve-grid residuals but listed
-    # after them, as before.
+    # The solve-grid residuals come first, then equivariance, gauge and
+    # reconstruction, each in the order of the satisfied criteria.
     path = _write_problem(tmp_path, **_ALIASED)
     assert main(["verify", str(path)]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
@@ -791,6 +794,7 @@ def test_hint_unknown_key_is_input_error(tmp_path, capsys):
 
 
 _OPTIONS = {"step": 0.01, "grid": 51, "tol": 1e-6}
+_MAX_FLOAT = sys.float_info.max
 
 
 @pytest.mark.parametrize("over, field", [
@@ -802,12 +806,96 @@ _OPTIONS = {"step": 0.01, "grid": 51, "tol": 1e-6}
     ({"options": {**_OPTIONS, "tol": math.inf}}, "tol"),
     ({"hints": {"Zh99Basic": {"D": "1", "a": True, "b": 0.0, "c": 1.0}}},
      "hints.Zh99Basic.a"),
+    ({"options": {**_OPTIONS, "grid": 10 ** 6 + 1}}, "grid must"),
+    ({"options": {**_OPTIONS, "step": 5e-324}}, "step must"),
+    ({"options": {**_OPTIONS, "step": 1e-12}}, "step must"),
+    ({"t_interval": [0.0, 1e308]}, "t_interval must"),
+    ({"t_interval": [-1.7e308, 1.7e308]}, "t_interval must"),
+    # t_b - t_a rounds up, so the last detection time, or the last solve
+    # time, overflows although (grid - 1)*(t_b - t_a) does not.
+    ({"t_interval": [5.112333177890451e+307, _MAX_FLOAT],
+      "options": {**_OPTIONS, "step": 1e307, "grid": 2}}, "t_interval must"),
+    ({"t_interval": [3.089634631379332e+307, _MAX_FLOAT],
+      "options": {**_OPTIONS, "step": (_MAX_FLOAT - 3.089634631379332e+307) / 22,
+                  "grid": 2}}, "t_interval must"),
 ], ids=["ic-true", "interval-booleans", "interval-infinity", "step-true",
-        "step-infinity", "tol-infinity", "hint-constant-true"])
+        "step-infinity", "tol-infinity", "hint-constant-true", "grid-past-limit",
+        "step-count-infinite", "step-count-past-limit", "detection-grid-infinite",
+        "interval-infinite", "last-detection-time-infinite",
+        "last-solve-time-infinite"])
 def test_booleans_and_infinities_are_input_errors(tmp_path, capsys, over, field):
     rc = main(["classify", str(_write_problem(tmp_path, **over))])
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--grid", str(_HUGE)], "grid must be an integer from 2 to 1000000"),
+    (["--grid", "1000001"], "grid must be an integer from 2 to 1000000"),
+    (["--step", "5e-324"], "step must divide t_interval into at most 1000000 steps"),
+    (["--step", "1e-12"], "step must divide t_interval into at most 1000000 steps"),
+], ids=["grid-huge", "grid-past-limit", "step-tiny", "step-past-limit"])
+def test_sizes_past_the_limit_are_input_errors_in_every_command(tmp_path, capsys,
+                                                                flags, message):
+    path = _write_problem(tmp_path)
+    for command in ("classify", "solve", "verify"):
+        assert main([command, str(path), "--output", str(tmp_path), *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_sizes_at_the_limit_are_accepted(tmp_path):
+    limit = cli_module._MAX_TIMES
+    path = _write_problem(tmp_path, t_interval=[0.0, float(limit)],
+                          options={"step": 1.0, "grid": limit, "tol": 1e-6})
+    problem = load_problem(path)
+    assert (problem.grid_n, problem.t_interval[1] / problem.step) == (limit, limit)
+    # The widest interval, as overrides.
+    path = _write_problem(tmp_path, t_interval=[0.0, _MAX_FLOAT])
+    problem = load_problem(path, argparse.Namespace(step=_MAX_FLOAT / 4,
+                                                    grid=2, tol=None))
+    assert problem.grid()[-1] == time_grid(problem.t_interval, problem.step)[0][-1]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_HUGE_INTEGERS = st.integers(-10 ** 400, 10 ** 400)
+
+
+@st.composite
+def _sizes(draw):
+    """A t_interval of finite floats, the extreme ones included, or small
+    integers; a step of any sign, a huge integer, or the interval over
+    up to twice the most steps; a grid of any size."""
+    ta, tb = sorted(draw(st.lists(_FINITE | st.integers(-10 ** 3, 10 ** 3),
+                                  min_size=2, max_size=2, unique=True)))
+    count = draw(st.floats(0.5, 2e6) | st.none())
+    step = draw(_FINITE | _HUGE_INTEGERS) if count is None else (tb - ta) / count
+    grid = draw(st.integers(2, 100) | st.integers(-2, 10 ** 6 + 2) | _HUGE_INTEGERS)
+    return [ta, tb], step, grid
+
+
+@given(_sizes())
+@example(([0, 1e308], 0.01, 51))
+@example(([-1.7e308, 1.7e308], 0.01, 51))
+@example(([5.112333177890451e+307, _MAX_FLOAT], 1e307, 2))
+@example(([3.089634631379332e+307, _MAX_FLOAT],
+          (_MAX_FLOAT - 3.089634631379332e+307) / 22, 2))
+def test_an_accepted_problem_has_finite_grids(tmp_path_factory, sizes):
+    # Either an input error, or a detection grid and a solve grid whose
+    # times are finite and non-decreasing.
+    interval, step, grid = sizes
+    path = tmp_path_factory.getbasetemp() / "sizes.json"
+    path.write_text(json.dumps({
+        "coefficients": {"b0": "1", "b1": "0", "b2": "-1"}, "t_interval": interval,
+        "initial_conditions": [0.0], "options": {"step": step, "grid": grid}}))
+    try:
+        problem = load_problem(path)
+    except InputError:
+        return
+    (ta, tb), limit = problem.t_interval, cli_module._MAX_TIMES
+    assert problem.grid_n <= limit and (tb - ta) / problem.step <= limit
+    for ts in (problem.grid(), np.array(time_grid(problem.t_interval, problem.step)[0])):
+        assert np.all(np.isfinite(ts)) and np.all(ts[1:] >= ts[:-1])
 
 
 @pytest.mark.parametrize("det", [d for d in DETECTORS if d.hint != "none"],
@@ -820,6 +908,19 @@ def test_hint_with_exactly_the_row_keys_loads_and_runs(tmp_path, det):
     reports = classify(problem.equation, problem.grid(), problem.tol,
                        problem.hints)
     assert det.name in [r.name for r in reports]
+
+
+@pytest.mark.parametrize("output, target", [
+    ("taken", "taken"), ("taken/csv", "taken/csv"),
+    ("out", "out/trajectory_0.csv")], ids=["file", "under-a-file", "csv-a-directory"])
+def test_solve_output_that_cannot_be_written_is_an_input_error(tmp_path, capsys,
+                                                               output, target):
+    path = _write_problem(tmp_path)
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "out" / "trajectory_0.csv").mkdir(parents=True)
+    assert main(["solve", str(path), "--output", str(tmp_path / output)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {tmp_path / target}: ")
 
 
 def test_solve_unknown_criterion_lists_the_detectors(tmp_path, capsys):

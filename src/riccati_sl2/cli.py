@@ -42,7 +42,8 @@ from .criteria import (CURVE_MATCH_TOL, DETECTORS, HintError, classify,
                        read_hints, solve_via_report)
 from .expr import (Expr, EvalDomainError, ParseError, QuadratureError, T,
                    evaluate_grid, parse, session)
-from .projline import ExtReal, INF, cross_ratio_array, mobius_apply_array
+from .projline import (ExtReal, INF, SingularMatrixError, cross_ratio_array,
+                       mobius_apply_array)
 from .riccati import RiccatiEquation, csv_texts, integrate_direct, time_grid
 from .sl2 import (OneDimensionalTarget, integrate_group_equation,
                   reconstruct_solution)
@@ -399,7 +400,8 @@ def cmd_verify(problem: Problem, args) -> int:
         and left out when it returns None."""
         try:
             dev = compute()
-        except (EvalDomainError, QuadratureError, ArithmeticError, _Truncated) as exc:
+        except (EvalDomainError, QuadratureError, ArithmeticError, SingularMatrixError,
+                _Truncated) as exc:
             checks.append({"name": name, "max_deviation": None, "tolerance": tol,
                            "passed": False, "reason": str(exc)})
         else:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import statistics
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -97,17 +97,23 @@ def _unsat(name: str, reason: str, **diag) -> CriterionReport:
                            diagnostics={"reason": reason, **diag})
 
 
+def _mismatch(worst: float) -> str | None:
+    """Why a curve residual of ``worst`` fails the self-check, or None."""
+    if worst > CURVE_MATCH_TOL:
+        return (f"reducing curve does not reproduce the target "
+                f"(residual {worst:.3g} > {CURVE_MATCH_TOL:g})")
+    return None
+
+
 def _finish(report: CriterionReport, eq: RiccatiEquation, grid) -> CriterionReport:
     """Self-check a satisfied report: the curve must reproduce the target
     through the coefficient transformation law."""
     if not report.satisfied or report.curve is None or report.target is None:
         return report
     worst = report.diagnostics["curve_residual"] = curve_residual(report, eq, grid)
-    if worst > CURVE_MATCH_TOL:
+    if (reason := _mismatch(worst)) is not None:
         report.satisfied = False
-        report.diagnostics["reason"] = (
-            f"reducing curve does not reproduce the target "
-            f"(residual {worst:.3g} > {CURVE_MATCH_TOL:g})")
+        report.diagnostics["reason"] = reason
     return report
 
 
@@ -136,17 +142,15 @@ def holds_on_solve_grid(report: CriterionReport, eq: RiccatiEquation,
     :func:`solve_via_report`, which uses the curve at every step, not
     only at the detection points.  A report that fails there is marked
     not satisfied, with the reason; one not satisfied is left as it is."""
-    if not report.satisfied:
-        return False
-    probe = replace(report, diagnostics={})
+    if not report.satisfied or report.curve is None or report.target is None:
+        return report.satisfied
     try:
-        _finish(probe, eq, time_grid(t_span, step)[0])
+        reason = _mismatch(curve_residual(report, eq, time_grid(t_span, step)[0]))
     except (EvalDomainError, QuadratureError) as exc:
-        probe.satisfied = False
-        probe.diagnostics["reason"] = f"evaluation failed: {exc}"
-    if not probe.satisfied:
+        reason = f"evaluation failed: {exc}"
+    if reason is not None:
         report.satisfied = False
-        report.diagnostics["reason"] = f"on the solve grid, {probe.diagnostics['reason']}"
+        report.diagnostics["reason"] = f"on the solve grid, {reason}"
     return report.satisfied
 
 

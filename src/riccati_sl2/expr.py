@@ -544,32 +544,30 @@ _OVERFLOW = "overflow"
 # Bytes of grid values (and of the times that key them) that one session
 # keeps at most, so that what it keeps does not grow with the length of
 # the interval: a long solve samples its stage times in many blocks.
-# Past it, runs still read what is kept but add nothing.  A command on
-# the bundled and benchmark problems keeps under 1 MB.
+# Past it, runs still read what is kept but add nothing.  A benchmark
+# command keeps under 1 MB, verify on a bundled problem up to 1.8 MB.
 _SESSION_BYTES = 2 << 20
 
 
 class _Session:
     """What one :func:`session` keeps: each node's derivative and printed
-    text, the subtree values of the outermost grid runs that failed
-    nowhere and held no integral, keyed by their times, and RK4 stage
-    samplings, up to ``_SESSION_BYTES`` in all; with counts of each
-    computed and reused, of the cells integrals summed by a 15-node rule,
-    of the calls of :func:`quad`, of the outermost grid runs, and of the
-    RK4 steps."""
+    text, and the subtree values of the outermost grid runs that failed
+    nowhere and held no integral, keyed by their times, up to
+    ``_SESSION_BYTES`` in all; with counts of each computed and reused,
+    of the cells integrals summed by a 15-node rule, of the calls of
+    :func:`quad`, of the outermost grid runs, and of the RK4 steps."""
 
     def __init__(self):
         self.derivatives: dict[Expr, Expr] = {}
         self.texts: dict[Expr, str] = {}
         self.reprinted = 0
         self.grids: dict[bytes, dict[Expr, np.ndarray]] = {}
-        self.samplings: dict[tuple, tuple] = {}  # see riccati._stage_samples
         self.kept_bytes = 0
         self.depth = 0  # grid runs in progress
         self.computed = self.reused = self.derived = self.rederived = 0
         self.cells = self.quads = self.runs = 0
         self.rk4_steps = self.chart_switches = 0  # of integrate_direct
-        self.group_steps = self.samplings_reused = 0
+        self.group_steps = 0
 
     def room(self, nbytes: int) -> bool:
         """Whether ``nbytes`` more fit, counting them in if so."""
@@ -590,8 +588,7 @@ class _Session:
                 "expr.evaluate_grid.runs": self.runs,
                 "riccati.integrate_direct.steps": self.rk4_steps,
                 "riccati.integrate_direct.chart_switches": self.chart_switches,
-                "sl2.integrate_group_equation.steps": self.group_steps,
-                "riccati.stage_samples.reused": self.samplings_reused}
+                "sl2.integrate_group_equation.steps": self.group_steps}
 
 
 _SESSION: contextvars.ContextVar[_Session | None] = contextvars.ContextVar(

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import _SESSION, Expr, _sample, _Session, as_expr, evaluate_grid
+from .expr import _SESSION, Expr, _sample, as_expr, evaluate_grid
 from .projline import ExtReal, ext, points
 
 __all__ = ["RiccatiEquation", "Trajectory", "rhs", "time_grid",
@@ -118,22 +118,11 @@ _BLOCK_STEPS = 512
 
 def _stage_samples(coeffs, t_span, step: float):
     """The time grid and step h of :func:`time_grid`, and for each block
-    of m steps from grid[k], a list of: one list per coefficient of its
+    of m steps from grid[k], a tuple of: one list per coefficient of its
     values at grid[k], grid[k] + h/2, grid[k+1], ..., grid[k+m]; the
     number of steps whose stages all evaluate; and the error that stops
-    the next step, or None.  A session keeps, room permitting, the grid
-    of each span and step, and each sampling in which nothing failed,
-    which later calls on the same coefficients, span and step read back.
-    A float counts 32 bytes, with its list slot."""
-    s = _SESSION.get() or _Session()  # outside a session, keeps nothing
-    span = (float(t_span[0]), float(t_span[1]), step)
-    key = (tuple(coeffs), *span)
-    if (kept := s.samplings.get(key)) is not None:
-        s.samplings_reused += 1
-        return kept
-    grid, h = s.samplings.get(span) or time_grid(t_span, step)
-    if span not in s.samplings and s.room(32 * len(grid)):
-        s.samplings[span] = grid, h
+    the next step, or None."""
+    grid, h = time_grid(t_span, step)
 
     def times():
         for k in range(0, len(grid) - 1, _BLOCK_STEPS):
@@ -143,16 +132,10 @@ def _stage_samples(coeffs, t_span, step: float):
             yield out
 
     def blocks():
-        made = []
         for vals, failures in _sample(coeffs, times()):
             # Step j reads samples 2j, 2j + 1 and 2j + 2.
             first = min(failures, default=vals.shape[1] + 1)
-            made.append([*vals.tolist(), max(0, (first - 1) // 2), failures.get(first)])
-            yield made[-1]
-        # Four lists a block, with the w chart's -b1 (integrate_direct).
-        if (all(b[4] is None for b in made)
-                and s.room(4 * 32 * sum(len(b[0]) for b in made))):
-            s.samplings[key] = grid, h, made
+            yield (*vals.tolist(), max(0, (first - 1) // 2), failures.get(first))
 
     return grid, h, blocks()
 
@@ -176,17 +159,16 @@ def integrate_direct(eq: RiccatiEquation, x0, t_span, step: float = 1e-3) -> Tra
     switches: list[tuple[float, str, str]] = []
     error = None
     h2, h6 = 0.5 * h, h / 6.0
-    for block in blocks:
-        b0, b1, b2, steps, failure = block[:5]
-        first, end = len(xs), 2 * steps
+    for b0, b1, b2, steps, failure in blocks:
+        first, end, minus_b1 = len(xs), 2 * steps, None
         # Each pass runs the block's steps in one chart, up to a step
         # that leaves |u| <= 1 (beyond 1, NaN or inf).
         while (i := 2 * (len(xs) - first)) < end:
             in_x = chart == "x"
-            if not in_x and len(block) == 5:
-                block.append([-v for v in b1])  # kept with the block
+            if not in_x and minus_b1 is None:
+                minus_b1 = [-v for v in b1]
             # The w chart's equation has coefficients (b2, -b1, b0).
-            p, q, r = (b0, b1, b2) if in_x else (b2, block[5], b0)
+            p, q, r = (b0, b1, b2) if in_x else (b2, minus_b1, b0)
             for p0, p1, p2, q0, q1, q2, r0, r1, r2 in zip(
                     p[i:end:2], p[i + 1:end:2], p[i + 2:end + 1:2],
                     q[i:end:2], q[i + 1:end:2], q[i + 2:end + 1:2],

@@ -98,7 +98,7 @@ def integrate_group_equation(eq: RiccatiEquation, t_span, step: float = 1e-3) ->
     h2, h6 = 0.5 * h, h / 6.0
     a0, a1, a2, a3 = 1.0, 0.0, 0.0, 1.0  # A, row-major
     rows = [(a0, a1, a2, a3)]
-    for b0, b1, b2, steps, failure, *_ in blocks:
+    for b0, b1, b2, steps, failure in blocks:
         # Stages k1..k4 (p, q, r, s) of a(t) X, a = [[m, b0], [n, -m]] with
         # m = b1/2 and n = -b2, one column of X, (x0, x2) or (x1, x3), a line.
         # Step j reads the samples 2j, 2j + 1 and 2j + 2 (suffixes 0, 1, 2).
@@ -139,7 +139,7 @@ def integrate_group_equation(eq: RiccatiEquation, t_span, step: float = 1e-3) ->
     s = _SESSION.get()
     if s is not None:
         s.group_steps += len(rows) - 1
-    return GroupTrajectory(grid[:], np.array(rows).T)
+    return GroupTrajectory(grid, np.array(rows).T)
 
 
 def reconstruct_solution(G: GroupTrajectory, x0) -> Trajectory:

@@ -417,22 +417,19 @@ def test_debug_log_adds_the_session_counts_to_stderr(tmp_path, capsys,
                             "expr.evaluate_grid.runs",
                             "riccati.integrate_direct.steps",
                             "riccati.integrate_direct.chart_switches",
-                            "sl2.integrate_group_equation.steps",
-                            "riccati.stage_samples.reused"]
+                            "sl2.integrate_group_equation.steps"]
     assert all(type(n) is int and n >= 0 for n in counts.values())
     assert counts["expr.evaluate_grid.runs"] > 0
     # Only verify runs the direct RK4 here: 100 steps for each initial
     # condition and for each satisfied curve's image equation, and the
-    # group RK4 once.  Its group run and the last three direct runs read
-    # back the first direct run's stage samples.
-    runs = group = reused = 0
+    # group RK4 once.
+    runs = group = 0
     if command == "verify":
         checks = json.loads(debug.out)["checks"]
         runs = 4 + sum(c["name"].startswith("equivariance[") for c in checks)
-        group, reused = 1, 4
+        group = 1
     assert counts["riccati.integrate_direct.steps"] == 100 * runs
     assert counts["sl2.integrate_group_equation.steps"] == 100 * group
-    assert counts["riccati.stage_samples.reused"] == reused
 
 
 def test_no_command_runs_an_outermost_grid_on_one_time(tmp_path, capsys, monkeypatch):
@@ -707,6 +704,23 @@ def test_verify_reconstructs_point_by_point_when_the_batch_fails(tmp_path, capsy
     assert doc["checks"][2]["reason"] == str(err.value)
 
 
+def test_verify_records_a_singular_group_matrix_as_failed_checks(tmp_path, capsys):
+    # By t = 16.5 the group matrix of x' = 1 - x^2 has entries near 5e6,
+    # too large for its unit determinant to be told from zero, so each
+    # reconstruction fails with the matrix, and the other checks print.
+    path = _write_problem(tmp_path, t_interval=[0.0, 16.5],
+                          initial_conditions=[0.0, 0.5])
+    assert main(["verify", str(path)]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = [c for c in checks if not c["passed"]]
+    assert [c["name"] for c in failed] == ["reconstruction[0]", "reconstruction[1]"]
+    for c in failed:
+        assert c["max_deviation"] is None
+        assert c["reason"].startswith("matrix Mat2(a11=5041092.")
+        assert c["reason"].endswith(") is singular (det=1)")
+    assert any(c["name"].startswith("equivariance[") for c in checks)
+
+
 def test_verify_integrates_each_initial_condition_once(tmp_path, capsys,
                                                        monkeypatch):
     calls = collections.Counter()
@@ -730,26 +744,27 @@ def test_verify_integrates_each_initial_condition_once(tmp_path, capsys,
 
 
 def test_verify_samples_the_equation_once_for_its_rk4_runs(capsys, monkeypatch):
-    # tanh.json has four initial conditions: four direct runs and the
-    # group run read one stage sampling of the problem's coefficients.
-    sampled = collections.Counter()
+    # tanh.json has four initial conditions: the first direct run computes
+    # the stage values of the problem's coefficients, and the other three
+    # and the group run read them back from the session's grid values.
+    computed = collections.defaultdict(list)
     sample = riccati_module._sample
 
     def counting(roots, chunks):
-        sampled[tuple(map(str, roots))] += 1
-        return sample(roots, chunks)
+        s = expr_module._SESSION.get()
+        before = s.computed
+        yield from sample(roots, chunks)
+        computed[tuple(map(str, roots))].append(s.computed - before)
 
     monkeypatch.setattr(riccati_module, "_sample", counting)
-    monkeypatch.setenv("RICCATI_LOG", "debug")
     path = PROBLEMS / "tanh.json"
     problem = load_problem(path)
     eq = problem.equation
     assert len(problem.initial_conditions) == 4
     main(["verify", str(path)])
-    out, err = capsys.readouterr()
-    assert sampled[(str(eq.b0), str(eq.b1), str(eq.b2))] == 1
-    assert json.loads(err.splitlines()[-1])["riccati.stage_samples.reused"] == 4
-    names = [c["name"] for c in json.loads(out)["checks"]]
+    first, *later = computed[(str(eq.b0), str(eq.b1), str(eq.b2))]
+    assert first > 0 and later == [0] * 4
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
     assert sum(n.startswith("reconstruction[") for n in names) == 4
 
 

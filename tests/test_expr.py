@@ -922,11 +922,8 @@ def test_a_long_solve_keeps_at_most_the_session_budget():
     eq = RiccatiEquation.of(sin(T) * T + 1.0, cos(T) / (T + 2.0), exp(-T) * 0.1)
     with session() as s:
         traj = integrate_direct(eq, 0.1, (0.0, 20.0), 1e-3)
-    # The sampling, too long to keep, is not kept; its time grid is, at
-    # 32 bytes a float.
-    (grid, _), = s.samplings.values()
-    kept = (sum(len(key) + sum(v.nbytes for v in vals.values())
-                for key, vals in s.grids.items()) + 32 * len(grid))
+    kept = sum(len(key) + sum(v.nbytes for v in vals.values())
+               for key, vals in s.grids.items())
     assert kept == s.kept_bytes <= expr_module._SESSION_BYTES
     assert len(s.grids) < 40
     assert np.array_equal(

@@ -20,15 +20,15 @@ from riccati_sl2.riccati import _emit, csv_texts
 
 
 def test_a_sampling_that_fails_is_not_kept():
-    # Each direct run samples again and truncates with the same error;
-    # the group run raises it.
+    # Each direct run computes the stage values again and truncates with
+    # the same error; the group run raises it.
     eq = RiccatiEquation(parse("1"), parse("log(0.5 - t)"), parse("0"))
     with session() as s:
         trajs = [integrate_direct(eq, x0, (0.0, 1.0), 0.01) for x0 in (0.0, 0.5, -0.5)]
         with pytest.raises(EvalDomainError, match="log of non-positive value"):
             integrate_group_equation(eq, (0.0, 1.0), 0.01)
-    assert list(s.samplings) == [(0.0, 1.0, 0.01)]  # the time grid alone
-    assert s.counts()["riccati.stage_samples.reused"] == 0
+    assert s.grids == {}
+    assert s.counts()["expr.evaluate_grid.subtrees_reused"] == 0
     for traj in trajs:
         assert traj.error == "log of non-positive value in 'log(0.5 - t)'"
         assert len(traj) == 50 and traj.ts[-1] == pytest.approx(0.49)
@@ -38,9 +38,11 @@ def test_a_kept_sampling_gives_the_same_trajectories():
     eq = RiccatiEquation(parse("1 + t"), parse("sin(3*t)"), parse("2 - t^2"))
     fresh = [integrate_direct(eq, x0, (0.0, 2.0), 1e-3) for x0 in (0.0, 2.0, -3.0)]
     with session() as s:
-        kept = [integrate_direct(eq, x0, (0.0, 2.0), 1e-3) for x0 in (0.0, 2.0, -3.0)]
+        kept = [integrate_direct(eq, 0.0, (0.0, 2.0), 1e-3)]
+        computed = s.counts()["expr.evaluate_grid.subtrees_computed"]
+        kept += [integrate_direct(eq, x0, (0.0, 2.0), 1e-3) for x0 in (2.0, -3.0)]
         group = integrate_group_equation(eq, (0.0, 2.0), 1e-3)
-    assert s.counts()["riccati.stage_samples.reused"] == 3
+    assert s.counts()["expr.evaluate_grid.subtrees_computed"] == computed
     assert all(len(a.chart_switches) > 0 for a in fresh)
     for a, b in zip(fresh, kept):
         assert (a.ts, a.values.tobytes(), a.chart_switches, a.error) == (
@@ -49,6 +51,38 @@ def test_a_kept_sampling_gives_the_same_trajectories():
         eq, (0.0, 2.0), 1e-3).values.tobytes()
 
 
+@pytest.mark.parametrize("b0, b1, b2, kept", [
+    ("1 + t", "cos(t)/(1 + t)", "-t", True),
+    # A deferred integral's value runs on from block to block: nothing kept.
+    ("1", "integral(cos(t))", "-t", False),
+    # The first block fails at t = 0.5: nothing kept.
+    ("1", "log(0.5 - t)", "t", False)])
+def test_repeated_rk4_runs_in_a_session_match_sessionless_runs(b0, b1, b2, kept):
+    eq = RiccatiEquation(parse(b0), parse(b1), parse(b2))
+    span, step = (0.0, 2.0), 1e-3
+
+    def runs(after_each):
+        out = []
+        for x0 in (0.0, 0.5, -2.0):
+            a = integrate_direct(eq, x0, span, step)
+            out.append((a.ts, a.values.tobytes(), a.chart_switches, a.error))
+            after_each()
+        try:
+            group = integrate_group_equation(eq, span, step)
+            out.append((group.ts, group.values.tobytes()))
+        except EvalDomainError as exc:
+            out.append(str(exc))
+        after_each()
+        return out
+
+    fresh = runs(lambda: None)
+    with session() as s:
+        computed = [0]
+        shared = runs(lambda: computed.append(
+            s.counts()["expr.evaluate_grid.subtrees_computed"]))
+    assert shared == fresh
+    first, *later = np.diff(computed).tolist()
+    assert first > 0 and later == ([0] * 3 if kept else [first] * 3)
 def test_rhs_values():
     assert rhs(RiccatiEquation.of(1, 0, 0), 0.3, 7.0) == 1.0
     assert rhs(RiccatiEquation.of(0, 1, 0), 0.0, 3.0) == 3.0

@@ -17,6 +17,9 @@ print the same lines exactly when their outputs agree:
     diff old.txt new.txt
 
 Runs are in-process, one after another; stderr names the package used.
+``RICCATI_LOG`` is removed from the environment first: the debug line it
+turns on goes to the stderr that is hashed, and its counts differ between
+checkouts whose outputs agree.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ def main(argv=None) -> int:
     ap.add_argument("seeds", type=int, nargs="*", help="workload seeds")
     args = ap.parse_args(argv)
     print(f"riccati_sl2 from {Path(riccati_sl2.__file__).parent}", file=sys.stderr)
+    os.environ.pop("RICCATI_LOG", None)
     runs = [(command, f"bundled/{p.name}")
             for p in sorted(BUNDLED.glob("*.json"))
             for command in ("classify", "solve", "verify")]
